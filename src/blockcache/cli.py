@@ -20,38 +20,35 @@ from .instance import (
     Instance,
     InstanceError,
     PolicyTrace,
-    build_request_index,
+    RequestIndex,
     gen_beta_off,
     gen_gap_instance,
     gen_random,
+    is_int_in,
+    read_jsonl,
+    round12,
 )
 from .oracle import (
     OracleIntractableError,
-    fractional_costs,
+    derive_block_rates,
     naive_lp_check,
     opt_eviction,
     opt_fetching,
     trace_to_x,
+    trace_to_x_mean,
 )
 from .rounding import (
     bicriteria_round_evict,
-    bicriteria_round_fetch,
     derandomize_ensemble,
     gamma_for,
     randomized_round,
     structure_stream,
 )
-from .submodular import (
-    CoverageOracle,
-    FlushSet,
-    check_feasible,
-    check_feasible_exhaustive,
-)
+from .submodular import CoverageOracle, FlushSet, check_feasible_full
 
-
-def _f(v: float) -> float:
-    """Round-trip a float through 12 significant digits for stable files."""
-    return float(f"{v:.12g}")
+COST_TOL = 1e-9  # det cost <= k * OPT: sums of block costs, float error only
+DET_DUAL_TOL = 1e-6  # det dual <= OPT: float quotients summed over up to T raises
+FRAC_BOUND_TOL = 1e-6  # frac cost <= bound * dual: duals are bisection roots to 1e-12
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -104,11 +101,10 @@ def _ensemble_traces(inst: Instance, seeds: list[int]):
     return frac, stream, traces
 
 
-def _oracle_cost(inst: Instance, model: str, h: int):
+def _oracle_cost(inst: Instance):
+    """Exact eviction optimum at h = k, or None when the DP is out of budget."""
     try:
-        if model == "evict":
-            return opt_eviction(inst, h)[0]
-        return opt_fetching(inst, h)[0]
+        return opt_eviction(inst, inst.k)[0]
     except OracleIntractableError:
         return None
 
@@ -125,27 +121,25 @@ def cmd_run(args) -> int:
         "beta": inst.beta,
         "h": h,
     }
-    tol = args.tol
-
     if args.alg == "det":
         res = run_deterministic(inst)
         res.trace.validate()
         res.ledger.check_feasible(inst)
         res.trace.save(prefix + ".trace.jsonl")
         res.ledger.save_certificate(prefix + ".cert.json", inst, res.primal_cost)
-        opt = _oracle_cost(inst, "evict", inst.k)
+        opt = _oracle_cost(inst)
         summary.update(
             model="evict",
-            cost=_f(res.primal_cost),
-            dual_objective=_f(res.ledger.objective),
+            cost=round12(res.primal_cost),
+            dual_objective=round12(res.ledger.objective),
             bound=inst.k,
         )
         ok = True
         if opt is not None:
-            summary["oracle"] = _f(opt)
-            summary["ratio"] = _f(res.primal_cost / opt) if opt > 0 else 0.0
-            ok = res.primal_cost <= inst.k * opt + tol
-            ok = ok and res.ledger.objective <= opt + 1e-6
+            summary["oracle"] = round12(opt)
+            summary["ratio"] = round12(res.primal_cost / opt) if opt > 0 else 0.0
+            ok = res.primal_cost <= inst.k * opt + COST_TOL
+            ok = ok and res.ledger.objective <= opt + DET_DUAL_TOL
         summary["pass"] = ok
     elif args.alg == "frac":
         res = run_fractional(inst, check_each_step=True)
@@ -156,15 +150,15 @@ def cmd_run(args) -> int:
         bound = res.competitive_bound
         summary.update(
             model="evict",
-            cost=_f(res.primal_cost),
-            dual_objective=_f(dual),
-            bound=_f(bound),
+            cost=round12(res.primal_cost),
+            dual_objective=round12(dual),
+            bound=round12(bound),
         )
-        summary["pass"] = res.primal_cost <= bound * dual + 1e-6
-        opt = _oracle_cost(inst, "evict", inst.k)
+        summary["pass"] = res.primal_cost <= bound * dual + FRAC_BOUND_TOL
+        opt = _oracle_cost(inst)
         if opt is not None:
-            summary["oracle"] = _f(opt)
-            summary["ratio"] = _f(res.primal_cost / opt) if opt > 0 else 0.0
+            summary["oracle"] = round12(opt)
+            summary["ratio"] = round12(res.primal_cost / opt) if opt > 0 else 0.0
     elif args.alg == "frac-round":
         seeds = args.seeds
         frac, stream, traces = _ensemble_traces(inst, seeds)
@@ -178,12 +172,12 @@ def cmd_run(args) -> int:
         summary.update(
             model="evict",
             seeds=seeds,
-            cost=_f(mean),
-            stderr=_f(stderr),
-            gamma=_f(gamma),
-            structured_cost=_f(stream.cost),
-            fractional_cost=_f(frac.primal_cost),
-            bound=_f(rhs),
+            cost=round12(mean),
+            stderr=round12(stderr),
+            gamma=round12(gamma),
+            structured_cost=round12(stream.cost),
+            fractional_cost=round12(frac.primal_cost),
+            bound=round12(rhs),
         )
         summary["pass"] = mean <= rhs * 1.1
     elif args.alg in ("bicriteria-fetch", "bicriteria-evict"):
@@ -194,8 +188,7 @@ def cmd_run(args) -> int:
             cost = out.fetching_cost
             model = "fetch"
         else:
-            x = trace_to_x_mean(traces, inst)
-            out = bicriteria_round_evict(x, inst)
+            out = bicriteria_round_evict(trace_to_x_mean(traces, inst), inst)
             cost = out.eviction_cost
             model = "evict"
         out.validate()
@@ -203,7 +196,7 @@ def cmd_run(args) -> int:
         summary.update(
             model=model,
             seeds=seeds,
-            cost=_f(cost),
+            cost=round12(cost),
             space_bound=2 * inst.k,
         )
         summary["pass"] = True
@@ -219,25 +212,12 @@ def cmd_run(args) -> int:
             return 1
         trace.validate()
         trace.save(prefix + ".trace.jsonl")
-        summary.update(model=model, cost=_f(cost), oracle=_f(cost))
+        summary.update(model=model, cost=round12(cost), oracle=round12(cost))
         summary["pass"] = True
 
     _write_json(prefix + ".summary.json", summary)
     print(f"{args.alg}: cost={summary['cost']} pass={summary['pass']}")
     return 0 if summary["pass"] else 1
-
-
-def trace_to_x_mean(traces: list[PolicyTrace], inst: Instance) -> list[list]:
-    """Mean missing-value trajectory of an ensemble of integral traces."""
-    N = len(traces)
-    x: list[list] = []
-    for t in range(inst.T + 1):
-        row = [None]
-        for p in range(1, inst.n + 1):
-            present = sum(1 for tr in traces if p in tr.cache_at(t))
-            row.append(1.0 - present / N)
-        x.append(row)
-    return x
 
 
 # ---------------------------------------------------------------- verify
@@ -252,7 +232,7 @@ def _verify_worked_example() -> list[str]:
         costs=(1.0, 1.0, 1.0),
         requests=(1, 2, 3, 4, 5, 6, 3, 7, 8),
     )
-    oracle = CoverageOracle(inst, build_request_index(inst))
+    oracle = CoverageOracle(inst, RequestIndex(inst))
     tau = 9
     failures = []
     s1 = FlushSet.from_flushes(3, [(0, 4)])
@@ -265,13 +245,9 @@ def _verify_worked_example() -> list[str]:
     return failures
 
 
-def _verify_instance(path: str) -> list[str]:
+def _verify_instance(inst: Instance) -> list[str]:
     failures = []
-    try:
-        inst = Instance.load(path)
-    except (InstanceError, ValueError, KeyError) as exc:
-        return [f"instance invalid: {exc}"]
-    oracle = CoverageOracle(inst, build_request_index(inst))
+    oracle = CoverageOracle(inst, RequestIndex(inst))
     rng = random.Random(0)
     ground = [
         (b, t) for b in range(inst.num_blocks) for t in range(inst.T + 1)
@@ -303,35 +279,34 @@ def _verify_trace(path: str, inst: Instance, capacity: int) -> list[str]:
     except ValueError as exc:
         return [f"trace invalid: {exc}"]
     x = trace_to_x(trace)
-    from .rounding import derive_block_rates
-
     bad = naive_lp_check(x, derive_block_rates(x, inst, +1), +1, inst)
     if bad is not None and bad.kind != "capacity":
         return [f"trace trajectory check failed: {bad}"]
     return []
 
 
-def _verify_increments(path: str, inst: Instance, exhaustive: bool) -> list[str]:
-    from .frac_online import FractionalSolution
+def _verify_increments(path: str, inst: Instance) -> list[str]:
+    """Exact feasibility at every tau of the mass logged up to tau."""
 
-    entries = []
-    with open(path) as fh:
-        for line in fh:
-            rec = json.loads(line)
-            entries.append((rec["tau"], (rec["block"], rec["t"]), rec["delta"]))
-    sol = FractionalSolution.replay(inst, entries)
-    oracle = CoverageOracle(inst, build_request_index(inst))
+    def parse(rec: dict) -> tuple | None:
+        tau, block, t, delta = rec["tau"], rec["block"], rec["t"], rec["delta"]
+        ok = is_int_in(tau, 1, inst.T) and is_int_in(t, 0, inst.T)
+        ok = ok and is_int_in(block, 0, inst.num_blocks - 1) and 0 < delta < math.inf
+        return (tau, (block, t), delta) if ok else None
+
+    entries = read_jsonl(path, parse)
+    oracle = CoverageOracle(inst, RequestIndex(inst))
+    phi = {(b, 0): 1.0 for b in range(inst.num_blocks)}
     failures = []
-    checker = check_feasible_exhaustive if exhaustive else check_feasible
+    i = 0
     for tau in range(1, inst.T + 1):
-        # only mass added up to tau exists at tau
-        cutoff = {}
-        for inc in sol.increments:
-            if inc.tau <= tau:
-                cutoff[inc.flush] = cutoff.get(inc.flush, 0.0) + inc.delta
-        for b in range(inst.num_blocks):
-            cutoff[(b, 0)] = 1.0
-        ok, bad = checker(cutoff, oracle, tau)
+        while i < len(entries) and entries[i][0] <= tau:
+            inc_tau, flush, delta = entries[i]
+            if i and inc_tau < entries[i - 1][0]:
+                return failures + [f"increment {i + 1} goes back in time to tau={inc_tau}"]
+            phi[flush] = phi.get(flush, 0.0) + delta
+            i += 1
+        ok, _S = check_feasible_full(phi, oracle, tau)
         if not ok:
             failures.append(f"increment log infeasible at tau={tau}")
     return failures
@@ -345,18 +320,16 @@ def cmd_verify(args) -> int:
             return 2
         failures += _verify_worked_example()
     inst = Instance.load(args.instance) if args.instance else None
-    if args.instance:
-        failures += _verify_instance(args.instance)
-    if args.trace:
-        if inst is None:
-            print("error: --trace requires --instance", file=sys.stderr)
+    if inst is not None:
+        failures += _verify_instance(inst)
+    for flag, path in (("trace", args.trace), ("increments", args.increments)):
+        if path and inst is None:
+            print(f"error: --{flag} requires --instance", file=sys.stderr)
             return 2
+    if args.trace:
         failures += _verify_trace(args.trace, inst, args.capacity or inst.k)
     if args.increments:
-        if inst is None:
-            print("error: --increments requires --instance", file=sys.stderr)
-            return 2
-        failures += _verify_increments(args.increments, inst, args.exhaustive)
+        failures += _verify_increments(args.increments, inst)
     if not (args.fixture or args.instance):
         print("error: nothing to verify", file=sys.stderr)
         return 2
@@ -460,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--model", choices=["evict", "fetch"], default="evict")
     run.add_argument("--seeds", type=int, nargs="+", default=[0])
     run.add_argument("--h", type=int, default=None, help="offline cache size")
-    run.add_argument("--tol", type=float, default=1e-9)
     run.add_argument("-o", "--output", default=None, help="output path prefix")
 
     ver = sub.add_parser("verify", help="run verification suites")
@@ -469,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--increments", default=None)
     ver.add_argument("--capacity", type=int, default=None)
     ver.add_argument("--fixture", default=None, help="named fixture: coverage-example")
-    ver.add_argument("--exhaustive", action="store_true")
 
     rep = sub.add_parser("report", help="summaries to CSV")
     rep.add_argument("summaries", nargs="+")
@@ -487,10 +458,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         return cmd_report(args)
-    except InstanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (InstanceError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .instance import Instance, PolicyTrace, RequestIndex, build_request_index
+from .instance import Instance, PolicyTrace, RequestIndex, round12
 from .submodular import CoverageOracle, Flush, FlushSet
 
 DUAL_EPS = 1e-9
+# dual increases this close differ only by float error: they tie
+TIE_EPS = 1e-15
 
 
 @dataclass
@@ -51,16 +53,16 @@ class DualLedger:
     def certificate(self, instance: Instance, primal_cost: float) -> dict:
         return {
             "records": [
-                {"tau": r.tau, "coefficient": r.coefficient, "y": float(f"{r.y:.12g}")}
+                {"tau": r.tau, "coefficient": r.coefficient, "y": round12(r.y)}
                 for r in self.records
             ],
-            "dual_objective": float(f"{self.objective:.12g}"),
-            "primal_cost": float(f"{primal_cost:.12g}"),
+            "dual_objective": round12(self.objective),
+            "primal_cost": round12(primal_cost),
             "mass": [
                 {
                     "block": b,
                     "t": t,
-                    "mass": float(f"{a:.12g}"),
+                    "mass": round12(a),
                     "cost": instance.costs[b],
                 }
                 for (b, t), a in sorted(self.mass.items())
@@ -82,6 +84,23 @@ class DetResult:
     primal_cost: float
 
 
+def first_tight(candidates) -> tuple[float, Flush]:
+    """(dual increase, flush) of the candidate whose dual constraint goes
+    tight first: the least (c - A) / m over (flush, m, A, c) candidates, ties
+    within TIE_EPS to the smaller flush.  The tie band is not transitive, so
+    the result can depend on the candidates' order."""
+    best: tuple[float, Flush] | None = None
+    for flush, m, A, c in candidates:
+        gap = (c - A) / m
+        if best is None or gap < best[0] - TIE_EPS or (
+            abs(gap - best[0]) <= TIE_EPS and flush < best[1]
+        ):
+            best = (gap, flush)
+    if best is None:
+        raise AssertionError("no candidate flush with marginal >= 1")
+    return best
+
+
 def next_tight_increase(
     ledger: DualLedger,
     S: FlushSet,
@@ -96,7 +115,7 @@ def next_tight_increase(
     """
     inst = oracle.instance
     rates: dict[Flush, int] = {}
-    best: tuple[float, Flush] | None = None
+    candidates = []
     for flush in oracle.index.alive_flushes(tau):
         if flush in S:
             continue
@@ -104,21 +123,16 @@ def next_tight_increase(
         if m < 1:
             continue
         rates[flush] = m
-        gap = (inst.costs[flush[0]] - ledger.mass.get(flush, 0.0)) / m
-        if best is None or gap < best[0] - 1e-15 or (
-            abs(gap - best[0]) <= 1e-15 and flush < best[1]
-        ):
-            best = (gap, flush)
-    if best is None:
-        raise AssertionError("overflowed cache but no flush with positive marginal")
-    return best[1], best[0], rates
+        candidates.append((flush, m, ledger.mass.get(flush, 0.0), inst.costs[flush[0]]))
+    gap, flush = first_tight(candidates)
+    return flush, gap, rates
 
 
 def run_deterministic(instance: Instance) -> DetResult:
     """Primal-dual deterministic policy: on overflow, raise the current dual
     variable until an alive flush's constraint is tight, then flush that
     block at the current step."""
-    index = build_request_index(instance)
+    index = RequestIndex(instance)
     oracle = CoverageOracle(instance, index)
     S = FlushSet(instance.num_blocks)
     phi: dict[Flush, float] = {(b, 0): 1.0 for b in range(instance.num_blocks)}

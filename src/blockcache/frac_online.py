@@ -7,14 +7,15 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .det_online import DualLedger
-from .instance import Instance, build_request_index
+from .det_online import DualLedger, first_tight
+from .instance import Instance, RequestIndex, round12
 from .submodular import (
     CoverageOracle,
     FEAS_EPS,
     Flush,
     FlushSet,
     check_feasible,
+    constraint_lhs,
     most_violated_constraint,
 )
 
@@ -78,8 +79,8 @@ class FractionalSolution:
                             "tau": inc.tau,
                             "block": inc.flush[0],
                             "t": inc.flush[1],
-                            "delta": float(f"{inc.delta:.12g}"),
-                            "phi_after": float(f"{inc.phi_after:.12g}"),
+                            "delta": round12(inc.delta),
+                            "phi_after": round12(inc.phi_after),
                         }
                     )
                 )
@@ -139,16 +140,7 @@ def solve_event(
     (root found by bisection; the contribution is strictly increasing), or
     some candidate's dual constraint becomes tight first.
     """
-    if not candidates:
-        raise AssertionError("violated constraint with no candidate flush")
-    dy_tight = None
-    tight_flush = None
-    for flush, f, A, c in candidates:
-        gap = (c - A) / f
-        if dy_tight is None or gap < dy_tight - 1e-15 or (
-            abs(gap - dy_tight) <= 1e-15 and flush < tight_flush
-        ):
-            dy_tight, tight_flush = gap, flush
+    dy_tight, tight_flush = first_tight(candidates)
 
     def g(y: float) -> float:
         return sum(
@@ -195,7 +187,7 @@ def run_fractional(
     grows.  The while-condition quantifies over every constraint set
     containing the integral flushes, decided by exact separation.
     """
-    index = build_request_index(instance)
+    index = RequestIndex(instance)
     oracle = CoverageOracle(instance, index)
     sol = FractionalSolution(instance)
     S = sol.integral
@@ -209,12 +201,7 @@ def run_fractional(
             if slack >= -FEAS_EPS:
                 break
             target0 = cap - oracle.f_tau(Sv, tau)
-            lhs = 0.0
-            for flush, value in sol.phi.items():
-                if value > 0.0 and flush not in Sv:
-                    m = oracle.marginal(Sv, flush, tau)
-                    if m:
-                        lhs += m * value
+            lhs = constraint_lhs(sol.phi, Sv, oracle, tau)
             alive = index.alive_flushes(tau)
             if debug_rate_inequality:
                 alive_mass = sum(

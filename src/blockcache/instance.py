@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -10,6 +11,33 @@ from dataclasses import dataclass, field
 
 class InstanceError(ValueError):
     """Raised when instance data violates a structural invariant."""
+
+
+def round12(v: float) -> float:
+    """Round-trip a float through 12 significant digits for stable files."""
+    return float(f"{v:.12g}")
+
+
+def is_int_in(v, lo: int, hi: int) -> bool:
+    """True iff v is an int (not a bool) with lo <= v <= hi."""
+    return type(v) is int and lo <= v <= hi
+
+
+def read_jsonl(path: str, parse) -> list:
+    """parse(record) for every line of a JSON-lines file.  A line that is not
+    JSON, lacks a field parse reads, or that parse returns None for raises
+    InstanceError naming the line."""
+    items = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                item = parse(json.loads(line))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise InstanceError(f"{path} line {lineno}: {exc!r}") from None
+            if item is None:
+                raise InstanceError(f"{path} line {lineno}: malformed record")
+            items.append(item)
+    return items
 
 
 @dataclass(frozen=True)
@@ -48,8 +76,8 @@ class Instance:
             raise InstanceError("blocks must cover all pages 1..n")
         if len(self.costs) != len(self.blocks):
             raise InstanceError("one cost per block required")
-        if any(c <= 0 for c in self.costs):
-            raise InstanceError("block costs must be positive")
+        if not all(0 < c < math.inf for c in self.costs):
+            raise InstanceError("block costs must be positive and finite")
         if self.beta > self.k:
             raise InstanceError("max block size exceeds cache size")
         for p in self.requests:
@@ -109,16 +137,23 @@ class Instance:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Instance":
+        if not isinstance(doc, dict):
+            raise InstanceError("an instance must be a JSON object")
         if doc.get("version") != 1:
             raise InstanceError(f"unsupported instance version {doc.get('version')!r}")
-        return cls(
-            n=doc["n"],
-            k=doc["k"],
-            blocks=tuple(tuple(b) for b in doc["blocks"]),
-            costs=tuple(float(c) for c in doc["costs"]),
-            requests=tuple(doc["requests"]),
-            initial_cache=frozenset(doc.get("initial_cache", [])),
-        )
+        try:
+            return cls(
+                n=doc["n"],
+                k=doc["k"],
+                blocks=tuple(tuple(b) for b in doc["blocks"]),
+                costs=tuple(float(c) for c in doc["costs"]),
+                requests=tuple(doc["requests"]),
+                initial_cache=frozenset(doc.get("initial_cache", [])),
+            )
+        except InstanceError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InstanceError(f"malformed instance: {exc!r}") from None
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -128,7 +163,11 @@ class Instance:
     @classmethod
     def load(cls, path: str) -> "Instance":
         with open(path) as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:
+                raise InstanceError(f"{path}: invalid JSON: {exc}") from None
+        return cls.from_json(doc)
 
 
 class RequestIndex:
@@ -169,10 +208,6 @@ class RequestIndex:
         return out
 
 
-def build_request_index(instance: Instance) -> RequestIndex:
-    return RequestIndex(instance)
-
-
 @dataclass
 class TraceStep:
     t: int
@@ -210,21 +245,23 @@ class PolicyTrace:
             return self.initial_cache
         return self.steps[t - 1].cache
 
-    def record(self, t: int, flushes, fetched, cache) -> None:
+    def step_cost(self, flushes, fetched) -> tuple[float, float]:
+        """(eviction, fetching) cost of one step's flushes and fetched pages."""
         inst = self.instance
-        prev_e = self.steps[-1].evict_cost_cum if self.steps else 0.0
-        prev_f = self.steps[-1].fetch_cost_cum if self.steps else 0.0
         evict = sum(inst.costs[b] for b, ft in flushes if ft >= 1)
-        fetch_blocks = {inst.block_of(p) for p in fetched}
-        fetch = sum(inst.costs[b] for b in fetch_blocks)
+        fetch = sum(inst.costs[b] for b in {inst.block_of(p) for p in fetched})
+        return evict, fetch
+
+    def record(self, t: int, flushes, fetched, cache) -> None:
+        evict, fetch = self.step_cost(flushes, fetched)
         self.steps.append(
             TraceStep(
                 t=t,
                 flushes=sorted(flushes),
                 fetched=sorted(fetched),
                 cache=frozenset(cache),
-                evict_cost_cum=prev_e + evict,
-                fetch_cost_cum=prev_f + fetch,
+                evict_cost_cum=self.eviction_cost + evict,
+                fetch_cost_cum=self.fetching_cost + fetch,
             )
         )
 
@@ -239,10 +276,9 @@ class PolicyTrace:
                 raise ValueError(f"requested page {p} absent after step {step.t}")
             if len(step.cache) > self.capacity_bound:
                 raise ValueError(f"cache exceeds bound at step {step.t}")
-            evict += sum(inst.costs[b] for b, ft in step.flushes if ft >= 1)
-            fetch += sum(
-                inst.costs[b] for b in {inst.block_of(q) for q in step.fetched}
-            )
+            step_evict, step_fetch = self.step_cost(step.flushes, step.fetched)
+            evict += step_evict
+            fetch += step_fetch
             if abs(step.evict_cost_cum - evict) > 1e-9:
                 raise ValueError(f"eviction cost mismatch at step {step.t}")
             if abs(step.fetch_cost_cum - fetch) > 1e-9:
@@ -258,8 +294,8 @@ class PolicyTrace:
                             "flushes": [list(f) for f in step.flushes],
                             "fetched": step.fetched,
                             "cache": sorted(step.cache),
-                            "evict_cost_cum": float(f"{step.evict_cost_cum:.12g}"),
-                            "fetch_cost_cum": float(f"{step.fetch_cost_cum:.12g}"),
+                            "evict_cost_cum": round12(step.evict_cost_cum),
+                            "fetch_cost_cum": round12(step.fetch_cost_cum),
                         }
                     )
                 )
@@ -267,21 +303,29 @@ class PolicyTrace:
 
     @classmethod
     def load(cls, path: str, instance: Instance, capacity_bound: int) -> "PolicyTrace":
-        trace = cls(instance=instance, capacity_bound=capacity_bound)
-        with open(path) as fh:
-            for line in fh:
-                rec = json.loads(line)
-                trace.steps.append(
-                    TraceStep(
-                        t=rec["t"],
-                        flushes=[tuple(f) for f in rec["flushes"]],
-                        fetched=rec["fetched"],
-                        cache=frozenset(rec["cache"]),
-                        evict_cost_cum=rec["evict_cost_cum"],
-                        fetch_cost_cum=rec["fetch_cost_cum"],
-                    )
-                )
-        return trace
+        """Reads a saved trace; a line that is not a well-formed step of this
+        instance raises InstanceError."""
+        inst = instance
+
+        def parse(rec: dict) -> TraceStep | None:
+            step = TraceStep(
+                t=rec["t"],
+                flushes=[tuple(f) for f in rec["flushes"]],
+                fetched=rec["fetched"],
+                cache=frozenset(rec["cache"]),
+                evict_cost_cum=rec["evict_cost_cum"],
+                fetch_cost_cum=rec["fetch_cost_cum"],
+            )
+            ok = is_int_in(step.t, 1, inst.T)
+            ok = ok and math.isfinite(step.evict_cost_cum + step.fetch_cost_cum)
+            ok = ok and all(is_int_in(p, 1, inst.n) for p in [*step.fetched, *step.cache])
+            ok = ok and all(
+                is_int_in(b, 0, inst.num_blocks - 1) and is_int_in(t, 0, inst.T)
+                for b, t in step.flushes
+            )
+            return step if ok else None
+
+        return cls(instance=instance, capacity_bound=capacity_bound, steps=read_jsonl(path, parse))
 
 
 def gen_gap_instance(beta: int, rounds: int) -> Instance:
@@ -389,8 +433,6 @@ def gen_random(
     if cost_profile == "unit":
         costs = tuple(1.0 for _ in blocks)
     else:
-        import math
-
         costs = tuple(math.exp(rng.uniform(0.0, math.log(delta))) for _ in blocks)
     requests = tuple(rng.randint(1, n) for _ in range(T))
     return Instance(

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
 
-from .instance import Instance, PolicyTrace, build_request_index, gen_gap_instance
+from .instance import Instance, PolicyTrace, RequestIndex, gen_gap_instance
 from .submodular import CoverageOracle, Flush, FlushSet, PhiView
 
 DP_STATE_LIMIT = 10**6
@@ -142,16 +142,21 @@ def opt_fetching(instance: Instance, h: int | None = None) -> tuple[float, Polic
 def opt_eviction_flushsets(instance: Instance) -> float:
     """Eviction optimum by enumerating flush sets; independent of the DP.
 
-    Exponential in (number of blocks) * T; tiny instances only.  The flush
-    formulation assumes an empty starting cache.
+    Only canonical flushes (B(p_r), r+1) with r+1 <= T are enumerated, on
+    top of the time-0 flushes.  That loses nothing: moving a flush (B, t)
+    back to just after the previous request of a page of B keeps its cost
+    and makes a superset of pages missing at every tau >= t, and with no
+    earlier request of B it is dominated by the time-0 flush.  Exponential
+    in T; tiny instances only.  The flush formulation assumes an empty
+    starting cache.
     """
     if instance.initial_cache:
         raise ValueError("flush-set enumeration requires an empty initial cache")
-    index = build_request_index(instance)
+    index = RequestIndex(instance)
     oracle = CoverageOracle(instance, index)
-    ground = [
-        (b, t) for b in range(instance.num_blocks) for t in range(1, instance.T + 1)
-    ]
+    ground = sorted(
+        {(instance.block_of(instance.request(r)), r + 1) for r in range(1, instance.T)}
+    )
     best = None
     for chosen in _subsets(ground):
         S = FlushSet(instance.num_blocks)
@@ -179,22 +184,43 @@ def trace_to_x(trace: PolicyTrace) -> list[list]:
     return out
 
 
-def fractional_costs_from_x(x: list[list], instance: Instance) -> tuple:
-    """(eviction, fetching) cost of a per-page trajectory.
+def trace_to_x_mean(traces: list[PolicyTrace], instance: Instance) -> list[list]:
+    """Mean missing-value trajectory of an ensemble of integral traces."""
+    N = len(traces)
+    x: list[list] = []
+    for t in range(instance.T + 1):
+        row = [None]
+        for p in range(1, instance.n + 1):
+            present = sum(1 for tr in traces if p in tr.cache_at(t))
+            row.append(1.0 - present / N)
+        x.append(row)
+    return x
 
-    Per block and step, eviction pays the largest rise of a member page's
-    missing value and fetching pays the largest drop.
-    """
-    evict = fetch = 0
+
+def derive_block_rates(x: list[list], instance: Instance, sigma: int) -> list[list]:
+    """Minimal per-block flush/fetch extents consistent with a trajectory:
+    phi[t][b] is the largest rise (sigma=+1) or drop (sigma=-1) of a member
+    page's missing value at step t, and 0 if there is none."""
+    phi: list[list] = [None]
     for t in range(1, instance.T + 1):
-        for b, blk in enumerate(instance.blocks):
-            rise = max((x[t][p] - x[t - 1][p] for p in blk), default=0)
-            drop = max((x[t - 1][p] - x[t][p] for p in blk), default=0)
-            if rise > 0:
-                evict += instance.costs[b] * rise
-            if drop > 0:
-                fetch += instance.costs[b] * drop
-    return evict, fetch
+        phi.append([
+            max([sigma * (x[t][p] - x[t - 1][p]) for p in blk] + [0])
+            for blk in instance.blocks
+        ])
+    return phi
+
+
+def fractional_costs_from_x(x: list[list], instance: Instance) -> tuple:
+    """(eviction, fetching) cost of a per-page trajectory: the block rates of
+    ``derive_block_rates`` weighted by c_B, for sigma = +1 and -1."""
+    return tuple(
+        sum(
+            instance.costs[b] * rate
+            for row in derive_block_rates(x, instance, sigma)[1:]
+            for b, rate in enumerate(row)
+        )
+        for sigma in (+1, -1)
+    )
 
 
 def fractional_costs(
@@ -209,7 +235,7 @@ def fractional_costs(
     """
     if initial_cache is None:
         initial_cache = instance.initial_cache
-    index = build_request_index(instance)
+    index = RequestIndex(instance)
     oracle = CoverageOracle(instance, index)
     view = PhiView(phi, instance.num_blocks)
     evict = sum(instance.costs[b] * v for (b, t), v in phi.items() if t >= 1)
@@ -311,29 +337,15 @@ def gap_fractional_solution(beta: int, rounds: int) -> GapSolution:
     n, T = instance.n, instance.T
     small = Fraction(1, beta)
     x: list[list] = [[None] + [Fraction(1)] * n]
-    phi_e: list[list] = [None]
-    phi_f: list[list] = [None]
     for t in range(1, T + 1):
         phase = 0 if ((t - 1) % (2 * beta)) < beta else 1
-        row = [None] + [
+        x.append([None] + [
             Fraction(0) if instance.block_of(p) == phase else small
             for p in range(1, n + 1)
-        ]
-        x.append(row)
-        rises = [
-            max(
-                (x[t][p] - x[t - 1][p] for p in instance.blocks[b]),
-                default=Fraction(0),
-            )
-            for b in range(2)
-        ]
-        drops = [
-            max(
-                (x[t - 1][p] - x[t][p] for p in instance.blocks[b]),
-                default=Fraction(0),
-            )
-            for b in range(2)
-        ]
-        phi_e.append([max(r, Fraction(0)) for r in rises])
-        phi_f.append([max(d, Fraction(0)) for d in drops])
-    return GapSolution(instance=instance, x=x, phi_evict=phi_e, phi_fetch=phi_f)
+        ])
+    return GapSolution(
+        instance=instance,
+        x=x,
+        phi_evict=derive_block_rates(x, instance, +1),
+        phi_fetch=derive_block_rates(x, instance, -1),
+    )

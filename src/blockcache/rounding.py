@@ -7,8 +7,13 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .instance import Instance, PolicyTrace, build_request_index
-from .oracle import fractional_costs_from_x, naive_lp_check
+from .instance import Instance, PolicyTrace, RequestIndex
+from .oracle import (
+    derive_block_rates,
+    fractional_costs_from_x,
+    naive_lp_check,
+    trace_to_x_mean,
+)
 from .submodular import CoverageOracle, Flush, PhiView
 
 
@@ -24,7 +29,7 @@ class StructuredStream:
 
     ``phi`` is the final structured solution (doubled, bucketed, with full
     flushes emitted whenever a half-rounded page value crosses 1/2); every
-    nonzero coordinate is at least 1/(4k^2).  ``phi_half`` is the
+    nonzero coordinate is at least 1/(4k^2).  ``half_increments`` log the
     pre-doubling half-rounded stage whose page values stay in [0,1/2)+{1}.
     """
 
@@ -32,7 +37,6 @@ class StructuredStream:
     increments: list[tuple[int, Flush, float]] = field(default_factory=list)
     half_increments: list[tuple[int, Flush, float]] = field(default_factory=list)
     phi: dict[Flush, float] = field(default_factory=dict)
-    phi_half: dict[Flush, float] = field(default_factory=dict)
     raw_cost: float = 0.0
 
     @property
@@ -57,7 +61,7 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
     reaches 1/2, per-block bucketing of small mass with threshold 1/(4k^2),
     and a final doubling capped at 1 on emission.
     """
-    index = build_request_index(instance)
+    index = RequestIndex(instance)
     k = instance.k
     threshold = 1.0 / (4.0 * k * k)
 
@@ -132,7 +136,6 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
                 break
 
     stream.phi = out
-    stream.phi_half = half
     return stream
 
 
@@ -152,7 +155,7 @@ def randomized_round(
     """
     rng = random.Random(seed)
     gamma = gamma_for(instance)
-    index = build_request_index(instance)
+    index = RequestIndex(instance)
     oracle = CoverageOracle(instance, index)
     view = PhiView(stream.phi, instance.num_blocks)
     by_step = stream.increments_by_step()
@@ -198,21 +201,6 @@ def _check_initial_row(x, instance):
     for p in range(1, instance.n + 1):
         if p not in instance.initial_cache and x[0][p] < 1.0 - 1e-9:
             raise ValueError(f"page {p} starts outside the cache but x[0]={x[0][p]}")
-
-
-def derive_block_rates(x: list[list], instance: Instance, sigma: int) -> list[list]:
-    """Minimal per-block flush/fetch extents consistent with a trajectory."""
-    phi: list[list] = [None]
-    for t in range(1, instance.T + 1):
-        phi.append(
-            [
-                max(
-                    [sigma * (x[t][p] - x[t - 1][p]) for p in blk] + [0]
-                )
-                for blk in instance.blocks
-            ]
-        )
-    return phi
 
 
 def bicriteria_round_fetch(x: list[list], instance: Instance) -> PolicyTrace:
@@ -279,15 +267,7 @@ def derandomize_ensemble(
     threshold-rounds it; cost at most twice the ensemble mean fetching cost."""
     if not traces:
         raise ValueError("empty ensemble")
-    N = len(traces)
-    x: list[list] = []
-    for t in range(instance.T + 1):
-        row = [None]
-        for p in range(1, instance.n + 1):
-            present = sum(1 for tr in traces if p in tr.cache_at(t))
-            row.append(1.0 - present / N)
-        x.append(row)
-    out = bicriteria_round_fetch(x, instance)
-    mean_fetch = sum(tr.fetching_cost for tr in traces) / N
+    out = bicriteria_round_fetch(trace_to_x_mean(traces, instance), instance)
+    mean_fetch = sum(tr.fetching_cost for tr in traces) / len(traces)
     assert out.fetching_cost <= 2.0 * mean_fetch + 1e-6
     return out

@@ -110,16 +110,18 @@ class CoverageOracle:
         return min(cap, base + new) - min(cap, base)
 
 
-def is_missing(S: FlushSet, oracle: CoverageOracle, p: int, tau: int) -> bool:
-    return oracle.is_missing(S, p, tau)
-
-
-def f_tau(S: FlushSet, oracle: CoverageOracle, tau: int) -> int:
-    return oracle.f_tau(S, tau)
-
-
-def marginal(S: FlushSet, oracle: CoverageOracle, flush: Flush, tau: int) -> int:
-    return oracle.marginal(S, flush, tau)
+def constraint_lhs(
+    phi: dict[Flush, float], S: FlushSet, oracle: CoverageOracle, tau: int
+) -> float:
+    """Left-hand side of the covering constraint indexed by (S, tau): the
+    flush mass outside S, each flush weighted by its marginal."""
+    lhs = 0.0
+    for flush, value in phi.items():
+        if value > 0.0 and flush not in S:
+            m = oracle.marginal(S, flush, tau)
+            if m:
+                lhs += m * value
+    return lhs
 
 
 def constraint_slack(
@@ -132,13 +134,7 @@ def constraint_slack(
     """
     inst = oracle.instance
     target = inst.n - inst.k - oracle.f_tau(S, tau)
-    lhs = 0.0
-    for flush, value in phi.items():
-        if value > 0.0 and flush not in S:
-            m = oracle.marginal(S, flush, tau)
-            if m:
-                lhs += m * value
-    return lhs - target
+    return constraint_lhs(phi, S, oracle, tau) - target
 
 
 def maximal_integral_set(phi: dict[Flush, float], num_blocks: int) -> FlushSet:

@@ -15,7 +15,7 @@ from blockcache.frac_online import (
 )
 from blockcache.instance import (
     Instance,
-    build_request_index,
+    RequestIndex,
     gen_beta_off,
     gen_gap_instance,
     gen_random,
@@ -58,7 +58,7 @@ def test_acceptance_1_coverage_fixture():
         costs=(1.0, 1.0, 1.0),
         requests=(1, 2, 3, 4, 5, 6, 3, 7, 8),
     )
-    oracle = CoverageOracle(inst, build_request_index(inst))
+    oracle = CoverageOracle(inst, RequestIndex(inst))
     tau = 9
     got = (
         oracle.f_tau(FlushSet.from_flushes(3, [(0, 4)]), tau),
@@ -78,7 +78,7 @@ def test_acceptance_2_submodularity_samples():
         n = rng.randint(4, 8)
         k = rng.randint(2, min(4, n - 1))
         inst = gen_random(n, k, 2, 8, seed=trial)
-        oracle = CoverageOracle(inst, build_request_index(inst))
+        oracle = CoverageOracle(inst, RequestIndex(inst))
         tau = rng.randint(1, inst.T)
         ground = [
             (b, t) for b in range(inst.num_blocks) for t in range(inst.T + 1)

@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from blockcache.cli import main
 from blockcache.instance import Instance
 
@@ -167,6 +169,82 @@ def test_verify_trace_planted_fault(tmp_path, capsys):
     )
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def _frac_increment_lines(tmp_path):
+    inst_path = gen_random_file(tmp_path, seed=0)
+    prefix = tmp_path / "frac"
+    assert run_cli(
+        "run", "--instance", str(inst_path), "--alg", "frac", "-o", str(prefix)
+    ) == 0
+    return inst_path, (tmp_path / "frac.increments.jsonl").read_text().splitlines()
+
+
+def test_verify_increments_uses_exact_separation(tmp_path, capsys):
+    # without its last increment the log still passes the single-constraint
+    # spot check at every tau, but exact separation finds tau=16 infeasible
+    inst_path, lines = _frac_increment_lines(tmp_path)
+    dropped = tmp_path / "dropped.jsonl"
+    dropped.write_text("\n".join(lines[:-1]) + "\n")
+    capsys.readouterr()
+    assert run_cli(
+        "verify", "--instance", str(inst_path), "--increments", str(dropped)
+    ) == 1
+    assert "FAIL: increment log infeasible at tau=16" in capsys.readouterr().out
+
+
+def test_verify_increments_rejects_tau_going_back(tmp_path, capsys):
+    inst_path, lines = _frac_increment_lines(tmp_path)
+    shuffled = tmp_path / "shuffled.jsonl"
+    shuffled.write_text("\n".join(lines[-1:] + lines[:-1]) + "\n")
+    capsys.readouterr()
+    assert run_cli(
+        "verify", "--instance", str(inst_path), "--increments", str(shuffled)
+    ) == 1
+    assert "goes back in time" in capsys.readouterr().out
+
+
+def _drop_key(text, key):
+    doc = json.loads(text)
+    del doc[key]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "target,corrupt",
+    [
+        ("instance", lambda text: _drop_key(text, "requests")),
+        ("instance", lambda text: text[: len(text) // 2]),
+        ("increments", lambda text: text.replace('"block"', '"blk"', 1)),
+        ("increments", lambda text: text.replace('"block": 0', '"block": 99', 1)),
+        ("trace", lambda text: text.replace('"cache"', '"kache"', 1)),
+        ("trace", lambda text: text.replace('"evict_cost_cum": 0.0', '"evict_cost_cum": NaN', 1)),
+    ],
+    ids=[
+        "instance-missing-key", "instance-invalid-json", "increment-missing-key",
+        "increment-unknown-block", "trace-missing-key", "trace-nan-cost",
+    ],
+)
+def test_malformed_input_exit_2(tmp_path, capsys, target, corrupt):
+    inst_path = gen_random_file(tmp_path, seed=0)
+    run_cli("run", "--instance", str(inst_path), "--alg", "det", "-o", str(tmp_path / "det"))
+    run_cli("run", "--instance", str(inst_path), "--alg", "frac", "-o", str(tmp_path / "frac"))
+    paths = {
+        "instance": inst_path,
+        "increments": tmp_path / "frac.increments.jsonl",
+        "trace": tmp_path / "det.trace.jsonl",
+    }
+    text = paths[target].read_text()
+    bad = corrupt(text)
+    assert bad != text
+    paths[target].write_text(bad)
+    argv = ["verify", "--instance", str(paths["instance"])]
+    if target != "instance":
+        argv += [f"--{target}", str(paths[target])]
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_report_csv(tmp_path):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from blockcache.det_online import next_tight_increase, run_deterministic
-from blockcache.instance import Instance, build_request_index, gen_random
+from blockcache.instance import Instance, RequestIndex, gen_random
 from blockcache.oracle import opt_eviction
 from blockcache.submodular import CoverageOracle, FlushSet
 
@@ -103,7 +103,7 @@ def test_next_tight_increase_tie_break():
         costs=(1.0, 1.0, 1.0),
         requests=(1, 2, 3),
     )
-    oracle = CoverageOracle(inst, build_request_index(inst))
+    oracle = CoverageOracle(inst, RequestIndex(inst))
     from blockcache.det_online import DualLedger
 
     ledger = DualLedger()

@@ -7,7 +7,7 @@ from blockcache.instance import (
     Instance,
     InstanceError,
     PolicyTrace,
-    build_request_index,
+    RequestIndex,
     gen_beta_off,
     gen_gap_instance,
     gen_random,
@@ -47,6 +47,9 @@ def test_basic_properties():
         dict(blocks=((1, 2, 3), (4,)), k=2),  # block bigger than cache
         dict(costs=(1.0,)),
         dict(costs=(1.0, 0.0)),
+        dict(costs=(1.0, float("nan"))),
+        dict(costs=(float("inf"), 1.0)),
+        dict(costs=(1.0, float("-inf"))),
         dict(requests=(1, 5)),
         dict(initial_cache=frozenset({1, 2, 3})),
         dict(initial_cache=frozenset({9})),
@@ -71,7 +74,7 @@ def test_json_round_trip(tmp_path):
 
 def test_last_request():
     inst = small_instance(requests=(1, 2, 1))
-    idx = build_request_index(inst)
+    idx = RequestIndex(inst)
     assert idx.last_request(1, 3) == 3
     assert idx.last_request(2, 3) == 2
     assert idx.last_request(2, 1) is None
@@ -83,10 +86,10 @@ def test_alive_flushes():
     inst = Instance(
         n=2, k=2, blocks=((1, 2),), costs=(1.0,), requests=(1, 2)
     )
-    idx = build_request_index(inst)
+    idx = RequestIndex(inst)
     assert idx.alive_flushes(2) == {(0, 2)}
     inst2 = Instance(n=1, k=1, blocks=((1,),), costs=(1.0,), requests=(1, 1, 1))
-    idx2 = build_request_index(inst2)
+    idx2 = RequestIndex(inst2)
     assert idx2.alive_flushes(3) == set()  # r+1 = 4 > tau
 
 
@@ -94,7 +97,7 @@ def test_alive_flushes_at_most_beta_per_block():
     rng = random.Random(4)
     for trial in range(20):
         inst = gen_random(8, 4, 3, 15, seed=trial)
-        idx = build_request_index(inst)
+        idx = RequestIndex(inst)
         tau = rng.randint(1, inst.T)
         alive = idx.alive_flushes(tau)
         for b in range(inst.num_blocks):

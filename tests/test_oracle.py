@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from blockcache.instance import (
     Instance,
+    RequestIndex,
     gen_beta_off,
     gen_gap_instance,
     gen_random,
@@ -21,6 +23,7 @@ from blockcache.oracle import (
     trace_to_x,
 )
 from blockcache.rounding import derive_block_rates
+from blockcache.submodular import CoverageOracle, FlushSet
 
 
 def test_singletons_simple():
@@ -72,6 +75,29 @@ def test_dp_matches_flushset_enumeration():
         dp_cost, trace = opt_eviction(inst)
         trace.validate()
         assert dp_cost == pytest.approx(opt_eviction_flushsets(inst), abs=1e-9)
+
+
+def test_canonical_flushsets_match_full_enumeration():
+    # every flush (b, t) with 1 <= t <= T, not only the canonical ones
+    rng = random.Random(3)
+    for _ in range(4):
+        inst = Instance(
+            n=4, k=2, blocks=((1, 2), (3, 4)), costs=(1.0, 2.5),
+            requests=tuple(rng.randint(1, 4) for _ in range(6)),
+        )
+        oracle = CoverageOracle(inst, RequestIndex(inst))
+        ground = [(b, t) for b in range(2) for t in range(1, inst.T + 1)]
+        best = min(
+            sum(inst.costs[b] for b, _t in chosen)
+            for size in range(len(ground) + 1)
+            for chosen in combinations(ground, size)
+            if all(
+                oracle.f_tau(FlushSet.from_flushes(2, [(0, 0), (1, 0), *chosen]), tau)
+                == inst.n - inst.k
+                for tau in range(1, inst.T + 1)
+            )
+        )
+        assert opt_eviction_flushsets(inst) == pytest.approx(best, abs=1e-12)
 
 
 def test_dp_budget_gate():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from blockcache.frac_online import run_fractional
-from blockcache.instance import Instance, build_request_index, gen_random
+from blockcache.instance import Instance, RequestIndex, gen_random
 from blockcache.oracle import (
     fractional_costs,
     gap_fractional_solution,
@@ -58,7 +58,7 @@ def test_structured_half_stage_x_invariant():
     for seed in range(10):
         inst = gen_random(8, 4, 2, 24, seed=40 + seed)
         _res, stream = structured_from(inst)
-        index = build_request_index(inst)
+        index = RequestIndex(inst)
         oracle = CoverageOracle(inst, index)
         half = {(b, 0): 1.0 for b in range(inst.num_blocks)}
         idx = 0

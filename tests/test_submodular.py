@@ -1,7 +1,7 @@
 import random
 from itertools import combinations
 
-from blockcache.instance import Instance, build_request_index, gen_random
+from blockcache.instance import Instance, RequestIndex, gen_random
 from blockcache.submodular import (
     CoverageOracle,
     FlushSet,
@@ -17,7 +17,7 @@ from blockcache.submodular import (
 
 
 def make_oracle(inst):
-    return CoverageOracle(inst, build_request_index(inst))
+    return CoverageOracle(inst, RequestIndex(inst))
 
 
 def worked_example():
@@ -90,7 +90,7 @@ def test_index_matches_naive_recomputation():
     rng = random.Random(7)
     for trial in range(30):
         inst = gen_random(7, 3, 2, 10, seed=trial)
-        idx = build_request_index(inst)
+        idx = RequestIndex(inst)
         oracle = CoverageOracle(inst, idx)
         S = random_flush_set(rng, inst, with_zero=rng.random() < 0.5)
         tau = rng.randint(1, inst.T)
