@@ -109,10 +109,20 @@ def _oracle_cost(inst: Instance):
         return None
 
 
+def _at_least_one(flag: str, value) -> bool:
+    """False, after one error line, when a size option is given below 1."""
+    if value is not None and value < 1:
+        print(f"error: --{flag} must be at least 1, got {value}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_run(args) -> int:
+    if not _at_least_one("h", args.h):
+        return 2
     inst = Instance.load(args.instance)
     prefix = args.output or os.path.splitext(args.instance)[0] + "." + args.alg
-    h = args.h or inst.k
+    h = inst.k if args.h is None else args.h
     summary: dict = {
         "instance": os.path.basename(args.instance),
         "algorithm": args.alg,
@@ -313,6 +323,8 @@ def _verify_increments(path: str, inst: Instance) -> list[str]:
 
 
 def cmd_verify(args) -> int:
+    if not _at_least_one("capacity", args.capacity):
+        return 2
     failures: list[str] = []
     if args.fixture:
         if args.fixture != "coverage-example":
@@ -327,7 +339,8 @@ def cmd_verify(args) -> int:
             print(f"error: --{flag} requires --instance", file=sys.stderr)
             return 2
     if args.trace:
-        failures += _verify_trace(args.trace, inst, args.capacity or inst.k)
+        capacity = inst.k if args.capacity is None else args.capacity
+        failures += _verify_trace(args.trace, inst, capacity)
     if args.increments:
         failures += _verify_increments(args.increments, inst)
     if not (args.fixture or args.instance):
@@ -359,28 +372,41 @@ REPORT_COLUMNS = [
 def _lower_bound(summary: dict) -> str:
     """Resource-augmentation lower bound (k+(beta-1)(h-1))/(k-h+1)."""
     k, beta, h = summary.get("k"), summary.get("beta"), summary.get("h")
-    if not all(isinstance(v, int) for v in (k, beta, h)):
+    if not all(is_int_in(v, 1, math.inf) for v in (k, beta, h)):
         return ""
     if h > k - beta + 1:
         return ""
     return f"{(k + (beta - 1) * (h - 1)) / (k - h + 1):.12g}"
 
 
+def _report_row(path: str) -> dict:
+    """The CSV row of one summary file; ValueError if it is not a summary."""
+    with open(path) as fh:
+        s = json.load(fh)
+    if not isinstance(s, dict):
+        raise ValueError("a summary must be a JSON object")
+    row = {c: "" for c in REPORT_COLUMNS}
+    for c in ("instance", "algorithm", "model"):
+        row[c] = s.get(c, "")
+    for c in ("cost", "oracle", "ratio", "bound"):
+        if c in s:
+            if type(s[c]) not in (int, float):
+                raise ValueError(f"{c} must be a number, got {s[c]!r}")
+            row[c] = f"{s[c]:.12g}"
+    row["lower_bound"] = _lower_bound(s)
+    if "pass" in s:
+        row["pass"] = "pass" if s["pass"] else "fail"
+    return row
+
+
 def cmd_report(args) -> int:
     rows = []
     for path in args.summaries:
-        with open(path) as fh:
-            s = json.load(fh)
-        row = {c: "" for c in REPORT_COLUMNS}
-        for c in ("instance", "algorithm", "model"):
-            row[c] = s.get(c, "")
-        for c in ("cost", "oracle", "ratio", "bound"):
-            if c in s:
-                row[c] = f"{s[c]:.12g}"
-        row["lower_bound"] = _lower_bound(s)
-        if "pass" in s:
-            row["pass"] = "pass" if s["pass"] else "fail"
-        rows.append(row)
+        try:
+            rows.append(_report_row(path))
+        except ValueError as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return 2
     out = open(args.output, "w", newline="") if args.output else sys.stdout
     try:
         writer = csv.DictWriter(out, fieldnames=REPORT_COLUMNS)

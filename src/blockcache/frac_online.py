@@ -16,6 +16,7 @@ from .submodular import (
     FlushSet,
     check_feasible,
     constraint_lhs,
+    flush_cost,
     most_violated_constraint,
 )
 
@@ -65,10 +66,7 @@ class FractionalSolution:
 
     @property
     def cost(self) -> float:
-        inst = self.instance
-        return sum(
-            inst.costs[b] * v for (b, t), v in self.phi.items() if t >= 1
-        )
+        return flush_cost(self.phi, self.instance)
 
     def save_increments(self, path: str) -> None:
         with open(path, "w") as fh:

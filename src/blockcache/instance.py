@@ -18,7 +18,7 @@ def round12(v: float) -> float:
     return float(f"{v:.12g}")
 
 
-def is_int_in(v, lo: int, hi: int) -> bool:
+def is_int_in(v, lo: int, hi: float) -> bool:
     """True iff v is an int (not a bool) with lo <= v <= hi."""
     return type(v) is int and lo <= v <= hi
 
@@ -58,10 +58,10 @@ class Instance:
     initial_cache: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InstanceError("need at least one page")
-        if self.k < 1:
-            raise InstanceError("cache size must be positive")
+        if not is_int_in(self.n, 1, math.inf):
+            raise InstanceError(f"n must be a positive integer, got {self.n!r}")
+        if not is_int_in(self.k, 1, math.inf):
+            raise InstanceError(f"k must be a positive integer, got {self.k!r}")
         if self.k > self.n:
             raise InstanceError("cache larger than page universe")
         seen: set[int] = set()
@@ -69,7 +69,7 @@ class Instance:
             if not blk:
                 raise InstanceError("empty block")
             for p in blk:
-                if not (1 <= p <= self.n) or p in seen:
+                if not is_int_in(p, 1, self.n) or p in seen:
                     raise InstanceError("blocks must partition pages 1..n")
                 seen.add(p)
         if len(seen) != self.n:
@@ -81,13 +81,13 @@ class Instance:
         if self.beta > self.k:
             raise InstanceError("max block size exceeds cache size")
         for p in self.requests:
-            if not (1 <= p <= self.n):
-                raise InstanceError(f"invalid requested page {p}")
+            if not is_int_in(p, 1, self.n):
+                raise InstanceError(f"invalid requested page {p!r}")
         if len(self.initial_cache) > self.k:
             raise InstanceError("initial cache exceeds cache size")
         for p in self.initial_cache:
-            if not (1 <= p <= self.n):
-                raise InstanceError(f"invalid initial-cache page {p}")
+            if not is_int_in(p, 1, self.n):
+                raise InstanceError(f"invalid initial-cache page {p!r}")
 
     @property
     def T(self) -> int:
@@ -180,12 +180,8 @@ class RequestIndex:
     def __init__(self, instance: Instance):
         self.instance = instance
         self._times: dict[int, list[int]] = {p: [] for p in range(1, instance.n + 1)}
-        self.n_t: list[int] = [0] * (instance.T + 1)
-        seen: set[int] = set()
         for t, p in enumerate(instance.requests, start=1):
             self._times[p].append(t)
-            seen.add(p)
-            self.n_t[t] = len(seen)
 
     def last_request(self, p: int, t: int) -> int | None:
         """r(p,t): last time <= t at which p was requested, or None."""

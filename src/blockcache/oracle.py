@@ -9,7 +9,7 @@ from itertools import chain, combinations
 from math import comb
 
 from .instance import Instance, PolicyTrace, RequestIndex, gen_gap_instance
-from .submodular import CoverageOracle, Flush, FlushSet, PhiView
+from .submodular import CoverageOracle, Flush, FlushSet, PhiView, flush_cost
 
 DP_STATE_LIMIT = 10**6
 LP_EPS = 1e-9
@@ -223,26 +223,26 @@ def fractional_costs_from_x(x: list[list], instance: Instance) -> tuple:
     )
 
 
-def fractional_costs(
-    phi: dict[Flush, float],
-    instance: Instance,
-    initial_cache: frozenset[int] | None = None,
-) -> tuple[float, float]:
+def phi_to_x(phi: dict[Flush, float], instance: Instance) -> list[list]:
+    """Missing-value trajectory x[t][p] of a sparse flush solution, t in
+    [0,T]; row 0 is the starting cache."""
+    oracle = CoverageOracle(instance, RequestIndex(instance))
+    view = PhiView(phi, instance.num_blocks)
+    pages = range(1, instance.n + 1)
+    x = [[None] + [0.0 if p in instance.initial_cache else 1.0 for p in pages]]
+    for t in range(1, instance.T + 1):
+        x.append([None] + [view.x(oracle, p, t) for p in pages])
+    return x
+
+
+def fractional_costs(phi: dict[Flush, float], instance: Instance) -> tuple[float, float]:
     """(eviction, fetching) cost of a sparse flush solution.
 
     Eviction is the weighted flush mass after time 0; fetching is derived
     from the induced per-page missing trajectory.
     """
-    if initial_cache is None:
-        initial_cache = instance.initial_cache
-    index = RequestIndex(instance)
-    oracle = CoverageOracle(instance, index)
-    view = PhiView(phi, instance.num_blocks)
-    evict = sum(instance.costs[b] * v for (b, t), v in phi.items() if t >= 1)
-    x = [[None] + [0.0 if p in initial_cache else 1.0 for p in range(1, instance.n + 1)]]
-    for t in range(1, instance.T + 1):
-        x.append([None] + [view.x(oracle, p, t) for p in range(1, instance.n + 1)])
-    _evict_from_x, fetch = fractional_costs_from_x(x, instance)
+    evict = flush_cost(phi, instance)
+    _evict_from_x, fetch = fractional_costs_from_x(phi_to_x(phi, instance), instance)
     assert fetch <= instance.beta * (evict + instance.total_block_cost) + 1e-9
     return evict, fetch
 

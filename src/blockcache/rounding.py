@@ -12,9 +12,10 @@ from .oracle import (
     derive_block_rates,
     fractional_costs_from_x,
     naive_lp_check,
+    phi_to_x,
     trace_to_x_mean,
 )
-from .submodular import CoverageOracle, Flush, PhiView
+from .submodular import CoverageOracle, Flush, PhiView, flush_cost
 
 
 def gamma_for(instance: Instance) -> float:
@@ -29,20 +30,21 @@ class StructuredStream:
 
     ``phi`` is the final structured solution (doubled, bucketed, with full
     flushes emitted whenever a half-rounded page value crosses 1/2); every
-    nonzero coordinate is at least 1/(4k^2).  ``half_increments`` log the
-    pre-doubling half-rounded stage whose page values stay in [0,1/2)+{1}.
+    nonzero coordinate is at least 1/(4k^2), and ``x`` is its missing-value
+    trajectory x[t][p].  ``half_increments`` log the pre-doubling
+    half-rounded stage whose page values stay in [0,1/2)+{1}.
     """
 
     instance: Instance
     increments: list[tuple[int, Flush, float]] = field(default_factory=list)
     half_increments: list[tuple[int, Flush, float]] = field(default_factory=list)
     phi: dict[Flush, float] = field(default_factory=dict)
+    x: list[list] = field(default_factory=list)
     raw_cost: float = 0.0
 
     @property
     def cost(self) -> float:
-        inst = self.instance
-        return sum(inst.costs[b] * v for (b, t), v in self.phi.items() if t >= 1)
+        return flush_cost(self.phi, self.instance)
 
     def increments_by_step(self) -> dict[int, dict[Flush, float]]:
         out: dict[int, dict[Flush, float]] = {}
@@ -61,36 +63,21 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
     reaches 1/2, per-block bucketing of small mass with threshold 1/(4k^2),
     and a final doubling capped at 1 on emission.
     """
-    index = RequestIndex(instance)
+    oracle = CoverageOracle(instance, RequestIndex(instance))
     k = instance.k
     threshold = 1.0 / (4.0 * k * k)
 
     stream = StructuredStream(instance=instance)
-    half: dict[Flush, float] = {(b, 0): 1.0 for b in range(instance.num_blocks)}
-    bucketed: dict[Flush, float] = {}
     out: dict[Flush, float] = {(b, 0): 1.0 for b in range(instance.num_blocks)}
+    half = PhiView(out, instance.num_blocks)  # copies out
+    bucketed: dict[Flush, float] = {}
     bucket = [0.0] * instance.num_blocks
-    # last-request pointer per page avoids re-deriving r(p, tau) in the sweep
-    half_times: dict[int, list[int]] = {b: [0] for b in range(instance.num_blocks)}
-
-    def half_x(p: int, tau: int) -> float:
-        r = index.last_request(p, tau)
-        if r is None:
-            return 1.0
-        b = instance.block_of(p)
-        return min(
-            1.0,
-            sum(half[(b, u)] for u in half_times[b] if r < u <= tau),
-        )
 
     def add_half(tau: int, flush: Flush, delta: float) -> float:
-        cur = half.get(flush, 0.0)
-        eff = min(delta, 1.0 - cur)
+        eff = min(delta, 1.0 - half.get(flush))
         if eff <= 0.0:
             return 0.0
-        if flush not in half:
-            half_times[flush[0]].append(flush[1])
-        half[flush] = cur + eff
+        half.add(flush, eff)
         stream.half_increments.append((tau, flush, eff))
         return eff
 
@@ -119,7 +106,7 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
         stream.raw_cost += instance.costs[b] * delta if flush[1] >= 1 else 0.0
         eff = add_half(tau, flush, delta)
         if eff > 0.0:
-            if half[flush] >= 0.5:
+            if half.get(flush) >= 0.5:
                 # coordinate half-rounding: once a flush holds half its mass
                 # it is completed and emitted integrally, so it stays aligned
                 # with the integral part of the doubled output
@@ -130,12 +117,13 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
                 flush_bucket(b, tau)
         # crossing check for the touched block's pages
         for p in instance.blocks[b]:
-            xv = half_x(p, tau)
+            xv = half.x(oracle, p, tau)
             if 0.5 <= xv < 1.0 - 1e-12:
                 full_flush(b, tau)
                 break
 
     stream.phi = out
+    stream.x = phi_to_x(out, instance)
     return stream
 
 
@@ -155,15 +143,12 @@ def randomized_round(
     """
     rng = random.Random(seed)
     gamma = gamma_for(instance)
-    index = RequestIndex(instance)
-    oracle = CoverageOracle(instance, index)
-    view = PhiView(stream.phi, instance.num_blocks)
     by_step = stream.increments_by_step()
     trace = PolicyTrace(instance=instance, capacity_bound=instance.k)
     cache: set[int] = set()
 
     for tau in range(1, instance.T + 1):
-        xs = {p: view.x(oracle, p, tau) for p in range(1, instance.n + 1)}
+        xs = stream.x[tau]
         step_flush_blocks: set[int] = set()
 
         def evict_block(b: int) -> None:

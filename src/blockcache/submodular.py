@@ -272,6 +272,11 @@ def check_feasible_exhaustive(
     return True, None
 
 
+def flush_cost(phi: dict[Flush, float], instance: Instance) -> float:
+    """Eviction cost of a sparse phi: c_B times the flush mass after time 0."""
+    return sum(instance.costs[b] * v for (b, t), v in phi.items() if t >= 1)
+
+
 def x_from_phi(
     phi: dict[Flush, float],
     oracle: CoverageOracle,
@@ -303,6 +308,16 @@ class PhiView:
         for (b, t), v in phi.items():
             if v > 0.0:
                 insort(self._by_block[b], t)
+
+    def get(self, flush: Flush) -> float:
+        return self._vals.get(flush, 0.0)
+
+    def add(self, flush: Flush, delta: float) -> None:
+        """Raises phi at the flush; its time is indexed once it is positive."""
+        cur = self._vals.get(flush, 0.0)
+        if cur <= 0.0 < cur + delta:
+            insort(self._by_block[flush[0]], flush[1])
+        self._vals[flush] = cur + delta
 
     def window_sum(self, block: int, lo: int, hi: int) -> float:
         """Sum of phi over flush times t of the block with lo < t <= hi."""

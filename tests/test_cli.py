@@ -219,10 +219,12 @@ def _drop_key(text, key):
         ("increments", lambda text: text.replace('"block": 0', '"block": 99', 1)),
         ("trace", lambda text: text.replace('"cache"', '"kache"', 1)),
         ("trace", lambda text: text.replace('"evict_cost_cum": 0.0', '"evict_cost_cum": NaN', 1)),
+        ("instance", lambda text: text.replace('"n": 8,', '"n": 8.0,', 1)),
     ],
     ids=[
         "instance-missing-key", "instance-invalid-json", "increment-missing-key",
         "increment-unknown-block", "trace-missing-key", "trace-nan-cost",
+        "instance-float-n",
     ],
 )
 def test_malformed_input_exit_2(tmp_path, capsys, target, corrupt):
@@ -245,6 +247,50 @@ def test_malformed_input_exit_2(tmp_path, capsys, target, corrupt):
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--alg", "opt", "--h", "0", "-o", "{tmp}/opt"],
+        ["run", "--alg", "opt", "--h", "-1", "-o", "{tmp}/opt"],
+        ["verify", "--trace", "{tmp}/det.trace.jsonl", "--capacity", "0"],
+    ],
+    ids=["run-h-0", "run-h-negative", "verify-capacity-0"],
+)
+def test_size_option_below_one_exit_2(tmp_path, capsys, argv):
+    inst_path = gen_random_file(tmp_path)
+    run_cli("run", "--instance", str(inst_path), "--alg", "det", "-o", str(tmp_path / "det"))
+    capsys.readouterr()
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert run_cli(*argv, "--instance", str(inst_path)) == 2
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"cost": 1', '{"cost": "x"}', "[1, 2]"],
+    ids=["invalid-json", "non-numeric-cost", "not-an-object"],
+)
+def test_report_malformed_summary_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.summary.json"
+    path.write_text(text)
+    assert run_cli("report", str(path)) == 2
+    assert_one_error_line(capsys)
+
+
+def test_report_lower_bound_blank_for_nonpositive_sizes(tmp_path, capsys):
+    # beta = 0 with h = k + 1 once divided by k - h + 1 = 0
+    path = tmp_path / "zero.summary.json"
+    path.write_text(json.dumps({"cost": 1.0, "k": 4, "beta": 0, "h": 5}))
+    assert run_cli("report", str(path)) == 0
+    row = next(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert row["lower_bound"] == ""
 
 
 def test_report_csv(tmp_path):

@@ -53,6 +53,11 @@ def test_basic_properties():
         dict(requests=(1, 5)),
         dict(initial_cache=frozenset({1, 2, 3})),
         dict(initial_cache=frozenset({9})),
+        dict(n=4.0),
+        dict(k=2.0),
+        dict(blocks=((1.0, 2), (3, 4))),
+        dict(requests=(1, 2.0)),
+        dict(initial_cache=frozenset({1.0})),
     ],
 )
 def test_validation_rejects(kw):
@@ -79,7 +84,6 @@ def test_last_request():
     assert idx.last_request(2, 3) == 2
     assert idx.last_request(2, 1) is None
     assert idx.last_request(3, 3) is None
-    assert idx.n_t == [0, 1, 2, 2]
 
 
 def test_alive_flushes():
