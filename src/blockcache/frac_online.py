@@ -17,7 +17,6 @@ from .submodular import (
     check_feasible,
     constraint_lhs,
     flush_cost,
-    most_violated_constraint,
 )
 
 
@@ -173,11 +172,7 @@ class FracResult:
         return 2.0 * math.log(inst.k * inst.beta + 1.0)
 
 
-def run_fractional(
-    instance: Instance,
-    check_each_step: bool = False,
-    debug_rate_inequality: bool = False,
-) -> FracResult:
+def run_fractional(instance: Instance) -> FracResult:
     """Event-driven run of the continuous fractional dynamics.
 
     Within one dual-raising event the marginals are frozen; they are
@@ -195,20 +190,14 @@ def run_fractional(
 
     for tau in range(1, instance.T + 1):
         for _guard in range(100_000):
-            slack, Sv = most_violated_constraint(sol.phi, oracle, tau)
-            if slack >= -FEAS_EPS:
+            ok, Sv = check_feasible(sol.phi, oracle, tau)
+            if ok:
                 break
             target0 = cap - oracle.f_tau(Sv, tau)
             lhs = constraint_lhs(sol.phi, Sv, oracle, tau)
-            alive = index.alive_flushes(tau)
-            if debug_rate_inequality:
-                alive_mass = sum(
-                    oracle.marginal(Sv, fl, tau) for fl in alive if fl not in Sv
-                )
-                assert alive_mass / (k * beta) <= target0 + FEAS_EPS
             candidates = []
             frozen = lhs
-            for flush in sorted(alive):
+            for flush in sorted(index.alive_flushes(tau)):
                 if flush in Sv:
                     continue
                 m = oracle.marginal(Sv, flush, tau)
@@ -218,6 +207,10 @@ def run_fractional(
                 c = instance.costs[flush[0]]
                 candidates.append((flush, m, A, c))
                 frozen -= m * sol.phi.get(flush, 0.0)
+            # rate inequality over the alive flushes outside Sv; those that are
+            # not candidates have marginal 0
+            rate = sum(m for _fl, m, _A, _c in candidates)
+            assert rate / (k * beta) <= target0 + FEAS_EPS
             outcome = solve_event(candidates, target0 - frozen, k, beta)
             rates = {fl: f for fl, f, _A, _c in candidates}
             ledger.raise_dual(tau, target0, outcome.delta_y, rates)
@@ -233,10 +226,6 @@ def run_fractional(
                 S.add(*flush0)
         else:
             raise AssertionError(f"dual raising did not converge at step {tau}")
-        if check_each_step:
-            ok, bad = check_feasible(sol.phi, oracle, tau)
-            if not ok:
-                raise AssertionError(f"primal infeasible at step {tau}: {sorted(bad)}")
     return FracResult(
         solution=sol, ledger=ledger, oracle=oracle, primal_cost=sol.cost
     )

@@ -266,7 +266,9 @@ class PolicyTrace:
         if len(self.steps) != inst.T:
             raise ValueError("trace length does not match request sequence")
         evict = fetch = 0.0
-        for step in self.steps:
+        for i, step in enumerate(self.steps, 1):
+            if step.t != i:
+                raise ValueError(f"step {i} is labelled t={step.t}")
             p = inst.request(step.t)
             if p not in step.cache:
                 raise ValueError(f"requested page {p} absent after step {step.t}")

@@ -173,17 +173,6 @@ def opt_eviction_flushsets(instance: Instance) -> float:
     return best
 
 
-def trace_to_x(trace: PolicyTrace) -> list[list]:
-    """0/1 missing-page trajectory of an integral trace; x[t][p], t in [0,T]."""
-    inst = trace.instance
-    out = []
-    for t in range(inst.T + 1):
-        cache = trace.cache_at(t)
-        row = [None] + [0 if p in cache else 1 for p in range(1, inst.n + 1)]
-        out.append(row)
-    return out
-
-
 def trace_to_x_mean(traces: list[PolicyTrace], instance: Instance) -> list[list]:
     """Mean missing-value trajectory of an ensemble of integral traces."""
     N = len(traces)

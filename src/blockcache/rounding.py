@@ -30,8 +30,9 @@ class StructuredStream:
 
     ``phi`` is the final structured solution (doubled, bucketed, with full
     flushes emitted whenever a half-rounded page value crosses 1/2); every
-    nonzero coordinate is at least 1/(4k^2), and ``x`` is its missing-value
-    trajectory x[t][p].  ``half_increments`` log the pre-doubling
+    nonzero coordinate is at least 1/(4k^2), ``x`` is its missing-value
+    trajectory x[t][p], and ``by_step`` maps each step to its increments
+    summed per flush.  ``half_increments`` log the pre-doubling
     half-rounded stage whose page values stay in [0,1/2)+{1}.
     """
 
@@ -40,18 +41,12 @@ class StructuredStream:
     half_increments: list[tuple[int, Flush, float]] = field(default_factory=list)
     phi: dict[Flush, float] = field(default_factory=dict)
     x: list[list] = field(default_factory=list)
+    by_step: dict[int, dict[Flush, float]] = field(default_factory=dict)
     raw_cost: float = 0.0
 
     @property
     def cost(self) -> float:
         return flush_cost(self.phi, self.instance)
-
-    def increments_by_step(self) -> dict[int, dict[Flush, float]]:
-        out: dict[int, dict[Flush, float]] = {}
-        for tau, flush, delta in self.increments:
-            step = out.setdefault(tau, {})
-            step[flush] = step.get(flush, 0.0) + delta
-        return out
 
 
 def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
@@ -124,6 +119,9 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
 
     stream.phi = out
     stream.x = phi_to_x(out, instance)
+    for tau, flush, delta in stream.increments:
+        step = stream.by_step.setdefault(tau, {})
+        step[flush] = step.get(flush, 0.0) + delta
     return stream
 
 
@@ -143,7 +141,6 @@ def randomized_round(
     """
     rng = random.Random(seed)
     gamma = gamma_for(instance)
-    by_step = stream.increments_by_step()
     trace = PolicyTrace(instance=instance, capacity_bound=instance.k)
     cache: set[int] = set()
 
@@ -156,7 +153,7 @@ def randomized_round(
             step_flush_blocks.add(b)
             cache.difference_update(victims)
 
-        for flush, delta in by_step.get(tau, {}).items():
+        for flush, delta in stream.by_step.get(tau, {}).items():
             if rng.random() < min(1.0, gamma * delta):
                 evict_block(flush[0])
         p_tau = instance.request(tau)

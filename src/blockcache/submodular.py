@@ -137,26 +137,6 @@ def constraint_slack(
     return constraint_lhs(phi, S, oracle, tau) - target
 
 
-def maximal_integral_set(phi: dict[Flush, float], num_blocks: int) -> FlushSet:
-    return FlushSet.from_flushes(
-        num_blocks, (fl for fl, v in phi.items() if v >= 1.0)
-    )
-
-
-def check_feasible(
-    phi: dict[Flush, float], oracle: CoverageOracle, tau: int, eps: float = FEAS_EPS
-) -> tuple[bool, FlushSet | None]:
-    """Quick feasibility spot check via the single constraint indexed by
-    the integrally chosen flushes; ``check_feasible_full`` decides
-    feasibility against every constraint set.  A violated result returns
-    the integral set as the separating certificate.
-    """
-    S = maximal_integral_set(phi, oracle.instance.num_blocks)
-    if constraint_slack(phi, S, oracle, tau) >= -eps:
-        return True, None
-    return False, S
-
-
 def most_violated_constraint(
     phi: dict[Flush, float], oracle: CoverageOracle, tau: int
 ) -> tuple[float, FlushSet]:
@@ -245,14 +225,18 @@ def most_violated_constraint(
     return best_slack, S
 
 
-def check_feasible_full(
+def check_feasible(
     phi: dict[Flush, float], oracle: CoverageOracle, tau: int, eps: float = FEAS_EPS
 ) -> tuple[bool, FlushSet | None]:
-    """Feasibility at tau against every constraint set, via exact separation."""
+    """Feasibility at tau against every constraint set, via exact separation.
+    A violated result returns the most violated set as the certificate."""
     slack, S = most_violated_constraint(phi, oracle, tau)
     if slack >= -eps:
         return True, None
     return False, S
+
+
+check_feasible_full = check_feasible  # old name, still imported by bench/checks.py
 
 
 def check_feasible_exhaustive(

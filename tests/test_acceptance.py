@@ -176,7 +176,7 @@ def test_acceptance_4_fractional_certificates():
         gen_random(12, 5, 3, 50, cost_profile="log-uniform", delta=8.0, seed=9)
     )
     for inst in cases:
-        res = run_fractional(inst, check_each_step=True)
+        res = run_fractional(inst)
         res.ledger.check_feasible(inst)
         bound = 2.0 * math.log(inst.k * inst.beta + 1.0)
         if res.primal_cost > bound * res.ledger.objective + 1e-6:

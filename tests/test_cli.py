@@ -171,6 +171,28 @@ def test_verify_trace_planted_fault(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_trace_rejects_relabelled_step(tmp_path, capsys):
+    # the relabelled step still caches the request of the step it claims to
+    # be and its own, so only the step order gives it away
+    inst_path = gen_random_file(tmp_path)
+    inst = Instance.load(str(inst_path))
+    run_cli("run", "--instance", str(inst_path), "--alg", "det", "-o", str(tmp_path / "det"))
+    lines = (tmp_path / "det.trace.jsonl").read_text().splitlines()
+    recs = [json.loads(line) for line in lines]
+    i, j = next(
+        (i, j)
+        for i, rec in enumerate(recs)
+        for j in range(1, inst.T + 1)
+        if j != rec["t"] and inst.request(j) in rec["cache"]
+    )
+    recs[i]["t"] = j
+    broken = tmp_path / "relabelled.trace.jsonl"
+    broken.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+    capsys.readouterr()
+    assert run_cli("verify", "--instance", str(inst_path), "--trace", str(broken)) == 1
+    assert f"FAIL: trace invalid: step {i + 1} is labelled t={j}" in capsys.readouterr().out
+
+
 def _frac_increment_lines(tmp_path):
     inst_path = gen_random_file(tmp_path, seed=0)
     prefix = tmp_path / "frac"
@@ -181,8 +203,9 @@ def _frac_increment_lines(tmp_path):
 
 
 def test_verify_increments_uses_exact_separation(tmp_path, capsys):
-    # without its last increment the log still passes the single-constraint
-    # spot check at every tau, but exact separation finds tau=16 infeasible
+    # without its last increment the log still satisfies the constraint of
+    # its integral flushes at every tau, but exact separation finds tau=16
+    # infeasible
     inst_path, lines = _frac_increment_lines(tmp_path)
     dropped = tmp_path / "dropped.jsonl"
     dropped.write_text("\n".join(lines[:-1]) + "\n")
@@ -252,6 +275,25 @@ def test_malformed_input_exit_2(tmp_path, capsys, target, corrupt):
 def assert_one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "{dir}"],
+        ["run", "--instance", "{dir}", "--alg", "det"],
+        ["verify", "--instance", "{inst}", "--trace", "{dir}"],
+        ["gen", "random", "--n", "4", "--k", "2", "--beta", "1", "--T", "3", "-o", "{dir}"],
+    ],
+    ids=["report", "run-instance", "verify-trace", "gen-output"],
+)
+def test_directory_path_exit_2(tmp_path, capsys, argv):
+    inst_path = gen_random_file(tmp_path)
+    (tmp_path / "d1").mkdir()
+    capsys.readouterr()
+    argv = [a.format(dir=tmp_path / "d1", inst=inst_path) for a in argv]
+    assert run_cli(*argv) == 2
+    assert_one_error_line(capsys)
 
 
 @pytest.mark.parametrize(

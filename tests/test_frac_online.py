@@ -13,11 +13,11 @@ from blockcache.frac_online import (
 )
 from blockcache.instance import Instance, gen_random
 from blockcache.oracle import opt_eviction
-from blockcache.submodular import check_feasible, check_feasible_full
+from blockcache.submodular import check_feasible
 
 
-def run_checked(inst, **kw):
-    res = run_fractional(inst, check_each_step=True, **kw)
+def run_checked(inst):
+    res = run_fractional(inst)
     res.ledger.check_feasible(inst)
     assert res.primal_cost <= res.competitive_bound * res.ledger.objective + 1e-6
     return res
@@ -75,7 +75,7 @@ def test_three_singletons_example():
     inst = Instance(
         n=3, k=2, blocks=((1,), (2,), (3,)), costs=(1.0,) * 3, requests=(1, 2, 3)
     )
-    res = run_checked(inst, debug_rate_inequality=True)
+    res = run_checked(inst)
     phi = res.solution.phi
     assert phi[(0, 2)] == pytest.approx(0.5, abs=1e-9)
     assert phi[(1, 3)] == pytest.approx(0.5, abs=1e-9)
@@ -124,10 +124,11 @@ def test_integral_set_values_snapped():
             assert -1e-15 <= v <= 1.0
 
 
-def test_debug_rate_inequality_holds():
+def test_rate_inequality_holds():
+    # run_fractional asserts the rate inequality at every event
     for seed in range(8):
         inst = gen_random(7, 3, 3, 14, seed=seed)
-        run_checked(inst, debug_rate_inequality=True)
+        run_checked(inst)
 
 
 def test_dual_objective_below_oracle():
@@ -175,7 +176,7 @@ def test_feasible_against_all_constraint_sets():
                     partial.get(pending.flush, 0.0) + pending.delta
                 )
                 pending = next(inc_iter, None)
-            ok, bad = check_feasible_full(partial, res.oracle, tau)
+            ok, bad = check_feasible(partial, res.oracle, tau)
             assert ok, f"violated set at tau={tau}: {sorted(bad)}"
 
 

@@ -144,6 +144,49 @@ def test_trace_validate_catches_overflow():
         trace.validate()
 
 
+def _det_trace():
+    from blockcache.det_online import run_deterministic
+
+    return run_deterministic(gen_random(8, 4, 2, 30, seed=5)).trace
+
+
+def test_trace_validate_catches_relabelled_step():
+    trace = _det_trace()
+    inst = trace.instance
+    # a step relabelled to another step whose request it also caches
+    i, j = next(
+        (i, j)
+        for i, step in enumerate(trace.steps, 1)
+        for j in range(1, inst.T + 1)
+        if j != i and inst.request(j) in step.cache
+    )
+    trace.validate()
+    trace.steps[i - 1].t = j
+    with pytest.raises(ValueError, match=f"step {i} is labelled t={j}"):
+        trace.validate()
+
+
+def test_trace_validate_catches_swapped_steps():
+    trace = _det_trace()
+    inst = trace.instance
+    # two adjacent free steps that each cache both requests
+    i = next(
+        i
+        for i in range(1, inst.T)
+        if all(
+            inst.request(t) in trace.steps[u - 1].cache
+            and not trace.steps[u - 1].flushes
+            and not trace.steps[u - 1].fetched
+            for t in (i, i + 1)
+            for u in (i, i + 1)
+        )
+    )
+    trace.validate()
+    trace.steps[i - 1], trace.steps[i] = trace.steps[i], trace.steps[i - 1]
+    with pytest.raises(ValueError, match=f"step {i} is labelled t={i + 1}"):
+        trace.validate()
+
+
 def test_trace_file_round_trip(tmp_path):
     inst = small_instance()
     trace = PolicyTrace(instance=inst, capacity_bound=2)

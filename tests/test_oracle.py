@@ -20,7 +20,7 @@ from blockcache.oracle import (
     opt_eviction,
     opt_eviction_flushsets,
     opt_fetching,
-    trace_to_x,
+    trace_to_x_mean,
 )
 from blockcache.rounding import derive_block_rates
 from blockcache.submodular import CoverageOracle, FlushSet
@@ -142,7 +142,7 @@ def test_trace_to_x_and_costs():
         n=2, k=1, blocks=((1,), (2,)), costs=(1.0, 1.0), requests=(1, 2, 1)
     )
     _cost, trace = opt_eviction(inst)
-    x = trace_to_x(trace)
+    x = trace_to_x_mean([trace], inst)
     assert x[0][1] == 1 and x[0][2] == 1
     evict, fetch = fractional_costs_from_x(x, inst)
     assert evict == trace.eviction_cost
@@ -176,11 +176,11 @@ def test_fetch_evict_relation_on_random_solutions():
 def test_naive_lp_on_integral_trace():
     inst = gen_random(6, 3, 2, 12, seed=12)
     _cost, trace = opt_eviction(inst)
-    x = trace_to_x(trace)
+    x = trace_to_x_mean([trace], inst)
     phi = derive_block_rates(x, inst, +1)
     assert naive_lp_check(x, phi, +1, inst) is None
     _cost, trace_f = opt_fetching(inst)
-    xf = trace_to_x(trace_f)
+    xf = trace_to_x_mean([trace_f], inst)
     phif = derive_block_rates(xf, inst, -1)
     assert naive_lp_check(xf, phif, -1, inst) is None
 
@@ -190,7 +190,7 @@ def test_naive_lp_planted_violations():
         n=3, k=1, blocks=((1,), (2,), (3,)), costs=(1.0,) * 3, requests=(1, 2)
     )
     _cost, trace = opt_eviction(inst)
-    x = trace_to_x(trace)
+    x = trace_to_x_mean([trace], inst)
     phi = derive_block_rates(x, inst, +1)
     bad_x = [row[:] if row else row for row in x]
     bad_x[1][inst.request(1)] = 0.4

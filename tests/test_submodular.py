@@ -8,9 +8,7 @@ from blockcache.submodular import (
     PhiView,
     check_feasible,
     check_feasible_exhaustive,
-    check_feasible_full,
     constraint_slack,
-    maximal_integral_set,
     most_violated_constraint,
     x_from_phi,
 )
@@ -189,7 +187,7 @@ def test_constraint_slack_signs():
     )
     oracle = make_oracle(inst)
     zero = {(b, 0): 1.0 for b in range(3)}
-    S0 = maximal_integral_set(zero, 3)
+    S0 = FlushSet(3)
     # at tau=2 only page 3 is missing under time-0 flushes; need n-k=2
     assert constraint_slack(zero, S0, oracle, 2) < 0
     ok, bad = check_feasible(zero, oracle, 2)
@@ -233,11 +231,11 @@ def test_separation_matches_exhaustive_enumeration():
         if best < -1e-9:
             assert abs(slack - best) < 1e-9
             assert abs(constraint_slack(phi, S_sep, oracle, tau) - slack) < 1e-9
-            ok, bad = check_feasible_full(phi, oracle, tau)
+            ok, bad = check_feasible(phi, oracle, tau)
             assert not ok and bad is not None
         else:
             assert slack >= -1e-9
-            assert check_feasible_full(phi, oracle, tau)[0]
+            assert check_feasible(phi, oracle, tau)[0]
 
 
 def test_x_from_phi():
