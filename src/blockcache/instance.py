@@ -262,10 +262,19 @@ class PolicyTrace:
         )
 
     def validate(self) -> None:
+        """Raises ValueError at the first step that is out of place, leaves
+        its request uncached, exceeds the capacity bound, misstates a
+        cumulative cost, or changes the cache other than by its own fetches
+        and flushes: a fetched page must have been absent before the step,
+        a page that leaves must belong to a block flushed at the step, and a
+        page that enters must have been fetched.  The last check starts at
+        step 2, because a saved trace does not record its starting cache.
+        """
         inst = self.instance
         if len(self.steps) != inst.T:
             raise ValueError("trace length does not match request sequence")
         evict = fetch = 0.0
+        prev = self.initial_cache
         for i, step in enumerate(self.steps, 1):
             if step.t != i:
                 raise ValueError(f"step {i} is labelled t={step.t}")
@@ -274,6 +283,25 @@ class PolicyTrace:
                 raise ValueError(f"requested page {p} absent after step {step.t}")
             if len(step.cache) > self.capacity_bound:
                 raise ValueError(f"cache exceeds bound at step {step.t}")
+            fetched = set(step.fetched)
+            refetched = fetched & prev
+            if refetched:
+                raise ValueError(
+                    f"page {min(refetched)} fetched at step {step.t} was already cached"
+                )
+            flushed = {b for b, ft in step.flushes if ft == step.t}
+            unflushed = [q for q in prev - step.cache if inst.block_of(q) not in flushed]
+            if unflushed:
+                raise ValueError(
+                    f"page {min(unflushed)} leaves the cache at step {step.t}"
+                    " with no flush of its block"
+                )
+            unfetched = step.cache - prev - fetched
+            if i >= 2 and unfetched:
+                raise ValueError(
+                    f"page {min(unfetched)} enters the cache at step {step.t} unfetched"
+                )
+            prev = step.cache
             step_evict, step_fetch = self.step_cost(step.flushes, step.fetched)
             evict += step_evict
             fetch += step_fetch

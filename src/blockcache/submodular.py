@@ -3,7 +3,7 @@ strengthened LP constraint checks."""
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from itertools import combinations
 
 from .instance import Instance, RequestIndex
@@ -17,7 +17,10 @@ class FlushSet:
     """A set of flushes with per-block sorted time lists for interval queries.
 
     ``with_time_zero`` seeds every block with its time-0 flush, the usual
-    starting state for the online algorithms.
+    starting state for the online algorithms.  Membership changes only
+    through ``add``, which only grows the set, so one object's ``len``
+    works as a version stamp (``CoverageOracle.missing_count`` relies on
+    it).
     """
 
     def __init__(self, num_blocks: int, with_time_zero: bool = True):
@@ -73,6 +76,8 @@ class CoverageOracle:
     def __init__(self, instance: Instance, index: RequestIndex):
         self.instance = instance
         self.index = index
+        # (S, len(S), tau, count) of the last missing_count
+        self._last_count: tuple[FlushSet, int, int, int] | None = None
 
     def is_missing(self, S: FlushSet, p: int, tau: int) -> bool:
         r = self.index.last_request(p, tau)
@@ -80,12 +85,22 @@ class CoverageOracle:
         return S.has_flush_in(self.instance.block_of(p), lo, tau)
 
     def missing_count(self, S: FlushSet, tau: int) -> int:
-        """Uncapped number of missing pages at tau."""
-        return sum(
+        """Uncapped number of missing pages at tau.
+
+        The last count is reused while S is the same object at the same size
+        and tau is the same: every candidate flush priced against one (S,
+        tau) shares one count.
+        """
+        last = self._last_count
+        if last is not None and last[0] is S and last[1] == len(S) and last[2] == tau:
+            return last[3]
+        count = sum(
             1
             for p in range(1, self.instance.n + 1)
             if self.is_missing(S, p, tau)
         )
+        self._last_count = (S, len(S), tau, count)
+        return count
 
     def f_tau(self, S: FlushSet, tau: int) -> int:
         inst = self.instance
@@ -149,80 +164,110 @@ def most_violated_constraint(
     only through the capped residual n - k - |covered|, so for each residual
     value the best thresholds are found by a small knapsack-style sweep over
     blocks.
+
+    A flush's capped count min(cnt, residual) stops changing once the
+    residual reaches the largest count, so every residual from there on
+    reads its answer off one shared sweep: the states at coverage g do not
+    depend on where the sweep is cut.
     """
     inst = oracle.instance
     cap = inst.n - inst.k
     num_blocks = inst.num_blocks
 
-    # per block: last-request times, the forced minimum threshold (largest
-    # integral flush time <= tau), fractional flushes above it, and the
-    # candidate thresholds with their coverage counts
+    # one pass over phi: per block, the forced minimum threshold (largest
+    # integral flush time <= tau) and the fractional flushes up to tau
+    t_min = [0] * num_blocks
+    frac_of: list[list[tuple[int, float]]] = [[] for _ in range(num_blocks)]
+    for (b, t), v in phi.items():
+        if t <= tau:
+            if v >= 1.0:
+                t_min[b] = max(t_min[b], t)
+            elif v > 0.0:
+                frac_of[b].append((t, v))
+
+    # per block: its candidate thresholds, each with its coverage and
+    # hs[r - 1] = h(T, r) = sum over fractional flushes of min(count, r) *
+    # mass, where a flush's count is the uncapped number of pages it newly
+    # makes missing; hs stops at the threshold's largest count, above which
+    # h is constant, and no residual from `saturated` on caps any count
     blocks_data = []
+    saturated = 1
     for b in range(num_blocks):
         rs = []
         for p in inst.blocks[b]:
             r = oracle.index.last_request(p, tau)
             rs.append(-1 if r is None else r)
-        t_min = max(
-            [0]
-            + [t for (bb, t), v in phi.items() if bb == b and v >= 1.0 and t <= tau]
-        )
-        frac = [
-            (t, v)
-            for (bb, t), v in phi.items()
-            if bb == b and 0.0 < v < 1.0 and t_min < t <= tau
-        ]
-        thresholds = sorted(
-            {t_min} | {r + 1 for r in rs if t_min < r + 1 <= tau}
-        )
+        rs.sort()
+        lo = t_min[b]
+        frac = [(t, v) for t, v in frac_of[b] if t > lo]
+        thresholds = sorted({lo} | {r + 1 for r in rs if lo < r + 1 <= tau})
         per_thr = []
         for T in thresholds:
-            cover = sum(1 for r in rs if r < T)
-            # uncapped per-flush counts of newly missing pages
-            counts = [
-                (sum(1 for r in rs if T <= r < t), v) for t, v in frac
+            cover = bisect_left(rs, T)
+            counts = [(max(0, bisect_left(rs, t) - cover), v) for t, v in frac]
+            top_count = max([1] + [cnt for cnt, _v in counts])
+            hs = [
+                sum(min(cnt, r) * v for cnt, v in counts)
+                for r in range(1, top_count + 1)
             ]
-            per_thr.append((T, cover, counts))
-        blocks_data.append(per_thr)
+            saturated = max(saturated, top_count)
+            per_thr.append((T, cover, hs))
+        blocks_data.append((b, per_thr))
 
-    best_slack = float("inf")
-    best_choice: list[int] | None = None
-    for residual in range(1, cap + 1):
-        g_star = cap - residual
-        # dp[g] = (min sum of capped contributions, threshold choices)
-        dp: list[tuple[float, list[int]] | None] = [None] * (g_star + 1)
-        dp[0] = (0.0, [])
-        for per_thr in blocks_data:
-            nxt: list[tuple[float, list[int]] | None] = [None] * (g_star + 1)
+    def sweep(residual: int, top: int):
+        """dp[g] = (min sum of capped contributions, chosen (block, threshold)
+        pairs as a linked list) over the blocks, for coverage g <= top."""
+        dp: list = [None] * (top + 1)
+        dp[0] = (0.0, None)
+        for b, per_thr in blocks_data:
+            options = [
+                (T, cover, hs[min(residual, len(hs)) - 1]) for T, cover, hs in per_thr
+            ]
+            nxt: list = [None] * (top + 1)
             for g, state in enumerate(dp):
                 if state is None:
                     continue
-                for T, cover, counts in per_thr:
+                base, chain = state
+                for T, cover, h in options:
                     g2 = g + cover
-                    if g2 > g_star:
-                        continue
-                    h = state[0] + sum(
-                        min(cnt, residual) * v for cnt, v in counts
-                    )
-                    if nxt[g2] is None or h < nxt[g2][0]:
-                        nxt[g2] = (h, state[1] + [T])
+                    if g2 > top:
+                        break  # covers grow with the threshold
+                    cur = nxt[g2]
+                    val = base + h
+                    if cur is None or val < cur[0]:
+                        nxt[g2] = (val, ((b, T), chain))
             dp = nxt
-        if dp[g_star] is not None:
-            slack = dp[g_star][0] - residual
-            if slack < best_slack:
-                best_slack, best_choice = slack, dp[g_star][1]
+        return dp
+
+    shared = None
+    best: tuple[float, object] | None = None
+    for residual in range(1, cap + 1):
+        top = cap - residual
+        if residual < saturated:
+            dp = sweep(residual, top)
+        else:
+            if shared is None:
+                shared = sweep(residual, top)
+            dp = shared
+        state = dp[top]
+        if state is not None:
+            slack = state[0] - residual
+            if best is None or slack < best[0]:
+                best = (slack, state[1])
 
     S = FlushSet(num_blocks)
-    if best_choice is None:
+    if best is None:
         # every threshold combination already covers n - k pages
         return 0.0, S
-    for b, T in enumerate(best_choice):
+    chain = best[1]
+    while chain is not None:
+        (b, T), chain = chain
         if T >= 1:
             S.add(b, T)
     for (b, t), v in phi.items():
         if v >= 1.0:
             S.add(b, t)
-    return best_slack, S
+    return best[0], S
 
 
 def check_feasible(

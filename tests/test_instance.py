@@ -144,6 +144,55 @@ def test_trace_validate_catches_overflow():
         trace.validate()
 
 
+def test_trace_validate_catches_refetch():
+    inst = small_instance()
+    trace = PolicyTrace(instance=inst, capacity_bound=2)
+    trace.record(1, [], [1], {1})
+    trace.record(2, [], [1, 2], {1, 2})
+    trace.record(3, [(0, 3)], [3], {3})
+    trace.record(4, [], [4], {3, 4})
+    with pytest.raises(ValueError, match="page 1 fetched at step 2 was already cached"):
+        trace.validate()
+
+
+@pytest.mark.parametrize("flushes", [[], [(0, 0)], [(1, 3)]])
+def test_trace_validate_catches_leave_without_flush(flushes):
+    # pages 1 and 2 leave at step 3; only a flush (0, 3) may remove them
+    inst = small_instance()
+    trace = PolicyTrace(instance=inst, capacity_bound=2)
+    trace.record(1, [], [1], {1})
+    trace.record(2, [], [2], {1, 2})
+    trace.record(3, flushes, [3], {3})
+    trace.record(4, [], [4], {3, 4})
+    with pytest.raises(ValueError, match="page 1 leaves the cache at step 3"):
+        trace.validate()
+
+
+def test_trace_validate_catches_entry_without_fetch():
+    inst = small_instance()
+    trace = PolicyTrace(instance=inst, capacity_bound=2)
+    trace.record(1, [], [1], {1})
+    trace.record(2, [], [], {1, 2})
+    trace.record(3, [(0, 3)], [3], {3})
+    trace.record(4, [], [4], {3, 4})
+    with pytest.raises(ValueError, match="page 2 enters the cache at step 2 unfetched"):
+        trace.validate()
+
+
+def test_trace_validate_rejects_teleporting_trace():
+    # pages appear with no fetch and vanish with no flush, at cost 0, on an
+    # instance whose optimal eviction cost is 2
+    inst = small_instance(requests=(1, 3, 2, 4))
+    trace = PolicyTrace(instance=inst, capacity_bound=2)
+    trace.record(1, [], [], {1})
+    trace.record(2, [], [], {1, 3})
+    trace.record(3, [], [], {2, 3})
+    trace.record(4, [], [], {2, 4})
+    assert trace.eviction_cost == trace.fetching_cost == 0.0
+    with pytest.raises(ValueError, match="page 3 enters the cache at step 2 unfetched"):
+        trace.validate()
+
+
 def _det_trace():
     from blockcache.det_online import run_deterministic
 

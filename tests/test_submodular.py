@@ -238,6 +238,93 @@ def test_separation_matches_exhaustive_enumeration():
             assert check_feasible(phi, oracle, tau)[0]
 
 
+def brute_force_slack(phi, oracle, tau):
+    """Least slack over every set of flushes at or before tau that contains
+    the integral flushes (later flushes change nothing at tau)."""
+    inst = oracle.instance
+    integral = [fl for fl, v in phi.items() if v >= 1.0]
+    ground = [
+        (b, t)
+        for b in range(inst.num_blocks)
+        for t in range(1, tau + 1)
+        if (b, t) not in integral
+    ]
+    best = float("inf")
+    for size in range(len(ground) + 1):
+        for combo in combinations(ground, size):
+            S = FlushSet.from_flushes(inst.num_blocks, list(combo) + integral)
+            best = min(best, constraint_slack(phi, S, oracle, tau))
+    return best
+
+
+def test_separation_exact_when_residual_exceeds_counts():
+    # n - k up to 5 against block sizes up to 3, so the residuals above the
+    # largest count share one sweep; blocks flushed integrally at tau carry
+    # no fractional mass and have a single candidate threshold
+    rng = random.Random(31)
+    checked = with_fixed = violated = 0
+    for trial in range(200):
+        n = rng.randint(3, 6)
+        k = rng.randint(1, n // 2)
+        beta = rng.randint(1, min(3, k))
+        inst = gen_random(n, k, beta, rng.randint(2, 6), seed=1000 + trial)
+        tau = rng.randint(2, inst.T)
+        oracle = make_oracle(inst)
+        phi = {(b, 0): 1.0 for b in range(inst.num_blocks)}
+        fixed = rng.sample(range(inst.num_blocks), rng.randint(0, inst.num_blocks // 2))
+        for b in fixed:
+            phi[(b, tau)] = 1.0
+        free = [b for b in range(inst.num_blocks) if b not in fixed]
+        for _ in range(rng.randint(0, 6)):
+            b = rng.choice(free)
+            t = rng.randint(1, inst.T)
+            bump = rng.choice([0.05, 0.2, 0.5, 1.0]) * rng.random()
+            phi[(b, t)] = min(1.0, phi.get((b, t), 0.0) + bump)
+        integral = sum(1 for (b, t), v in phi.items() if v >= 1.0 and 1 <= t <= tau)
+        if inst.num_blocks * tau - integral > 12:
+            continue  # brute force enumerates at most 2^12 sets
+        slack, S = most_violated_constraint(phi, oracle, tau)
+        best = brute_force_slack(phi, oracle, tau)
+        assert abs(min(slack, 0.0) - best) < 1e-9
+        if slack != 0.0:  # 0.0 comes with the bare time-0 set when no
+            # threshold choice leaves a positive residual
+            assert abs(constraint_slack(phi, S, oracle, tau) - slack) < 1e-9
+        checked += 1
+        with_fixed += bool(fixed)
+        violated += best < -1e-9
+    assert checked >= 100 and with_fixed >= 60 and violated >= 40
+
+
+def test_reused_oracle_matches_fresh_oracle():
+    # one oracle keeps its last missing count; growing the set, moving tau
+    # and changing a copy must each give the values a fresh oracle gives
+    inst = gen_random(10, 4, 3, 16, seed=3)
+    index = RequestIndex(inst)
+    oracle = CoverageOracle(inst, index)
+
+    def values(orc, S, tau):
+        flushes = sorted(index.alive_flushes(tau))
+        return orc.f_tau(S, tau), [orc.marginal(S, fl, tau) for fl in flushes]
+
+    def check(S, tau):
+        got = values(oracle, S, tau)
+        assert got == values(CoverageOracle(inst, index), S, tau)
+        return got
+
+    S = FlushSet(inst.num_blocks)
+    tau = 12
+    before = check(S, tau)
+    flush = max(index.alive_flushes(tau), key=lambda fl: oracle.marginal(S, fl, tau))
+    S.add(*flush)
+    assert check(S, tau) != before
+    assert check(S, tau - 1) != check(S, tau)
+    C = S.copy()
+    check(C, tau)
+    C.add(*max(index.alive_flushes(tau), key=lambda fl: oracle.marginal(C, fl, tau)))
+    S.add(0, tau + 1)  # same size as C again, same count as before
+    assert check(C, tau) != check(S, tau)
+
+
 def test_x_from_phi():
     inst = Instance(
         n=4, k=2, blocks=((1, 2), (3, 4)), costs=(1.0, 1.0), requests=(1, 3, 2, 1)

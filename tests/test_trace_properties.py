@@ -1,13 +1,15 @@
 """Planted-fault property for ``PolicyTrace.validate``: a det, opt or
 randomized trace of a small instance passes, and the same trace with one
 planted fault (a relabelled or swapped step, a requested page dropped from
-the cache, a cache over its bound, an understated cumulative cost) fails."""
+the cache, a cache over its bound, an understated cumulative cost, a page
+that enters without a fetch at t >= 2, a page that leaves without a flush of
+its block) fails."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from blockcache.det_online import run_deterministic  # noqa: E402
@@ -78,7 +80,43 @@ def _understate(trace, draw):
         step.fetch_cost_cum -= cut
 
 
-FAULTS = [_relabel, _swap, _drop_request, _overfill, _understate]
+def _enter_unfetched(trace, draw):
+    # step 1 is exempt: a saved trace does not record its starting cache
+    n = trace.instance.n
+    spots = [
+        (i, q)
+        for i in range(1, len(trace.steps))
+        for q in range(1, n + 1)
+        if q not in trace.steps[i - 1].cache and q not in trace.steps[i].cache
+    ]
+    assume(spots)
+    i, q = draw(st.sampled_from(spots))
+    trace.steps[i].cache = trace.steps[i].cache | {q}
+
+
+def _leave_unflushed(trace, draw):
+    inst = trace.instance
+    spots = [
+        (i, q)
+        for i in range(1, len(trace.steps))
+        for q in sorted(trace.steps[i - 1].cache & trace.steps[i].cache)
+        if q != inst.request(i + 1)
+        and (inst.block_of(q), i + 1) not in trace.steps[i].flushes
+    ]
+    assume(spots)
+    i, q = draw(st.sampled_from(spots))
+    trace.steps[i].cache = trace.steps[i].cache - {q}
+
+
+FAULTS = [
+    _relabel,
+    _swap,
+    _drop_request,
+    _overfill,
+    _understate,
+    _enter_unfetched,
+    _leave_unflushed,
+]
 
 
 @PROPERTY
