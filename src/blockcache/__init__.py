@@ -1,5 +1,5 @@
 """Block-aware caching laboratory: instances, online algorithms, rounding,
-and exact offline oracles."""
+and exact offline oracles.  The names imported here are the public API."""
 
 from .instance import (
     Instance,
@@ -45,42 +45,3 @@ from .oracle import (
     opt_eviction_flushsets,
     opt_fetching,
 )
-
-__all__ = [
-    "Instance",
-    "InstanceError",
-    "PolicyTrace",
-    "RequestIndex",
-    "gen_beta_off",
-    "gen_gap_instance",
-    "gen_random",
-    "CoverageOracle",
-    "Flush",
-    "FlushSet",
-    "check_feasible",
-    "most_violated_constraint",
-    "x_from_phi",
-    "DetResult",
-    "DualLedger",
-    "run_deterministic",
-    "FracResult",
-    "FractionalSolution",
-    "integrate_rate_law",
-    "phi_closed_form",
-    "run_fractional",
-    "StructuredStream",
-    "bicriteria_round_evict",
-    "bicriteria_round_fetch",
-    "derandomize_ensemble",
-    "gamma_for",
-    "randomized_round",
-    "structure_stream",
-    "OracleIntractableError",
-    "fractional_costs",
-    "fractional_costs_from_x",
-    "gap_fractional_solution",
-    "naive_lp_check",
-    "opt_eviction",
-    "opt_eviction_flushsets",
-    "opt_fetching",
-]

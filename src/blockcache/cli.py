@@ -45,7 +45,7 @@ from .submodular import CoverageOracle, FlushSet, check_feasible
 
 COST_TOL = 1e-9  # det cost <= k * OPT: sums of block costs, float error only
 DET_DUAL_TOL = 1e-6  # det dual <= OPT: float quotients summed over up to T raises
-FRAC_BOUND_TOL = 1e-6  # frac cost <= bound * dual: duals are bisection roots to 1e-12
+FRAC_BOUND_TOL = 1e-6  # frac cost <= bound * dual: duals are bisection roots (BISECT_REL)
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -98,12 +98,17 @@ def _ensemble_traces(inst: Instance, seeds: list[int]):
     return frac, stream, traces
 
 
-def _oracle_cost(inst: Instance):
-    """Exact eviction optimum at h = k, or None when the DP is out of budget."""
+def _oracle_columns(summary: dict, inst: Instance, cost: float):
+    """Writes the exact eviction optimum at h = k and the cost's ratio to it
+    into the summary and returns the optimum; both columns stay blank and
+    None is returned when the DP is out of budget."""
     try:
-        return opt_eviction(inst, inst.k)[0]
+        opt = opt_eviction(inst, inst.k)[0]
     except OracleIntractableError:
         return None
+    summary["oracle"] = round12(opt)
+    summary["ratio"] = round12(cost / opt) if opt > 0 else 0.0
+    return opt
 
 
 def _at_least_one(flag: str, value) -> bool:
@@ -134,20 +139,17 @@ def cmd_run(args) -> int:
         res.ledger.check_feasible(inst)
         res.trace.save(prefix + ".trace.jsonl")
         res.ledger.save_certificate(prefix + ".cert.json", inst, res.primal_cost)
-        opt = _oracle_cost(inst)
         summary.update(
             model="evict",
             cost=round12(res.primal_cost),
             dual_objective=round12(res.ledger.objective),
             bound=inst.k,
         )
-        ok = True
-        if opt is not None:
-            summary["oracle"] = round12(opt)
-            summary["ratio"] = round12(res.primal_cost / opt) if opt > 0 else 0.0
-            ok = res.primal_cost <= inst.k * opt + COST_TOL
-            ok = ok and res.ledger.objective <= opt + DET_DUAL_TOL
-        summary["pass"] = ok
+        opt = _oracle_columns(summary, inst, res.primal_cost)
+        summary["pass"] = opt is None or (
+            res.primal_cost <= inst.k * opt + COST_TOL
+            and res.ledger.objective <= opt + DET_DUAL_TOL
+        )
     elif args.alg == "frac":
         res = run_fractional(inst)
         res.ledger.check_feasible(inst)
@@ -162,10 +164,7 @@ def cmd_run(args) -> int:
             bound=round12(bound),
         )
         summary["pass"] = res.primal_cost <= bound * dual + FRAC_BOUND_TOL
-        opt = _oracle_cost(inst)
-        if opt is not None:
-            summary["oracle"] = round12(opt)
-            summary["ratio"] = round12(res.primal_cost / opt) if opt > 0 else 0.0
+        _oracle_columns(summary, inst, res.primal_cost)
     elif args.alg == "frac-round":
         seeds = args.seeds
         frac, stream, traces = _ensemble_traces(inst, seeds)
@@ -228,28 +227,6 @@ def cmd_run(args) -> int:
 
 
 # ---------------------------------------------------------------- verify
-
-
-def _verify_worked_example() -> list[str]:
-    """Fixed 8-page, 3-block coverage example with known exact values."""
-    inst = Instance(
-        n=8,
-        k=4,
-        blocks=((1, 2, 3), (4, 5, 6), (7, 8)),
-        costs=(1.0, 1.0, 1.0),
-        requests=(1, 2, 3, 4, 5, 6, 3, 7, 8),
-    )
-    oracle = CoverageOracle(inst, RequestIndex(inst))
-    tau = 9
-    failures = []
-    s1 = FlushSet.from_flushes(3, [(0, 4)])
-    s2 = FlushSet.from_flushes(3, [(1, 8)])
-    s12 = FlushSet.from_flushes(3, [(0, 4), (1, 8)])
-    for S, want, label in ((s1, 2, "first"), (s2, 3, "second"), (s12, 4, "union")):
-        got = oracle.f_tau(S, tau)
-        if got != want:
-            failures.append(f"worked example {label}: got {got}, want {want}")
-    return failures
 
 
 def _verify_instance(inst: Instance) -> list[str]:
@@ -318,27 +295,16 @@ def _verify_increments(path: str, inst: Instance) -> list[str]:
 def cmd_verify(args) -> int:
     if not _at_least_one("capacity", args.capacity):
         return 2
-    failures: list[str] = []
-    if args.fixture:
-        if args.fixture != "coverage-example":
-            print(f"error: unknown fixture {args.fixture!r}", file=sys.stderr)
-            return 2
-        failures += _verify_worked_example()
-    inst = Instance.load(args.instance) if args.instance else None
-    if inst is not None:
-        failures += _verify_instance(inst)
-    for flag, path in (("trace", args.trace), ("increments", args.increments)):
-        if path and inst is None:
-            print(f"error: --{flag} requires --instance", file=sys.stderr)
-            return 2
+    if args.instance is None:
+        print("error: verify needs --instance", file=sys.stderr)
+        return 2
+    inst = Instance.load(args.instance)
+    failures = _verify_instance(inst)
     if args.trace:
         capacity = inst.k if args.capacity is None else args.capacity
         failures += _verify_trace(args.trace, inst, capacity)
     if args.increments:
         failures += _verify_increments(args.increments, inst)
-    if not (args.fixture or args.instance):
-        print("error: nothing to verify", file=sys.stderr)
-        return 2
     for msg in failures:
         print(f"FAIL: {msg}")
     if not failures:
@@ -459,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--trace", default=None)
     ver.add_argument("--increments", default=None)
     ver.add_argument("--capacity", type=int, default=None)
-    ver.add_argument("--fixture", default=None, help="named fixture: coverage-example")
 
     rep = sub.add_parser("report", help="summaries to CSV")
     rep.add_argument("summaries", nargs="+")

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from .instance import Instance, PolicyTrace, RequestIndex, round12
 from .submodular import CoverageOracle, Flush, FlushSet
 
-DUAL_EPS = 1e-9
+DUAL_EPS = 1e-9  # dual mass <= c_B up to float error: masses sum rate * dy over raises
 # dual increases this close differ only by float error: they tie
 TIE_EPS = 1e-15
 
@@ -101,31 +101,41 @@ def first_tight(candidates) -> tuple[float, Flush]:
     return best
 
 
+def priced_candidates(
+    ledger: DualLedger,
+    S: FlushSet,
+    oracle: CoverageOracle,
+    tau: int,
+) -> list[tuple[Flush, int, float, float]]:
+    """(flush, marginal, mass, cost) of every alive flush outside S whose
+    marginal at tau is at least 1, in ``alive_flushes`` order.
+
+    Dead flushes are dominated by the latest alive flush at or before them,
+    so restricting to alive ones loses nothing.
+    """
+    costs = oracle.instance.costs
+    candidates = []
+    for flush in oracle.index.alive_flushes(tau):
+        if flush in S:
+            continue
+        m = oracle.marginal(S, flush, tau)
+        if m >= 1:
+            candidates.append((flush, m, ledger.mass.get(flush, 0.0), costs[flush[0]]))
+    return candidates
+
+
 def next_tight_increase(
     ledger: DualLedger,
     S: FlushSet,
     oracle: CoverageOracle,
     tau: int,
 ) -> tuple[Flush, float, dict[Flush, int]]:
-    """Smallest dual increase that makes some alive flush's constraint tight.
-
-    Candidates are alive flushes with marginal >= 1; dead flushes are
-    dominated by the latest alive flush at or before them, so restricting to
-    alive ones loses nothing.  Ties break lexicographically on (block, t).
+    """Smallest dual increase that makes some candidate's constraint tight,
+    with the candidates' rates.  Ties break lexicographically on (block, t).
     """
-    inst = oracle.instance
-    rates: dict[Flush, int] = {}
-    candidates = []
-    for flush in oracle.index.alive_flushes(tau):
-        if flush in S:
-            continue
-        m = oracle.marginal(S, flush, tau)
-        if m < 1:
-            continue
-        rates[flush] = m
-        candidates.append((flush, m, ledger.mass.get(flush, 0.0), inst.costs[flush[0]]))
+    candidates = priced_candidates(ledger, S, oracle, tau)
     gap, flush = first_tight(candidates)
-    return flush, gap, rates
+    return flush, gap, {fl: m for fl, m, _A, _c in candidates}
 
 
 def run_deterministic(instance: Instance) -> DetResult:

@@ -7,7 +7,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .det_online import DualLedger, first_tight
+from .det_online import DualLedger, first_tight, priced_candidates
 from .instance import Instance, RequestIndex, round12
 from .submodular import (
     CoverageOracle,
@@ -18,6 +18,9 @@ from .submodular import (
     constraint_lhs,
     flush_cost,
 )
+
+TARGET_EPS = 1e-12  # contribution this close to the target at the tight point reaches it
+BISECT_REL = 1e-12  # bisection bracket width relative to the root: near double precision
 
 
 @dataclass
@@ -145,7 +148,7 @@ def solve_event(
             for _fl, f, A, c in candidates
         )
 
-    if g(dy_tight) <= target + 1e-12:
+    if g(dy_tight) <= target + TARGET_EPS:
         return EventOutcome(delta_y=dy_tight, kind="flush-tightened", flush=tight_flush)
     lo, hi = 0.0, dy_tight
     for _ in range(200):
@@ -154,7 +157,7 @@ def solve_event(
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
+        if hi - lo <= BISECT_REL * max(1.0, hi):
             break
     return EventOutcome(delta_y=hi, kind="primal-satisfied", flush=None)
 
@@ -180,8 +183,7 @@ def run_fractional(instance: Instance) -> FracResult:
     grows.  The while-condition quantifies over every constraint set
     containing the integral flushes, decided by exact separation.
     """
-    index = RequestIndex(instance)
-    oracle = CoverageOracle(instance, index)
+    oracle = CoverageOracle(instance, RequestIndex(instance))
     sol = FractionalSolution(instance)
     S = sol.integral
     ledger = DualLedger()
@@ -195,17 +197,10 @@ def run_fractional(instance: Instance) -> FracResult:
                 break
             target0 = cap - oracle.f_tau(Sv, tau)
             lhs = constraint_lhs(sol.phi, Sv, oracle, tau)
-            candidates = []
+            # flushes are unique, so sorting orders by flush alone
+            candidates = sorted(priced_candidates(ledger, Sv, oracle, tau))
             frozen = lhs
-            for flush in sorted(index.alive_flushes(tau)):
-                if flush in Sv:
-                    continue
-                m = oracle.marginal(Sv, flush, tau)
-                if m < 1:
-                    continue
-                A = ledger.mass.get(flush, 0.0)
-                c = instance.costs[flush[0]]
-                candidates.append((flush, m, A, c))
+            for flush, m, _A, _c in candidates:
                 frozen -= m * sol.phi.get(flush, 0.0)
             # rate inequality over the alive flushes outside Sv; those that are
             # not candidates have marginal 0

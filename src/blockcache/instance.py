@@ -8,6 +8,10 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
+# recorded cumulative cost vs the re-summed step costs: float summation error;
+# saved traces keep 12 significant digits, more than this past a cost of 1000
+COST_CUM_EPS = 1e-9
+
 
 class InstanceError(ValueError):
     """Raised when instance data violates a structural invariant."""
@@ -305,9 +309,9 @@ class PolicyTrace:
             step_evict, step_fetch = self.step_cost(step.flushes, step.fetched)
             evict += step_evict
             fetch += step_fetch
-            if abs(step.evict_cost_cum - evict) > 1e-9:
+            if abs(step.evict_cost_cum - evict) > COST_CUM_EPS:
                 raise ValueError(f"eviction cost mismatch at step {step.t}")
-            if abs(step.fetch_cost_cum - fetch) > 1e-9:
+            if abs(step.fetch_cost_cum - fetch) > COST_CUM_EPS:
                 raise ValueError(f"fetching cost mismatch at step {step.t}")
 
     def save(self, path: str) -> None:

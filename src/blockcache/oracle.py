@@ -12,7 +12,9 @@ from .instance import Instance, PolicyTrace, RequestIndex, gen_gap_instance
 from .submodular import CoverageOracle, Flush, FlushSet, PhiView, flush_cost
 
 DP_STATE_LIMIT = 10**6
-LP_EPS = 1e-9
+LP_EPS = 1e-9  # x and rates are float means and differences: this close meets a bound
+COST_EPS = 1e-9  # bounds between two float sums of c_B-weighted rates hold up to this
+DP_TIE_EPS = 1e-12  # a DP path replaces another only when cheaper beyond float error
 
 
 class OracleIntractableError(ValueError):
@@ -73,7 +75,7 @@ def _run_dp(
             for state, step_cost in transitions(prev, t):
                 total = cost + step_cost
                 cur = nxt.get(state)
-                if cur is None or total < cur[0] - 1e-12:
+                if cur is None or total < cur[0] - DP_TIE_EPS:
                     nxt[state] = (total, (prev, best[prev]))
         best = nxt
     end_state = min(best, key=lambda s: (best[s][0], sorted(s)))
@@ -232,7 +234,7 @@ def fractional_costs(phi: dict[Flush, float], instance: Instance) -> tuple[float
     """
     evict = flush_cost(phi, instance)
     _evict_from_x, fetch = fractional_costs_from_x(phi_to_x(phi, instance), instance)
-    assert fetch <= instance.beta * (evict + instance.total_block_cost) + 1e-9
+    assert fetch <= instance.beta * (evict + instance.total_block_cost) + COST_EPS
     return evict, fetch
 
 

@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 
 from .instance import Instance, PolicyTrace, RequestIndex
 from .oracle import (
+    COST_EPS,
+    LP_EPS,
     derive_block_rates,
     fractional_costs_from_x,
     naive_lp_check,
@@ -16,6 +18,9 @@ from .oracle import (
     trace_to_x_mean,
 )
 from .submodular import CoverageOracle, Flush, PhiView, flush_cost
+
+FULL_EPS = 1e-12  # a capped window sum this close to 1 is fully missing, not crossing 1/2
+ENSEMBLE_EPS = 1e-6  # rounded <= 2 * mean fetch: float sums over T steps in other orders
 
 
 def gamma_for(instance: Instance) -> float:
@@ -113,7 +118,7 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
         # crossing check for the touched block's pages
         for p in instance.blocks[b]:
             xv = half.x(oracle, p, tau)
-            if 0.5 <= xv < 1.0 - 1e-12:
+            if 0.5 <= xv < 1.0 - FULL_EPS:
                 full_flush(b, tau)
                 break
 
@@ -171,29 +176,23 @@ def randomized_round(
     return trace
 
 
-def _check_naive_feasible(x, phi, sigma, instance):
-    bad = naive_lp_check(x, phi, sigma, instance)
-    if bad is not None:
-        raise ValueError(f"fractional input infeasible: {bad}")
-
-
 def _check_initial_row(x, instance):
     # pages outside the starting cache must begin fully missing, otherwise
     # their first fetch cannot be charged against a 1/2 fractional drop
     for p in range(1, instance.n + 1):
-        if p not in instance.initial_cache and x[0][p] < 1.0 - 1e-9:
+        if p not in instance.initial_cache and x[0][p] < 1.0 - LP_EPS:
             raise ValueError(f"page {p} starts outside the cache but x[0]={x[0][p]}")
 
 
-def bicriteria_round_fetch(x: list[list], instance: Instance) -> PolicyTrace:
-    """Threshold rounding against fetching cost.
-
-    Evicts any page whose missing value exceeds 1/2 and, on a miss, fetches
-    every block-mate with missing value at most 1/2.  Uses at most 2k space
-    and at most twice the fractional fetching cost; both are asserted.
-    """
-    _check_naive_feasible(x, derive_block_rates(x, instance, -1), -1, instance)
-    _check_initial_row(x, instance)
+def _threshold_round(x: list[list], instance: Instance, sigma: int) -> PolicyTrace:
+    """Threshold rounding at 1/2 of an x feasible for the naive LP in
+    orientation sigma (-1 fetching, +1 eviction).  Evicts every cached page
+    with x > 1/2, one flush per block; a miss loads the block's pages with
+    x <= 1/2 when fetching, the requested page alone when evicting.  Cached
+    pages have x <= 1/2 and x sums to at least n - k, so at most 2k are."""
+    bad = naive_lp_check(x, derive_block_rates(x, instance, sigma), sigma, instance)
+    if bad is not None:
+        raise ValueError(f"fractional input infeasible: {bad}")
     initial = frozenset(p for p in instance.initial_cache if x[0][p] <= 0.5)
     trace = PolicyTrace(
         instance=instance, capacity_bound=2 * instance.k, initial_cache=initial
@@ -206,40 +205,31 @@ def bicriteria_round_fetch(x: list[list], instance: Instance) -> PolicyTrace:
         p_t = instance.request(t)
         fetched: list[int] = []
         if p_t not in cache:
-            blk = instance.blocks[instance.block_of(p_t)]
-            fetched = [p for p in blk if x[t][p] <= 0.5 and p not in cache]
+            if sigma < 0:
+                blk = instance.blocks[instance.block_of(p_t)]
+                fetched = [p for p in blk if x[t][p] <= 0.5 and p not in cache]
+            else:
+                fetched = [p_t]
             cache.update(fetched)
         assert p_t in cache
         assert len(cache) <= 2 * instance.k
         trace.record(t, flushes, fetched, cache)
+    return trace
+
+
+def bicriteria_round_fetch(x: list[list], instance: Instance) -> PolicyTrace:
+    """Threshold rounding against fetching cost: at most 2k space and twice
+    the fractional fetching cost, both asserted."""
+    _check_initial_row(x, instance)
+    trace = _threshold_round(x, instance, -1)
     _evict, frac_fetch = fractional_costs_from_x(x, instance)
-    assert trace.fetching_cost <= 2.0 * frac_fetch + 1e-9
+    assert trace.fetching_cost <= 2.0 * frac_fetch + COST_EPS
     return trace
 
 
 def bicriteria_round_evict(x: list[list], instance: Instance) -> PolicyTrace:
-    """Mirror of the fetch rounding for the eviction cost model.
-
-    Fetches the requested page on a miss; whenever a cached page's missing
-    value exceeds 1/2 its whole block's high-value pages are evicted in one
-    batch.  Space stays at most 2k.
-    """
-    _check_naive_feasible(x, derive_block_rates(x, instance, +1), +1, instance)
-    initial = frozenset(p for p in instance.initial_cache if x[0][p] <= 0.5)
-    trace = PolicyTrace(
-        instance=instance, capacity_bound=2 * instance.k, initial_cache=initial
-    )
-    cache = set(initial)
-    for t in range(1, instance.T + 1):
-        evicted = {p for p in cache if x[t][p] > 0.5}
-        cache -= evicted
-        flushes = [(b, t) for b in {instance.block_of(p) for p in evicted}]
-        p_t = instance.request(t)
-        fetched = [] if p_t in cache else [p_t]
-        cache.add(p_t)
-        assert len(cache) <= 2 * instance.k
-        trace.record(t, flushes, fetched, cache)
-    return trace
+    """Threshold rounding against eviction cost, in at most 2k space."""
+    return _threshold_round(x, instance, +1)
 
 
 def derandomize_ensemble(
@@ -251,5 +241,5 @@ def derandomize_ensemble(
         raise ValueError("empty ensemble")
     out = bicriteria_round_fetch(trace_to_x_mean(traces, instance), instance)
     mean_fetch = sum(tr.fetching_cost for tr in traces) / len(traces)
-    assert out.fetching_cost <= 2.0 * mean_fetch + 1e-6
+    assert out.fetching_cost <= 2.0 * mean_fetch + ENSEMBLE_EPS
     return out

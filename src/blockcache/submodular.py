@@ -8,7 +8,7 @@ from itertools import combinations
 
 from .instance import Instance, RequestIndex
 
-FEAS_EPS = 1e-9
+FEAS_EPS = 1e-9  # covering slack >= -FEAS_EPS holds: integer coefficients, float phi
 
 Flush = tuple[int, int]  # (block id, time), 0 <= time <= T
 
@@ -255,11 +255,10 @@ def most_violated_constraint(
             if best is None or slack < best[0]:
                 best = (slack, state[1])
 
+    # best is None when the integral flushes alone make n - k pages
+    # missing: every marginal is then 0, and so is their set's slack
+    slack, chain = (0.0, None) if best is None else best
     S = FlushSet(num_blocks)
-    if best is None:
-        # every threshold combination already covers n - k pages
-        return 0.0, S
-    chain = best[1]
     while chain is not None:
         (b, T), chain = chain
         if T >= 1:
@@ -267,7 +266,7 @@ def most_violated_constraint(
     for (b, t), v in phi.items():
         if v >= 1.0:
             S.add(b, t)
-    return best[0], S
+    return slack, S
 
 
 def check_feasible(

@@ -273,3 +273,46 @@ def test_derive_block_rates():
     psi = derive_block_rates(x, inst, -1)
     assert psi[1] == [pytest.approx(0.3), 0.0]
     assert psi[2] == [0.0, pytest.approx(1.0)]
+
+
+def test_threshold_roundings_on_fractional_x():
+    # property: x is the mean of 1-4 randomized roundings, lifted at random
+    # towards 1 off the requested pages, which keeps it feasible for the
+    # naive LP; without the lift a page with x <= 1/2 is always cached, so
+    # no rounding would ever load more than the requested page.  Both
+    # orientations must keep every cached and fetched page at x <= 1/2
+    # within 2k space
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(
+        st.integers(2, 8),
+        st.data(),
+        st.integers(0, 2**16),
+        st.integers(1, 4),
+        st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def check(n, data, seed, members, lift):
+        k = data.draw(st.integers(1, n))
+        beta = data.draw(st.integers(1, k))
+        inst = gen_random(n, k, beta, data.draw(st.integers(1, 12)), seed=seed)
+        _res, stream = structured_from(inst)
+        traces = [randomized_round(stream, inst, seed=s) for s in range(members)]
+        x = trace_to_x_mean(traces, inst)
+        rng = random.Random(seed)
+        for t in range(1, inst.T + 1):
+            for p in range(1, inst.n + 1):
+                if p != inst.request(t):
+                    x[t][p] += (1.0 - x[t][p]) * lift * rng.random()
+        for rounding in (bicriteria_round_fetch, bicriteria_round_evict):
+            trace = rounding(x, inst)
+            assert trace.capacity_bound == 2 * inst.k
+            trace.validate()
+            for step in trace.steps:
+                assert all(x[step.t][p] <= 0.5 for p in step.cache)
+                assert all(x[step.t][p] <= 0.5 for p in step.fetched)
+                if rounding is bicriteria_round_evict:
+                    assert set(step.fetched) <= {inst.request(step.t)}
+
+    check()

@@ -286,9 +286,7 @@ def test_separation_exact_when_residual_exceeds_counts():
         slack, S = most_violated_constraint(phi, oracle, tau)
         best = brute_force_slack(phi, oracle, tau)
         assert abs(min(slack, 0.0) - best) < 1e-9
-        if slack != 0.0:  # 0.0 comes with the bare time-0 set when no
-            # threshold choice leaves a positive residual
-            assert abs(constraint_slack(phi, S, oracle, tau) - slack) < 1e-9
+        assert abs(constraint_slack(phi, S, oracle, tau) - slack) < 1e-9
         checked += 1
         with_fixed += bool(fixed)
         violated += best < -1e-9
