@@ -11,7 +11,6 @@ import csv
 import json
 import math
 import os
-import random
 import sys
 
 from .det_online import run_deterministic
@@ -41,11 +40,14 @@ from .rounding import (
     randomized_round,
     structure_stream,
 )
-from .submodular import CoverageOracle, FlushSet, check_feasible
+from .submodular import CoverageOracle, check_feasible
 
 COST_TOL = 1e-9  # det cost <= k * OPT: sums of block costs, float error only
 DET_DUAL_TOL = 1e-6  # det dual <= OPT: float quotients summed over up to T raises
 FRAC_BOUND_TOL = 1e-6  # frac cost <= bound * dual: duals are bisection roots (BISECT_REL)
+# frac-round mean cost <= ROUND_MEAN_SLACK * bound: the bound holds for the
+# expected cost, and the mean over a few seeds may exceed it
+ROUND_MEAN_SLACK = 1.1
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -94,7 +96,7 @@ def _ensemble_traces(inst: Instance, seeds: list[int]):
     frac = run_fractional(inst)
     incs = [(i.tau, i.flush, i.delta) for i in frac.solution.increments]
     stream = structure_stream(incs, inst)
-    traces = [randomized_round(stream, inst, seed) for seed in seeds]
+    traces = [randomized_round(stream, seed) for seed in seeds]
     return frac, stream, traces
 
 
@@ -121,6 +123,10 @@ def _at_least_one(flag: str, value) -> bool:
 
 def cmd_run(args) -> int:
     if not _at_least_one("h", args.h):
+        return 2
+    if args.h is not None and args.alg != "opt":
+        # only the offline DP takes a cache size; the others run with k
+        print(f"error: --h applies only to --alg opt, not {args.alg}", file=sys.stderr)
         return 2
     inst = Instance.load(args.instance)
     prefix = args.output or os.path.splitext(args.instance)[0] + "." + args.alg
@@ -185,16 +191,16 @@ def cmd_run(args) -> int:
             fractional_cost=round12(frac.primal_cost),
             bound=round12(rhs),
         )
-        summary["pass"] = mean <= rhs * 1.1
+        summary["pass"] = mean <= rhs * ROUND_MEAN_SLACK
     elif args.alg in ("bicriteria-fetch", "bicriteria-evict"):
         seeds = args.seeds
         _frac, _stream, traces = _ensemble_traces(inst, seeds)
         if args.alg == "bicriteria-fetch":
-            out = derandomize_ensemble(traces, inst)
+            out = derandomize_ensemble(traces)
             cost = out.fetching_cost
             model = "fetch"
         else:
-            out = bicriteria_round_evict(trace_to_x_mean(traces, inst), inst)
+            out = bicriteria_round_evict(trace_to_x_mean(traces), inst)
             cost = out.eviction_cost
             model = "evict"
         out.validate()
@@ -227,33 +233,6 @@ def cmd_run(args) -> int:
 
 
 # ---------------------------------------------------------------- verify
-
-
-def _verify_instance(inst: Instance) -> list[str]:
-    failures = []
-    oracle = CoverageOracle(inst, RequestIndex(inst))
-    rng = random.Random(0)
-    ground = [
-        (b, t) for b in range(inst.num_blocks) for t in range(inst.T + 1)
-    ]
-    for _ in range(100):
-        if not ground or inst.T == 0:
-            break
-        tau = rng.randint(1, inst.T)
-        S = FlushSet.from_flushes(
-            inst.num_blocks, rng.sample(ground, rng.randint(0, min(6, len(ground))))
-        )
-        Sp = S.copy()
-        extra = rng.choice(ground)
-        Sp.add(*extra)
-        fl = rng.choice(ground)
-        m_small = oracle.marginal(S, fl, tau)
-        m_large = oracle.marginal(Sp, fl, tau)
-        if oracle.f_tau(Sp, tau) < oracle.f_tau(S, tau):
-            failures.append(f"monotonicity violated at tau={tau}")
-        if fl not in Sp and fl != extra and m_large > m_small:
-            failures.append(f"diminishing returns violated at tau={tau}")
-    return failures
 
 
 def _verify_trace(path: str, inst: Instance, capacity: int) -> list[str]:
@@ -299,7 +278,7 @@ def cmd_verify(args) -> int:
         print("error: verify needs --instance", file=sys.stderr)
         return 2
     inst = Instance.load(args.instance)
-    failures = _verify_instance(inst)
+    failures = []
     if args.trace:
         capacity = inst.k if args.capacity is None else args.capacity
         failures += _verify_trace(args.trace, inst, capacity)

@@ -43,9 +43,9 @@ class DualLedger:
             if rate:
                 self.mass[flush] = self.mass.get(flush, 0.0) + rate * dy
 
-    def check_feasible(self, instance: Instance, eps: float = DUAL_EPS) -> None:
+    def check_feasible(self, instance: Instance) -> None:
         for (b, _t), a in self.mass.items():
-            if a > instance.costs[b] + eps:
+            if a > instance.costs[b] + DUAL_EPS:
                 raise AssertionError(
                     f"dual constraint of block {b} overshot: {a} > {instance.costs[b]}"
                 )
@@ -80,7 +80,6 @@ class DetResult:
     trace: PolicyTrace
     flushes: FlushSet
     ledger: DualLedger
-    phi: dict[Flush, float]
     primal_cost: float
 
 
@@ -145,7 +144,6 @@ def run_deterministic(instance: Instance) -> DetResult:
     index = RequestIndex(instance)
     oracle = CoverageOracle(instance, index)
     S = FlushSet(instance.num_blocks)
-    phi: dict[Flush, float] = {(b, 0): 1.0 for b in range(instance.num_blocks)}
     ledger = DualLedger()
     trace = PolicyTrace(instance=instance, capacity_bound=instance.k)
     cache: set[int] = set()
@@ -162,12 +160,9 @@ def run_deterministic(instance: Instance) -> DetResult:
             ledger.raise_dual(tau, coefficient, dy, rates)
             ledger.mass[(b0, _t0)] = instance.costs[b0]  # snap to exactly tight
             cache -= set(instance.blocks[b0]) - {p}
-            phi[(b0, tau)] = 1.0
             S.add(b0, tau)
             primal_cost += instance.costs[b0]
             step_flushes.append((b0, tau))
         trace.record(tau, step_flushes, fetched, cache)
 
-    return DetResult(
-        trace=trace, flushes=S, ledger=ledger, phi=phi, primal_cost=primal_cost
-    )
+    return DetResult(trace=trace, flushes=S, ledger=ledger, primal_cost=primal_cost)

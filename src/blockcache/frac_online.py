@@ -40,15 +40,13 @@ class FractionalSolution:
     """
 
     instance: Instance
-    phi: dict[Flush, float] = field(default_factory=dict)
-    increments: list[Increment] = field(default_factory=list)
-    integral: FlushSet | None = None
+    phi: dict[Flush, float] = field(init=False)
+    increments: list[Increment] = field(init=False, default_factory=list)
+    integral: FlushSet = field(init=False)
 
     def __post_init__(self):
-        if not self.phi:
-            self.phi = {(b, 0): 1.0 for b in range(self.instance.num_blocks)}
-        if self.integral is None:
-            self.integral = FlushSet(self.instance.num_blocks)
+        self.phi = {(b, 0): 1.0 for b in range(self.instance.num_blocks)}
+        self.integral = FlushSet(self.instance.num_blocks)
 
     def apply(self, tau: int, flush: Flush, delta: float) -> None:
         if delta <= 0.0:

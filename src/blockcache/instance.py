@@ -7,6 +7,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 # recorded cumulative cost vs the re-summed step costs: float summation error;
 # saved traces keep 12 significant digits, more than this past a cost of 1000
@@ -116,13 +117,11 @@ class Instance:
     def block_of(self, p: int) -> int:
         return self._block_map[p]
 
-    @property
+    @cached_property
     def _block_map(self) -> dict[int, int]:
-        m = self.__dict__.get("_bm")
-        if m is None:
-            m = {p: i for i, blk in enumerate(self.blocks) for p in blk}
-            object.__setattr__(self, "_bm", m)
-        return m
+        # cached_property writes the instance __dict__ directly, which a
+        # frozen dataclass allows
+        return {p: i for i, blk in enumerate(self.blocks) for p in blk}
 
     def request(self, t: int) -> int:
         """Page requested at step t (1-based)."""

@@ -52,23 +52,22 @@ def _trace_from_path(
     return trace
 
 
-def _run_dp(
-    instance: Instance, h: int, transitions, free_initial_evictions: bool
-) -> tuple[float, PolicyTrace]:
-    """Shortest path over cache-contents states.
+def _run_dp(instance: Instance, h: int, transitions) -> tuple[float, PolicyTrace]:
+    """Shortest path over cache-contents states, starting from
+    ``instance.initial_cache``.
 
-    ``transitions(prev, t)`` yields (next_state, step_cost).  With
-    ``free_initial_evictions`` the start layer contains every subset of the
-    initial cache at zero cost (the fetching model, where evictions are
-    free); otherwise the cache starts exactly as given and dropping initial
-    pages is paid like any other eviction.
+    ``transitions(prev, t)`` yields (next_state, step_cost).  In the
+    eviction model dropping initial pages is paid like any other eviction.
+    In the fetching model evictions are free, and starting from a subset S
+    of the initial cache I gains nothing: any first step from S, keeping
+    ``kept`` and fetching ``batch``, is matched from I by keeping ``kept``
+    plus the pages of ``batch`` (and the requested page) already in I and
+    fetching the rest of ``batch``.  That reaches the same state, and it
+    fetches only if the step from S fetches, so it costs no more.
     """
-    best: dict[frozenset[int], tuple[float, tuple]] = {}
-    if free_initial_evictions:
-        for sub in _subsets(instance.initial_cache):
-            best[frozenset(sub)] = (0.0, None)
-    else:
-        best[frozenset(instance.initial_cache)] = (0.0, None)
+    best: dict[frozenset[int], tuple[float, tuple]] = {
+        frozenset(instance.initial_cache): (0.0, None)
+    }
     for t in range(1, instance.T + 1):
         nxt: dict[frozenset[int], tuple[float, tuple]] = {}
         for prev, (cost, _) in best.items():
@@ -112,7 +111,7 @@ def opt_eviction(instance: Instance, h: int | None = None) -> tuple[float, Polic
             )
             yield frozenset(state), cost
 
-    return _run_dp(instance, h, transitions, free_initial_evictions=False)
+    return _run_dp(instance, h, transitions)
 
 
 def opt_fetching(instance: Instance, h: int | None = None) -> tuple[float, PolicyTrace]:
@@ -138,7 +137,7 @@ def opt_fetching(instance: Instance, h: int | None = None) -> tuple[float, Polic
                 cost = instance.costs[instance.block_of(p)] if fetched_any else 0.0
                 yield frozenset(state), cost
 
-    return _run_dp(instance, h, transitions, free_initial_evictions=True)
+    return _run_dp(instance, h, transitions)
 
 
 def opt_eviction_flushsets(instance: Instance) -> float:
@@ -175,8 +174,10 @@ def opt_eviction_flushsets(instance: Instance) -> float:
     return best
 
 
-def trace_to_x_mean(traces: list[PolicyTrace], instance: Instance) -> list[list]:
-    """Mean missing-value trajectory of an ensemble of integral traces."""
+def trace_to_x_mean(traces: list[PolicyTrace]) -> list[list]:
+    """Mean missing-value trajectory of a nonempty ensemble of integral
+    traces of one instance."""
+    instance = traces[0].instance
     N = len(traces)
     x: list[list] = []
     for t in range(instance.T + 1):
@@ -250,11 +251,7 @@ class LPViolation:
 
 
 def naive_lp_check(
-    x: list[list],
-    phi: list[list],
-    sigma: int,
-    instance: Instance,
-    eps: float = LP_EPS,
+    x: list[list], phi: list[list], sigma: int, instance: Instance
 ) -> LPViolation | None:
     """Checks the simple per-page LP; sigma=+1 is the eviction orientation,
     sigma=-1 the fetching orientation.  Returns the first violation."""
@@ -263,24 +260,24 @@ def naive_lp_check(
     for t in range(T + 1):
         for p in range(1, n + 1):
             v = x[t][p]
-            if v < -eps or v > 1 + eps:
+            if v < -LP_EPS or v > 1 + LP_EPS:
                 return LPViolation("x-bounds", t, p, float(v))
     for t in range(1, T + 1):
         for b in range(instance.num_blocks):
             v = phi[t][b]
-            if v < -eps or v > 1 + eps:
+            if v < -LP_EPS or v > 1 + LP_EPS:
                 return LPViolation("phi-bounds", t, b, float(v))
     for t in range(1, T + 1):
         p_t = instance.request(t)
-        if abs(x[t][p_t]) > eps:
+        if abs(x[t][p_t]) > LP_EPS:
             return LPViolation("requested-page", t, p_t, float(x[t][p_t]))
         total = sum(x[t][p] for p in range(1, n + 1))
-        if total < n - instance.k - eps:
+        if total < n - instance.k - LP_EPS:
             return LPViolation("capacity", t, 0, float(total))
         for b, blk in enumerate(instance.blocks):
             for p in blk:
                 need = sigma * (x[t][p] - x[t - 1][p])
-                if phi[t][b] < need - eps:
+                if phi[t][b] < need - LP_EPS:
                     return LPViolation("block-rate", t, b, float(need - phi[t][b]))
     return None
 

@@ -134,9 +134,7 @@ class AlterationError(AssertionError):
     """The alteration loop found no evictable block; signals a broken input."""
 
 
-def randomized_round(
-    stream: StructuredStream, instance: Instance, seed: int
-) -> PolicyTrace:
+def randomized_round(stream: StructuredStream, seed: int) -> PolicyTrace:
     """Rounds a structured stream into an integral eviction policy.
 
     Each flush that gained mass delta at a step triggers an independent coin
@@ -144,6 +142,7 @@ def randomized_round(
     block holding the page with the largest fractional missing value is
     evicted (ties to the lowest block id).
     """
+    instance = stream.instance
     rng = random.Random(seed)
     gamma = gamma_for(instance)
     trace = PolicyTrace(instance=instance, capacity_bound=instance.k)
@@ -232,14 +231,12 @@ def bicriteria_round_evict(x: list[list], instance: Instance) -> PolicyTrace:
     return _threshold_round(x, instance, +1)
 
 
-def derandomize_ensemble(
-    traces: list[PolicyTrace], instance: Instance
-) -> PolicyTrace:
+def derandomize_ensemble(traces: list[PolicyTrace]) -> PolicyTrace:
     """Averages ensemble cache indicators into a fractional trajectory and
     threshold-rounds it; cost at most twice the ensemble mean fetching cost."""
     if not traces:
         raise ValueError("empty ensemble")
-    out = bicriteria_round_fetch(trace_to_x_mean(traces, instance), instance)
+    out = bicriteria_round_fetch(trace_to_x_mean(traces), traces[0].instance)
     mean_fetch = sum(tr.fetching_cost for tr in traces) / len(traces)
     assert out.fetching_cost <= 2.0 * mean_fetch + ENSEMBLE_EPS
     return out

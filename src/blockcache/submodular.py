@@ -270,12 +270,12 @@ def most_violated_constraint(
 
 
 def check_feasible(
-    phi: dict[Flush, float], oracle: CoverageOracle, tau: int, eps: float = FEAS_EPS
+    phi: dict[Flush, float], oracle: CoverageOracle, tau: int
 ) -> tuple[bool, FlushSet | None]:
     """Feasibility at tau against every constraint set, via exact separation.
     A violated result returns the most violated set as the certificate."""
     slack, S = most_violated_constraint(phi, oracle, tau)
-    if slack >= -eps:
+    if slack >= -FEAS_EPS:
         return True, None
     return False, S
 
@@ -284,10 +284,7 @@ check_feasible_full = check_feasible  # old name, still imported by bench/checks
 
 
 def check_feasible_exhaustive(
-    phi: dict[Flush, float],
-    oracle: CoverageOracle,
-    tau: int,
-    eps: float = FEAS_EPS,
+    phi: dict[Flush, float], oracle: CoverageOracle, tau: int
 ) -> tuple[bool, FlushSet | None]:
     """Enumerates every constraint (S', tau).  Exponential; tiny inputs only."""
     inst = oracle.instance
@@ -295,7 +292,7 @@ def check_feasible_exhaustive(
     for size in range(len(ground) + 1):
         for combo in combinations(ground, size):
             S = FlushSet.from_flushes(inst.num_blocks, combo)
-            if constraint_slack(phi, S, oracle, tau) < -eps:
+            if constraint_slack(phi, S, oracle, tau) < -FEAS_EPS:
                 return False, S
     return True, None
 

@@ -191,7 +191,7 @@ def test_acceptance_4_fractional_certificates():
                     partial.get(pending.flush, 0.0) + pending.delta
                 )
                 pending = next(it, None)
-            if not check_feasible(partial, oracle, tau, eps=1e-9)[0]:
+            if not check_feasible(partial, oracle, tau)[0]:
                 failures.append(f"infeasible at {tau}")
     for k, beta, c, A in [(1, 1, 1.0, 0.5), (4, 2, 3.5, 2.0), (7, 3, 0.25, 0.2)]:
         closed = phi_closed_form(A, c, k, beta)
@@ -223,8 +223,8 @@ def test_acceptance_5a_bicriteria_exact():
     for seed in range(10):
         inst = gen_random(8, 4, 2, 16, seed=500 + seed)
         _res, stream = structured_from(inst)
-        traces = [randomized_round(stream, inst, s) for s in range(10)]
-        out = derandomize_ensemble(traces, inst)  # asserts the 2x fetch bound
+        traces = [randomized_round(stream, s) for s in range(10)]
+        out = derandomize_ensemble(traces)  # asserts the 2x fetch bound
         if any(len(s.cache) > 2 * inst.k for s in out.steps):
             failures.append("space")
     elapsed = time.monotonic() - start
@@ -282,7 +282,7 @@ def test_acceptance_5c_rounding_mean_cost():
     _res, stream = structured_from(inst)
     costs = []
     for seed in range(200):
-        tr = randomized_round(stream, inst, seed)
+        tr = randomized_round(stream, seed)
         tr.validate()
         costs.append(tr.eviction_cost + tr.fetching_cost)
     mean = sum(costs) / len(costs)
@@ -374,8 +374,8 @@ def test_acceptance_9_derandomization():
     start = time.monotonic()
     inst = gen_random(8, 4, 2, 20, seed=9)
     _res, stream = structured_from(inst)
-    traces = [randomized_round(stream, inst, s) for s in range(50)]
-    out = derandomize_ensemble(traces, inst)
+    traces = [randomized_round(stream, s) for s in range(50)]
+    out = derandomize_ensemble(traces)
     out.validate()
     mean = sum(t.fetching_cost for t in traces) / len(traces)
     space_ok = all(len(s.cache) <= 2 * inst.k for s in out.steps)

@@ -311,6 +311,18 @@ def test_size_option_below_one_exit_2(tmp_path, capsys, argv):
     assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("alg", ["det", "frac", "frac-round", "bicriteria-fetch"])
+def test_h_outside_opt_exit_2(tmp_path, capsys, alg):
+    # the online algorithms run with cache size k: an --h there would only
+    # relabel the summary
+    inst_path = gen_random_file(tmp_path)
+    capsys.readouterr()
+    argv = ["run", "--instance", str(inst_path), "--alg", alg, "--h", "2"]
+    assert run_cli(*argv, "-o", str(tmp_path / alg)) == 2
+    assert_one_error_line(capsys)
+    assert not (tmp_path / f"{alg}.summary.json").exists()
+
+
 @pytest.mark.parametrize(
     "text",
     ['{"cost": 1', '{"cost": "x"}', "[1, 2]"],

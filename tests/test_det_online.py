@@ -91,7 +91,6 @@ def test_flushed_constraints_are_tight():
             for (bb, _t), a in res.ledger.mass.items()
             if bb == b
         )
-        assert res.phi[flush] == 1.0
 
 
 def test_next_tight_increase_tie_break():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -54,6 +55,27 @@ def test_fetching_initial_cache_zero():
         initial_cache=frozenset({1, 2, 3, 4}),
     )
     assert opt_fetching(inst)[0] == 0.0
+
+
+def test_fetching_start_is_the_whole_initial_cache():
+    # evictions are free in the fetching model, so no start from a subset
+    # of the initial cache beats the initial cache itself
+    rng = random.Random(17)
+    cases = [(gen_beta_off(2, 2, d), None) for d in ("evict-heavy", "fetch-heavy")]
+    for trial in range(6):
+        inst = gen_random(5, 3, 2, 6, seed=300 + trial)
+        initial = rng.sample(range(1, inst.n + 1), rng.randint(1, inst.k))
+        cases.append((dataclasses.replace(inst, initial_cache=frozenset(initial)), None))
+    inst = dataclasses.replace(cases[-1][0], initial_cache=frozenset({1, 3, 5}))
+    cases.append((inst, 2))  # h below |initial_cache|
+    for inst, h in cases:
+        cost, trace = opt_fetching(inst, h)
+        trace.validate()
+        assert cost == min(
+            opt_fetching(dataclasses.replace(inst, initial_cache=frozenset(S)), h)[0]
+            for r in range(len(inst.initial_cache) + 1)
+            for S in combinations(sorted(inst.initial_cache), r)
+        )
 
 
 def test_fetching_batches_block():
@@ -142,7 +164,7 @@ def test_trace_to_x_and_costs():
         n=2, k=1, blocks=((1,), (2,)), costs=(1.0, 1.0), requests=(1, 2, 1)
     )
     _cost, trace = opt_eviction(inst)
-    x = trace_to_x_mean([trace], inst)
+    x = trace_to_x_mean([trace])
     assert x[0][1] == 1 and x[0][2] == 1
     evict, fetch = fractional_costs_from_x(x, inst)
     assert evict == trace.eviction_cost
@@ -176,11 +198,11 @@ def test_fetch_evict_relation_on_random_solutions():
 def test_naive_lp_on_integral_trace():
     inst = gen_random(6, 3, 2, 12, seed=12)
     _cost, trace = opt_eviction(inst)
-    x = trace_to_x_mean([trace], inst)
+    x = trace_to_x_mean([trace])
     phi = derive_block_rates(x, inst, +1)
     assert naive_lp_check(x, phi, +1, inst) is None
     _cost, trace_f = opt_fetching(inst)
-    xf = trace_to_x_mean([trace_f], inst)
+    xf = trace_to_x_mean([trace_f])
     phif = derive_block_rates(xf, inst, -1)
     assert naive_lp_check(xf, phif, -1, inst) is None
 
@@ -190,7 +212,7 @@ def test_naive_lp_planted_violations():
         n=3, k=1, blocks=((1,), (2,), (3,)), costs=(1.0,) * 3, requests=(1, 2)
     )
     _cost, trace = opt_eviction(inst)
-    x = trace_to_x_mean([trace], inst)
+    x = trace_to_x_mean([trace])
     phi = derive_block_rates(x, inst, +1)
     bad_x = [row[:] if row else row for row in x]
     bad_x[1][inst.request(1)] = 0.4

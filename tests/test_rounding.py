@@ -131,15 +131,15 @@ def test_bucket_accumulates_small_increments():
 def test_randomized_round_feasible_and_deterministic():
     inst = gen_random(8, 4, 2, 24, seed=7)
     _res, stream = structured_from(inst)
-    t1 = randomized_round(stream, inst, seed=123)
-    t2 = randomized_round(stream, inst, seed=123)
-    t3 = randomized_round(stream, inst, seed=124)
+    t1 = randomized_round(stream, seed=123)
+    t2 = randomized_round(stream, seed=123)
+    t3 = randomized_round(stream, seed=124)
     t1.validate()
     assert [s.cache for s in t1.steps] == [s.cache for s in t2.steps]
     assert t1.eviction_cost == t2.eviction_cost
     # a different seed is allowed to coincide, but not across the whole suite
     assert any(
-        randomized_round(stream, inst, seed=s).eviction_cost != t1.eviction_cost
+        randomized_round(stream, seed=s).eviction_cost != t1.eviction_cost
         for s in range(200, 210)
     ) or t3.eviction_cost != t1.eviction_cost
 
@@ -150,7 +150,7 @@ def test_randomized_round_cache_residency():
     res, stream = structured_from(inst)
     view = PhiView(stream.phi, inst.num_blocks)
     for seed in range(5):
-        trace = randomized_round(stream, inst, seed=seed)
+        trace = randomized_round(stream, seed=seed)
         for t in range(1, inst.T + 1):
             cache = trace.cache_at(t)
             for p in range(1, inst.n + 1):
@@ -163,7 +163,7 @@ def test_randomized_round_mean_cost():
     _res, stream = structured_from(inst)
     costs = []
     for seed in range(100):
-        tr = randomized_round(stream, inst, seed=seed)
+        tr = randomized_round(stream, seed=seed)
         tr.validate()
         costs.append(tr.eviction_cost + tr.fetching_cost)
     mean = sum(costs) / len(costs)
@@ -212,7 +212,7 @@ def test_bicriteria_fetch_on_gap_solution():
 def test_bicriteria_evict_mirror():
     inst = gen_random(6, 3, 2, 12, seed=41)
     _cost, opt_trace = opt_eviction(inst)
-    x = trace_to_x_mean([opt_trace], inst)
+    x = trace_to_x_mean([opt_trace])
     trace = bicriteria_round_evict([[v for v in row] if row else row for row in x], inst)
     trace.validate()
     for step in trace.steps:
@@ -237,20 +237,20 @@ def test_bicriteria_evict_no_rule_fire():
 def test_derandomize_single_member():
     inst = gen_random(6, 3, 2, 12, seed=53)
     _res, stream = structured_from(inst)
-    tr = randomized_round(stream, inst, seed=0)
-    out = derandomize_ensemble([tr], inst)
+    tr = randomized_round(stream, seed=0)
+    out = derandomize_ensemble([tr])
     out.validate()
     assert out.fetching_cost <= 2.0 * tr.fetching_cost + 1e-6
     # duplicated members change nothing
-    out2 = derandomize_ensemble([tr, tr], inst)
+    out2 = derandomize_ensemble([tr, tr])
     assert out2.fetching_cost == out.fetching_cost
 
 
 def test_derandomize_ensemble_bounds():
     inst = gen_random(8, 4, 2, 20, seed=61)
     _res, stream = structured_from(inst)
-    traces = [randomized_round(stream, inst, seed=s) for s in range(20)]
-    out = derandomize_ensemble(traces, inst)
+    traces = [randomized_round(stream, seed=s) for s in range(20)]
+    out = derandomize_ensemble(traces)
     out.validate()
     mean = sum(t.fetching_cost for t in traces) / len(traces)
     assert out.fetching_cost <= 2.0 * mean + 1e-6
@@ -261,7 +261,7 @@ def test_derandomize_ensemble_bounds():
 def test_derandomize_rejects_empty():
     inst = gen_random(4, 2, 2, 4, seed=0)
     with pytest.raises(ValueError):
-        derandomize_ensemble([], inst)
+        derandomize_ensemble([])
 
 
 def test_derive_block_rates():
@@ -298,8 +298,8 @@ def test_threshold_roundings_on_fractional_x():
         beta = data.draw(st.integers(1, k))
         inst = gen_random(n, k, beta, data.draw(st.integers(1, 12)), seed=seed)
         _res, stream = structured_from(inst)
-        traces = [randomized_round(stream, inst, seed=s) for s in range(members)]
-        x = trace_to_x_mean(traces, inst)
+        traces = [randomized_round(stream, seed=s) for s in range(members)]
+        x = trace_to_x_mean(traces)
         rng = random.Random(seed)
         for t in range(1, inst.T + 1):
             for p in range(1, inst.n + 1):

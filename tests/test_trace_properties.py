@@ -30,7 +30,7 @@ def _trace(inst, kind: str, seed: int):
         return opt_eviction(inst)[1]
     frac = run_fractional(inst)
     incs = [(i.tau, i.flush, i.delta) for i in frac.solution.increments]
-    return randomized_round(structure_stream(incs, inst), inst, seed)
+    return randomized_round(structure_stream(incs, inst), seed)
 
 
 @st.composite
