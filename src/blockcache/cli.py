@@ -14,17 +14,15 @@ import os
 import sys
 
 from .det_online import run_deterministic
-from .frac_online import run_fractional
+from .frac_online import load_increments, replay_failures, run_fractional
 from .instance import (
     Instance,
     InstanceError,
     PolicyTrace,
-    RequestIndex,
     gen_beta_off,
     gen_gap_instance,
     gen_random,
     is_int_in,
-    read_jsonl,
     round12,
 )
 from .oracle import (
@@ -40,7 +38,6 @@ from .rounding import (
     randomized_round,
     structure_stream,
 )
-from .submodular import CoverageOracle, check_feasible
 
 COST_TOL = 1e-9  # det cost <= k * OPT: sums of block costs, float error only
 DET_DUAL_TOL = 1e-6  # det dual <= OPT: float quotients summed over up to T raises
@@ -94,8 +91,7 @@ def cmd_gen(args) -> int:
 
 def _ensemble_traces(inst: Instance, seeds: list[int]):
     frac = run_fractional(inst)
-    incs = [(i.tau, i.flush, i.delta) for i in frac.solution.increments]
-    stream = structure_stream(incs, inst)
+    stream = structure_stream(frac.solution.increments, inst)
     traces = [randomized_round(stream, seed) for seed in seeds]
     return frac, stream, traces
 
@@ -244,33 +240,6 @@ def _verify_trace(path: str, inst: Instance, capacity: int) -> list[str]:
     return []
 
 
-def _verify_increments(path: str, inst: Instance) -> list[str]:
-    """Exact feasibility at every tau of the mass logged up to tau."""
-
-    def parse(rec: dict) -> tuple | None:
-        tau, block, t, delta = rec["tau"], rec["block"], rec["t"], rec["delta"]
-        ok = is_int_in(tau, 1, inst.T) and is_int_in(t, 0, inst.T)
-        ok = ok and is_int_in(block, 0, inst.num_blocks - 1) and 0 < delta < math.inf
-        return (tau, (block, t), delta) if ok else None
-
-    entries = read_jsonl(path, parse)
-    oracle = CoverageOracle(inst, RequestIndex(inst))
-    phi = {(b, 0): 1.0 for b in range(inst.num_blocks)}
-    failures = []
-    i = 0
-    for tau in range(1, inst.T + 1):
-        while i < len(entries) and entries[i][0] <= tau:
-            inc_tau, flush, delta = entries[i]
-            if i and inc_tau < entries[i - 1][0]:
-                return failures + [f"increment {i + 1} goes back in time to tau={inc_tau}"]
-            phi[flush] = phi.get(flush, 0.0) + delta
-            i += 1
-        ok, _S = check_feasible(phi, oracle, tau)
-        if not ok:
-            failures.append(f"increment log infeasible at tau={tau}")
-    return failures
-
-
 def cmd_verify(args) -> int:
     if not _at_least_one("capacity", args.capacity):
         return 2
@@ -283,7 +252,7 @@ def cmd_verify(args) -> int:
         capacity = inst.k if args.capacity is None else args.capacity
         failures += _verify_trace(args.trace, inst, capacity)
     if args.increments:
-        failures += _verify_increments(args.increments, inst)
+        failures += replay_failures(load_increments(args.increments, inst), inst)
     for msg in failures:
         print(f"FAIL: {msg}")
     if not failures:

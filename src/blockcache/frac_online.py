@@ -3,17 +3,18 @@ simulation of the continuous primal-dual dynamics."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .det_online import DualLedger, first_tight, priced_candidates
-from .instance import Instance, RequestIndex, round12
+from .instance import (
+    Instance, InstanceError, RequestIndex, is_int_in, read_jsonl, round12, write_jsonl
+)
 from .submodular import (
     CoverageOracle,
     FEAS_EPS,
     Flush,
-    FlushSet,
     check_feasible,
     constraint_lhs,
     flush_cost,
@@ -21,47 +22,42 @@ from .submodular import (
 
 TARGET_EPS = 1e-12  # contribution this close to the target at the tight point reaches it
 BISECT_REL = 1e-12  # bisection bracket width relative to the root: near double precision
+PHI_AFTER_EPS = 1e-9  # saved phi_after vs the running sum: 12-digit deltas summed over one flush
 
 
-@dataclass
-class Increment:
+class Increment(NamedTuple):
+    """Mass ``delta`` added at step ``tau`` to ``flush``."""
+
     tau: int
     flush: Flush
     delta: float
-    phi_after: float
 
 
 @dataclass
 class FractionalSolution:
     """Sparse flush values plus the ordered increment log.
 
-    Values only ever increase; flushes in the integral set S have value
-    exactly 1 (snapped, because downstream logic branches on it).
+    Values only ever increase; a flush whose dual constraint is tight has
+    value exactly 1 (snapped, because downstream logic branches on it).
     """
 
     instance: Instance
     phi: dict[Flush, float] = field(init=False)
     increments: list[Increment] = field(init=False, default_factory=list)
-    integral: FlushSet = field(init=False)
 
     def __post_init__(self):
         self.phi = {(b, 0): 1.0 for b in range(self.instance.num_blocks)}
-        self.integral = FlushSet(self.instance.num_blocks)
 
     def apply(self, tau: int, flush: Flush, delta: float) -> None:
         if delta <= 0.0:
             raise ValueError("increments must be positive")
-        new = self.phi.get(flush, 0.0) + delta
-        self.phi[flush] = new
-        self.increments.append(
-            Increment(tau=tau, flush=flush, delta=delta, phi_after=new)
-        )
+        self.phi[flush] = self.phi.get(flush, 0.0) + delta
+        self.increments.append(Increment(tau, flush, delta))
 
     def snap_to_one(self, tau: int, flush: Flush) -> None:
         cur = self.phi.get(flush, 0.0)
         if cur < 1.0:
             self.apply(tau, flush, 1.0 - cur)
-            self.increments[-1].phi_after = 1.0
         self.phi[flush] = 1.0
 
     @property
@@ -69,20 +65,15 @@ class FractionalSolution:
         return flush_cost(self.phi, self.instance)
 
     def save_increments(self, path: str) -> None:
-        with open(path, "w") as fh:
-            for inc in self.increments:
-                fh.write(
-                    json.dumps(
-                        {
-                            "tau": inc.tau,
-                            "block": inc.flush[0],
-                            "t": inc.flush[1],
-                            "delta": round12(inc.delta),
-                            "phi_after": round12(inc.phi_after),
-                        }
-                    )
-                )
-                fh.write("\n")
+        """One line per increment; ``phi_after`` is the flush's running sum."""
+        records = []
+        running: dict[Flush, float] = {}
+        for tau, (b, t), delta in self.increments:
+            v = running[b, t] = running.get((b, t), 0.0) + delta
+            records.append(
+                {"tau": tau, "block": b, "t": t, "delta": round12(delta), "phi_after": round12(v)}
+            )
+        write_jsonl(path, records)
 
     @classmethod
     def replay(cls, instance: Instance, increments) -> "FractionalSolution":
@@ -90,6 +81,51 @@ class FractionalSolution:
         for tau, flush, delta in increments:
             sol.apply(tau, flush, delta)
         return sol
+
+
+def load_increments(path: str, instance: Instance) -> list[Increment]:
+    """Reads a saved increment log.  InstanceError names a line that is not an
+    increment of this instance (1 <= t <= tau, positive finite delta) or whose
+    phi_after is off its flush's running sum by more than PHI_AFTER_EPS; the
+    sums run in (tau, phi_after) order, the order a monotone log is written
+    in, so a reordered log loads and ``replay_failures`` reports it."""
+
+    def parse(rec: dict) -> tuple[Increment, float] | None:
+        tau, block, t, delta = rec["tau"], rec["block"], rec["t"], rec["delta"]
+        ok = is_int_in(tau, 1, instance.T) and is_int_in(t, 1, tau)
+        ok = ok and is_int_in(block, 0, instance.num_blocks - 1) and 0 < delta < math.inf
+        return (Increment(tau, (block, t), delta), float(rec["phi_after"])) if ok else None
+
+    records = read_jsonl(path, parse)
+    running: dict[Flush, float] = {}
+    for i in sorted(range(len(records)), key=lambda i: (records[i][0].tau, records[i][1])):
+        (_tau, flush, delta), phi_after = records[i]
+        phi = running[flush] = running.get(flush, 0.0) + delta
+        if not abs(phi_after - phi) <= PHI_AFTER_EPS:
+            raise InstanceError(
+                f"{path} line {i + 1}: phi_after {phi_after} is not the running sum {phi}"
+            )
+    return [inc for inc, _phi_after in records]
+
+
+def replay_failures(increments, instance: Instance) -> list[str]:
+    """Replays a (tau, flush, delta) log and runs exact separation
+    (``check_feasible``) at every tau on the mass logged up to tau: one line
+    per infeasible step, and a last one where the log goes back in time."""
+    oracle = CoverageOracle(instance, RequestIndex(instance))
+    phi = {(b, 0): 1.0 for b in range(instance.num_blocks)}
+    failures = []
+    i = 0
+    for tau in range(1, instance.T + 1):
+        while i < len(increments) and increments[i][0] <= tau:
+            inc_tau, flush, delta = increments[i]
+            if i and inc_tau < increments[i - 1][0]:
+                return failures + [f"increment {i + 1} goes back in time to tau={inc_tau}"]
+            phi[flush] = phi.get(flush, 0.0) + delta
+            i += 1
+        if not check_feasible(phi, oracle, tau)[0]:
+            failures.append(f"increment log infeasible at tau={tau}")
+    return failures
 
 
 def phi_closed_form(A: float, c_B: float, k: int, beta: int) -> float:
@@ -183,7 +219,6 @@ def run_fractional(instance: Instance) -> FracResult:
     """
     oracle = CoverageOracle(instance, RequestIndex(instance))
     sol = FractionalSolution(instance)
-    S = sol.integral
     ledger = DualLedger()
     k, beta = instance.k, instance.beta
     cap = instance.n - instance.k
@@ -216,7 +251,6 @@ def run_fractional(instance: Instance) -> FracResult:
                 flush0 = outcome.flush
                 ledger.mass[flush0] = instance.costs[flush0[0]]
                 sol.snap_to_one(tau, flush0)
-                S.add(*flush0)
         else:
             raise AssertionError(f"dual raising did not converge at step {tau}")
     return FracResult(

@@ -45,6 +45,12 @@ def read_jsonl(path: str, parse) -> list:
     return items
 
 
+def write_jsonl(path: str, records) -> None:
+    """Writes every record of an iterable as one JSON line."""
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps(rec) + "\n" for rec in records)
+
+
 @dataclass(frozen=True)
 class Instance:
     """A block-aware caching instance.
@@ -314,21 +320,20 @@ class PolicyTrace:
                 raise ValueError(f"fetching cost mismatch at step {step.t}")
 
     def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            for step in self.steps:
-                fh.write(
-                    json.dumps(
-                        {
-                            "t": step.t,
-                            "flushes": [list(f) for f in step.flushes],
-                            "fetched": step.fetched,
-                            "cache": sorted(step.cache),
-                            "evict_cost_cum": round12(step.evict_cost_cum),
-                            "fetch_cost_cum": round12(step.fetch_cost_cum),
-                        }
-                    )
-                )
-                fh.write("\n")
+        write_jsonl(
+            path,
+            (
+                {
+                    "t": step.t,
+                    "flushes": [list(f) for f in step.flushes],
+                    "fetched": step.fetched,
+                    "cache": sorted(step.cache),
+                    "evict_cost_cum": round12(step.evict_cost_cum),
+                    "fetch_cost_cum": round12(step.fetch_cost_cum),
+                }
+                for step in self.steps
+            ),
+        )
 
     @classmethod
     def load(cls, path: str, instance: Instance, capacity_bound: int) -> "PolicyTrace":

@@ -47,7 +47,6 @@ class StructuredStream:
     phi: dict[Flush, float] = field(default_factory=dict)
     x: list[list] = field(default_factory=list)
     by_step: dict[int, dict[Flush, float]] = field(default_factory=dict)
-    raw_cost: float = 0.0
 
     @property
     def cost(self) -> float:
@@ -103,7 +102,6 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
 
     for tau, flush, delta in raw_increments:
         b = flush[0]
-        stream.raw_cost += instance.costs[b] * delta if flush[1] >= 1 else 0.0
         eff = add_half(tau, flush, delta)
         if eff > 0.0:
             if half.get(flush) >= 0.5:

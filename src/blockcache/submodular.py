@@ -16,20 +16,17 @@ Flush = tuple[int, int]  # (block id, time), 0 <= time <= T
 class FlushSet:
     """A set of flushes with per-block sorted time lists for interval queries.
 
-    ``with_time_zero`` seeds every block with its time-0 flush, the usual
-    starting state for the online algorithms.  Membership changes only
-    through ``add``, which only grows the set, so one object's ``len``
-    works as a version stamp (``CoverageOracle.missing_count`` relies on
-    it).
+    ``FlushSet(num_blocks)`` holds every block's time-0 flush, the starting
+    state of the online algorithms; ``from_flushes`` builds any other set.
+    Membership changes only through ``add``, which only grows the set, so
+    one object's ``len`` works as a version stamp
+    (``CoverageOracle.missing_count`` relies on it).
     """
 
-    def __init__(self, num_blocks: int, with_time_zero: bool = True):
+    def __init__(self, num_blocks: int):
         self.num_blocks = num_blocks
-        self._times: list[list[int]] = [[] for _ in range(num_blocks)]
-        self._members: set[Flush] = set()
-        if with_time_zero:
-            for b in range(num_blocks):
-                self.add(b, 0)
+        self._times: list[list[int]] = [[0] for _ in range(num_blocks)]
+        self._members: set[Flush] = {(b, 0) for b in range(num_blocks)}
 
     def add(self, block: int, t: int) -> None:
         if (block, t) not in self._members:
@@ -51,15 +48,11 @@ class FlushSet:
         i = bisect_right(times, lo)
         return i < len(times) and times[i] <= hi
 
-    def copy(self) -> "FlushSet":
-        out = FlushSet(self.num_blocks, with_time_zero=False)
-        out._members = set(self._members)
-        out._times = [list(ts) for ts in self._times]
-        return out
-
     @classmethod
     def from_flushes(cls, num_blocks: int, flushes) -> "FlushSet":
-        out = cls(num_blocks, with_time_zero=False)
+        out = cls(num_blocks)
+        out._members = set()
+        out._times = [[] for _ in range(num_blocks)]
         for b, t in flushes:
             out.add(b, t)
         return out

@@ -11,6 +11,7 @@ from blockcache.det_online import run_deterministic
 from blockcache.frac_online import (
     integrate_rate_law,
     phi_closed_form,
+    replay_failures,
     run_fractional,
 )
 from blockcache.instance import (
@@ -34,19 +35,13 @@ from blockcache.rounding import (
     randomized_round,
     structure_stream,
 )
-from blockcache.submodular import CoverageOracle, FlushSet, check_feasible
+from blockcache.submodular import CoverageOracle, FlushSet
 
 
 def _report(num: int, label: str, ok: bool, detail: str, elapsed: float) -> None:
     status = "PASS" if ok else "FAIL"
     print(f"acceptance {num} [{label}]: {status} ({detail}; {elapsed:.2f}s)")
     assert ok, f"acceptance criterion {num} failed: {detail}"
-
-
-def structured_from(inst):
-    res = run_fractional(inst)
-    incs = [(i.tau, i.flush, i.delta) for i in res.solution.increments]
-    return res, structure_stream(incs, inst)
 
 
 def test_acceptance_1_coverage_fixture():
@@ -86,7 +81,7 @@ def test_acceptance_2_submodularity_samples():
         S = FlushSet.from_flushes(
             inst.num_blocks, rng.sample(ground, rng.randint(0, 6))
         )
-        Sp = S.copy()
+        Sp = FlushSet.from_flushes(S.num_blocks, S)
         for _ in range(rng.randint(1, 3)):
             Sp.add(*rng.choice(ground))
         v = rng.choice(ground)
@@ -181,18 +176,7 @@ def test_acceptance_4_fractional_certificates():
         bound = 2.0 * math.log(inst.k * inst.beta + 1.0)
         if res.primal_cost > bound * res.ledger.objective + 1e-6:
             failures.append("primal-dual gap")
-        oracle = res.oracle
-        partial = {(b, 0): 1.0 for b in range(inst.num_blocks)}
-        it = iter(res.solution.increments)
-        pending = next(it, None)
-        for tau in range(1, inst.T + 1):
-            while pending is not None and pending.tau <= tau:
-                partial[pending.flush] = (
-                    partial.get(pending.flush, 0.0) + pending.delta
-                )
-                pending = next(it, None)
-            if not check_feasible(partial, oracle, tau)[0]:
-                failures.append(f"infeasible at {tau}")
+        failures += replay_failures(res.solution.increments, inst)
     for k, beta, c, A in [(1, 1, 1.0, 0.5), (4, 2, 3.5, 2.0), (7, 3, 0.25, 0.2)]:
         closed = phi_closed_form(A, c, k, beta)
         integ = integrate_rate_law(A, c, k, beta, step=1e-6)
@@ -222,7 +206,7 @@ def test_acceptance_5a_bicriteria_exact():
             failures.append("fetch cost")
     for seed in range(10):
         inst = gen_random(8, 4, 2, 16, seed=500 + seed)
-        _res, stream = structured_from(inst)
+        stream = structure_stream(run_fractional(inst).solution.increments, inst)
         traces = [randomized_round(stream, s) for s in range(10)]
         out = derandomize_ensemble(traces)  # asserts the 2x fetch bound
         if any(len(s.cache) > 2 * inst.k for s in out.steps):
@@ -235,7 +219,8 @@ def test_acceptance_5a_bicriteria_exact():
 def test_acceptance_5b_coverage_lemma():
     start = time.monotonic()
     inst = gen_random(8, 4, 2, 24, seed=55)
-    res, stream = structured_from(inst)
+    res = run_fractional(inst)
+    stream = structure_stream(res.solution.increments, inst)
     gamma = gamma_for(inst)
     floor = (inst.n - inst.k) * (1.0 - math.exp(-gamma))
     rng = random.Random(55)
@@ -279,7 +264,7 @@ def test_acceptance_5b_coverage_lemma():
 def test_acceptance_5c_rounding_mean_cost():
     start = time.monotonic()
     inst = gen_random(8, 4, 2, 24, seed=56)
-    _res, stream = structured_from(inst)
+    stream = structure_stream(run_fractional(inst).solution.increments, inst)
     costs = []
     for seed in range(200):
         tr = randomized_round(stream, seed)
@@ -354,7 +339,7 @@ def test_acceptance_8_fetch_evict_relation():
         inst = gen_random(
             random.Random(seed).randint(5, 9), 4, 2, 18, seed=800 + seed
         )
-        _res, stream = structured_from(inst)
+        stream = structure_stream(run_fractional(inst).solution.increments, inst)
         evict, fetch = fractional_costs(stream.phi, inst)
         checked += 1
         if fetch > inst.beta * (evict + inst.total_block_cost) + 1e-9:
@@ -373,7 +358,7 @@ def test_acceptance_8_fetch_evict_relation():
 def test_acceptance_9_derandomization():
     start = time.monotonic()
     inst = gen_random(8, 4, 2, 20, seed=9)
-    _res, stream = structured_from(inst)
+    stream = structure_stream(run_fractional(inst).solution.increments, inst)
     traces = [randomized_round(stream, s) for s in range(50)]
     out = derandomize_ensemble(traces)
     out.validate()

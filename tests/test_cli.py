@@ -230,6 +230,15 @@ def _drop_key(text, key):
     return json.dumps(doc)
 
 
+def _edit_first(text, key, value):
+    """The JSON-lines text with field key of its first record set to
+    value(record)."""
+    first, rest = text.split("\n", 1)
+    rec = json.loads(first)
+    rec[key] = value(rec)
+    return json.dumps(rec) + "\n" + rest
+
+
 @pytest.mark.parametrize(
     "target,corrupt",
     [
@@ -237,13 +246,17 @@ def _drop_key(text, key):
         ("instance", lambda text: text[: len(text) // 2]),
         ("increments", lambda text: text.replace('"block"', '"blk"', 1)),
         ("increments", lambda text: text.replace('"block": 0', '"block": 99', 1)),
+        ("increments", lambda text: _edit_first(text, "phi_after", lambda r: r["phi_after"] + 0.1)),
+        ("increments", lambda text: _edit_first(text, "t", lambda r: 0)),
+        ("increments", lambda text: _edit_first(text, "t", lambda r: r["tau"] + 1)),
         ("trace", lambda text: text.replace('"cache"', '"kache"', 1)),
         ("trace", lambda text: text.replace('"evict_cost_cum": 0.0', '"evict_cost_cum": NaN', 1)),
         ("instance", lambda text: text.replace('"n": 8,', '"n": 8.0,', 1)),
     ],
     ids=[
         "instance-missing-key", "instance-invalid-json", "increment-missing-key",
-        "increment-unknown-block", "trace-missing-key", "trace-nan-cost",
+        "increment-unknown-block", "increment-phi-after-off", "increment-time-zero-flush",
+        "increment-future-flush", "trace-missing-key", "trace-nan-cost",
         "instance-float-n",
     ],
 )

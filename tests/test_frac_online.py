@@ -1,4 +1,3 @@
-import json
 import math
 import random
 
@@ -7,13 +6,14 @@ import pytest
 from blockcache.frac_online import (
     FractionalSolution,
     integrate_rate_law,
+    load_increments,
     phi_closed_form,
+    replay_failures,
     run_fractional,
     solve_event,
 )
 from blockcache.instance import Instance, gen_random
 from blockcache.oracle import opt_eviction
-from blockcache.submodular import check_feasible
 
 
 def run_checked(inst):
@@ -86,7 +86,6 @@ def test_single_candidate_collapses_to_integral():
     inst = Instance(n=2, k=1, blocks=((1,), (2,)), costs=(1.0, 1.0), requests=(1, 2))
     res = run_checked(inst)
     assert res.primal_cost == pytest.approx(1.0)
-    assert (0, 2) in res.solution.integral
     assert res.solution.phi[(0, 2)] == 1.0
 
 
@@ -107,9 +106,7 @@ def test_monotone_increments_and_replay():
         assert taus == sorted(taus)
         for inc in sol.increments:
             assert inc.flush[1] <= inc.tau  # causal: touches the past only
-        replayed = FractionalSolution.replay(
-            inst, [(i.tau, i.flush, i.delta) for i in sol.increments]
-        )
+        replayed = FractionalSolution.replay(inst, sol.increments)
         for fl, v in sol.phi.items():
             assert replayed.phi.get(fl, 0.0) == pytest.approx(v, abs=1e-12)
 
@@ -118,8 +115,9 @@ def test_integral_set_values_snapped():
     for seed in range(10):
         inst = gen_random(7, 3, 2, 16, seed=50 + seed)
         res = run_checked(inst)
-        for fl in res.solution.integral:
-            assert res.solution.phi[fl] == 1.0
+        for fl, mass in res.ledger.mass.items():
+            if mass == inst.costs[fl[0]]:  # tight dual constraint
+                assert res.solution.phi[fl] == 1.0
         for fl, v in res.solution.phi.items():
             assert -1e-15 <= v <= 1.0
 
@@ -149,16 +147,7 @@ def test_weighted_run():
 def test_feasible_at_every_step_standalone():
     # re-derive feasibility from the final solution restricted to each step
     inst = gen_random(8, 4, 2, 18, seed=21)
-    res = run_fractional(inst)
-    partial = {(b, 0): 1.0 for b in range(inst.num_blocks)}
-    inc_iter = iter(res.solution.increments)
-    pending = next(inc_iter, None)
-    for tau in range(1, inst.T + 1):
-        while pending is not None and pending.tau <= tau:
-            partial[pending.flush] = partial.get(pending.flush, 0.0) + pending.delta
-            pending = next(inc_iter, None)
-        ok, _ = check_feasible(partial, res.oracle, tau)
-        assert ok
+    assert replay_failures(run_fractional(inst).solution.increments, inst) == []
 
 
 def test_feasible_against_all_constraint_sets():
@@ -166,18 +155,7 @@ def test_feasible_against_all_constraint_sets():
     # so the final prefix solutions must pass the full check as well
     for seed in range(8):
         inst = gen_random(7, 3, 2, 14, seed=70 + seed)
-        res = run_fractional(inst)
-        partial = {(b, 0): 1.0 for b in range(inst.num_blocks)}
-        inc_iter = iter(res.solution.increments)
-        pending = next(inc_iter, None)
-        for tau in range(1, inst.T + 1):
-            while pending is not None and pending.tau <= tau:
-                partial[pending.flush] = (
-                    partial.get(pending.flush, 0.0) + pending.delta
-                )
-                pending = next(inc_iter, None)
-            ok, bad = check_feasible(partial, res.oracle, tau)
-            assert ok, f"violated set at tau={tau}: {sorted(bad)}"
+        assert replay_failures(run_fractional(inst).solution.increments, inst) == []
 
 
 def test_increment_file_round_trip(tmp_path):
@@ -185,12 +163,7 @@ def test_increment_file_round_trip(tmp_path):
     res = run_checked(inst)
     path = tmp_path / "inc.jsonl"
     res.solution.save_increments(str(path))
-    entries = []
-    with open(path) as fh:
-        for line in fh:
-            rec = json.loads(line)
-            entries.append((rec["tau"], (rec["block"], rec["t"]), rec["delta"]))
-    replayed = FractionalSolution.replay(inst, entries)
+    replayed = FractionalSolution.replay(inst, load_increments(str(path), inst))
     assert replayed.cost == pytest.approx(res.primal_cost, abs=1e-6)
 
 

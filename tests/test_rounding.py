@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from blockcache.frac_online import run_fractional
+from blockcache.frac_online import replay_failures, run_fractional
 from blockcache.instance import Instance, RequestIndex, gen_random
 from blockcache.oracle import (
     fractional_costs,
@@ -20,17 +20,7 @@ from blockcache.rounding import (
     randomized_round,
     structure_stream,
 )
-from blockcache.submodular import (
-    CoverageOracle,
-    PhiView,
-    check_feasible,
-)
-
-
-def structured_from(inst):
-    res = run_fractional(inst)
-    incs = [(i.tau, i.flush, i.delta) for i in res.solution.increments]
-    return res, structure_stream(incs, inst)
+from blockcache.submodular import CoverageOracle, PhiView
 
 
 def test_gamma_value():
@@ -42,7 +32,7 @@ def test_gamma_value():
 def test_structured_min_value_invariant():
     for seed in range(10):
         inst = gen_random(8, 4, 2, 24, seed=seed)
-        _res, stream = structured_from(inst)
+        stream = structure_stream(run_fractional(inst).solution.increments, inst)
         thr = 1.0 / (4.0 * inst.k**2)
         for (b, t), v in stream.phi.items():
             if t >= 1 and v > 0.0:
@@ -56,7 +46,7 @@ def test_structured_half_stage_x_invariant():
     # is checked only at the then-current step
     for seed in range(10):
         inst = gen_random(8, 4, 2, 24, seed=40 + seed)
-        _res, stream = structured_from(inst)
+        stream = structure_stream(run_fractional(inst).solution.increments, inst)
         index = RequestIndex(inst)
         oracle = CoverageOracle(inst, index)
         half = {(b, 0): 1.0 for b in range(inst.num_blocks)}
@@ -77,34 +67,26 @@ def test_structured_half_stage_x_invariant():
 def test_structured_cost_bound():
     for seed in range(10):
         inst = gen_random(8, 4, 2, 24, seed=80 + seed)
-        _res, stream = structured_from(inst)
+        res = run_fractional(inst)
+        stream = structure_stream(res.solution.increments, inst)
         # doubling and half-rounding each cost at most a factor 2, plus one
         # bucket payment of up to c_B per block still pending at the end
-        allowance = 4.0 * stream.raw_cost + 2.0 * inst.total_block_cost
+        allowance = 4.0 * res.primal_cost + 2.0 * inst.total_block_cost
         assert stream.cost <= allowance + 1e-9
 
 
 def test_structured_feasible_each_step():
     for seed in range(6):
         inst = gen_random(7, 3, 2, 16, seed=160 + seed)
-        res, stream = structured_from(inst)
-        partial = {(b, 0): 1.0 for b in range(inst.num_blocks)}
-        idx = 0
-        for tau in range(1, inst.T + 1):
-            while idx < len(stream.increments) and stream.increments[idx][0] <= tau:
-                _tau, fl, d = stream.increments[idx]
-                partial[fl] = min(1.0, partial.get(fl, 0.0) + d)
-                idx += 1
-            ok, _bad = check_feasible(partial, res.oracle, tau)
-            assert ok, f"structured solution infeasible at tau={tau}"
+        stream = structure_stream(run_fractional(inst).solution.increments, inst)
+        assert replay_failures(stream.increments, inst) == []
 
 
 def test_structured_integral_passthrough():
     inst = Instance(
         n=2, k=1, blocks=((1,), (2,)), costs=(1.0, 1.0), requests=(1, 2)
     )
-    res = run_fractional(inst)
-    incs = [(i.tau, i.flush, i.delta) for i in res.solution.increments]
+    incs = run_fractional(inst).solution.increments
     assert all(abs(d - 1.0) < 1e-12 for _t, _f, d in incs)
     stream = structure_stream(incs, inst)
     for (b, t), v in stream.phi.items():
@@ -130,7 +112,7 @@ def test_bucket_accumulates_small_increments():
 
 def test_randomized_round_feasible_and_deterministic():
     inst = gen_random(8, 4, 2, 24, seed=7)
-    _res, stream = structured_from(inst)
+    stream = structure_stream(run_fractional(inst).solution.increments, inst)
     t1 = randomized_round(stream, seed=123)
     t2 = randomized_round(stream, seed=123)
     t3 = randomized_round(stream, seed=124)
@@ -147,7 +129,8 @@ def test_randomized_round_feasible_and_deterministic():
 def test_randomized_round_cache_residency():
     # pages fully present fractionally are present integrally
     inst = gen_random(8, 4, 2, 20, seed=17)
-    res, stream = structured_from(inst)
+    res = run_fractional(inst)
+    stream = structure_stream(res.solution.increments, inst)
     view = PhiView(stream.phi, inst.num_blocks)
     for seed in range(5):
         trace = randomized_round(stream, seed=seed)
@@ -160,7 +143,7 @@ def test_randomized_round_cache_residency():
 
 def test_randomized_round_mean_cost():
     inst = gen_random(8, 4, 2, 24, seed=29)
-    _res, stream = structured_from(inst)
+    stream = structure_stream(run_fractional(inst).solution.increments, inst)
     costs = []
     for seed in range(100):
         tr = randomized_round(stream, seed=seed)
@@ -236,7 +219,7 @@ def test_bicriteria_evict_no_rule_fire():
 
 def test_derandomize_single_member():
     inst = gen_random(6, 3, 2, 12, seed=53)
-    _res, stream = structured_from(inst)
+    stream = structure_stream(run_fractional(inst).solution.increments, inst)
     tr = randomized_round(stream, seed=0)
     out = derandomize_ensemble([tr])
     out.validate()
@@ -248,7 +231,7 @@ def test_derandomize_single_member():
 
 def test_derandomize_ensemble_bounds():
     inst = gen_random(8, 4, 2, 20, seed=61)
-    _res, stream = structured_from(inst)
+    stream = structure_stream(run_fractional(inst).solution.increments, inst)
     traces = [randomized_round(stream, seed=s) for s in range(20)]
     out = derandomize_ensemble(traces)
     out.validate()
@@ -297,7 +280,7 @@ def test_threshold_roundings_on_fractional_x():
         k = data.draw(st.integers(1, n))
         beta = data.draw(st.integers(1, k))
         inst = gen_random(n, k, beta, data.draw(st.integers(1, 12)), seed=seed)
-        _res, stream = structured_from(inst)
+        stream = structure_stream(run_fractional(inst).solution.increments, inst)
         traces = [randomized_round(stream, seed=s) for s in range(members)]
         x = trace_to_x_mean(traces)
         rng = random.Random(seed)

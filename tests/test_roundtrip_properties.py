@@ -1,0 +1,66 @@
+"""Round-trip properties of the saved formats: an instance file loads back as
+an equal instance, and an increment log loads back as the same log, replays
+to the same phi and is feasible at every step."""
+
+import dataclasses
+import os
+import tempfile
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from blockcache.frac_online import (  # noqa: E402
+    PHI_AFTER_EPS,
+    FractionalSolution,
+    load_increments,
+    replay_failures,
+    run_fractional,
+)
+from blockcache.instance import Instance, gen_random, round12  # noqa: E402
+
+PROPERTY = settings(max_examples=200, deadline=None)
+
+
+@st.composite
+def instances(draw):
+    """Small random instances with unit or log-uniform costs, with or
+    without a starting cache."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, n))
+    beta = draw(st.integers(1, k))
+    T = draw(st.integers(1, 12))
+    profile = draw(st.sampled_from(["unit", "log-uniform"]))
+    delta = draw(st.floats(1.0, 1000.0))
+    inst = gen_random(n, k, beta, T, profile, delta, seed=draw(st.integers(0, 2**16)))
+    cached = draw(st.lists(st.integers(1, n), max_size=k, unique=True))
+    return dataclasses.replace(inst, initial_cache=frozenset(cached))
+
+
+def _saved_and_loaded(save, load):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "artifact")
+        save(path)
+        return load(path)
+
+
+@PROPERTY
+@given(instances())
+def test_instance_round_trip(inst):
+    assert _saved_and_loaded(inst.save, Instance.load) == inst
+
+
+@PROPERTY
+@given(instances())
+def test_increment_log_round_trip(inst):
+    sol = run_fractional(inst).solution
+    loaded = _saved_and_loaded(sol.save_increments, lambda p: load_increments(p, inst))
+    assert [(i.tau, i.flush) for i in loaded] == [(i.tau, i.flush) for i in sol.increments]
+    assert [i.delta for i in loaded] == [round12(i.delta) for i in sol.increments]
+    replayed = FractionalSolution.replay(inst, loaded).phi
+    assert replayed.keys() == sol.phi.keys()
+    assert all(abs(replayed[fl] - v) <= PHI_AFTER_EPS for fl, v in sol.phi.items())
+    assert replay_failures(loaded, inst) == []

@@ -41,10 +41,8 @@ def naive_is_missing(inst, idx, S, p, tau):
 def random_flush_set(rng, inst, max_size=6, with_zero=False):
     ground = [(b, t) for b in range(inst.num_blocks) for t in range(inst.T + 1)]
     chosen = rng.sample(ground, rng.randint(0, min(max_size, len(ground))))
-    S = FlushSet(inst.num_blocks, with_time_zero=with_zero)
-    for b, t in chosen:
-        S.add(b, t)
-    return S
+    zero = [(b, 0) for b in range(inst.num_blocks)] if with_zero else []
+    return FlushSet.from_flushes(inst.num_blocks, zero + chosen)
 
 
 def test_worked_example_values():
@@ -57,7 +55,7 @@ def test_worked_example_values():
     assert oracle.f_tau(s2, tau) == 3
     assert oracle.f_tau(s12, tau) == 4  # capped at n - k
     assert oracle.marginal(s1, (1, 8), tau) == 2
-    assert oracle.marginal(FlushSet(3, with_time_zero=False), (1, 8), tau) == 3
+    assert oracle.marginal(FlushSet.from_flushes(3, []), (1, 8), tau) == 3
 
 
 def test_missing_basics():
@@ -68,7 +66,7 @@ def test_missing_basics():
         assert not oracle.is_missing(S, inst.request(tau), tau)
     # page 8 is unrequested before tau=8 and missing via the time-0 flush
     assert oracle.is_missing(S, 8, 5)
-    empty = FlushSet(3, with_time_zero=False)
+    empty = FlushSet.from_flushes(3, [])
     assert not oracle.is_missing(empty, 8, 5)
 
 
@@ -106,7 +104,7 @@ def test_monotone_and_submodular_samples():
         oracle = make_oracle(inst)
         tau = rng.randint(1, inst.T)
         S = random_flush_set(rng, inst)
-        Sp = S.copy()
+        Sp = FlushSet.from_flushes(S.num_blocks, S)
         ground = [(b, t) for b in range(inst.num_blocks) for t in range(inst.T + 1)]
         for _ in range(rng.randint(1, 3)):
             Sp.add(*rng.choice(ground))
@@ -125,7 +123,7 @@ def test_marginal_matches_difference():
         S = random_flush_set(rng, inst, with_zero=rng.random() < 0.5)
         b = rng.randrange(inst.num_blocks)
         t = rng.randint(0, inst.T)
-        Sv = S.copy()
+        Sv = FlushSet.from_flushes(S.num_blocks, S)
         Sv.add(b, t)
         assert oracle.marginal(S, (b, t), tau) == oracle.f_tau(
             Sv, tau
@@ -316,7 +314,7 @@ def test_reused_oracle_matches_fresh_oracle():
     S.add(*flush)
     assert check(S, tau) != before
     assert check(S, tau - 1) != check(S, tau)
-    C = S.copy()
+    C = FlushSet.from_flushes(S.num_blocks, S)
     check(C, tau)
     C.add(*max(index.alive_flushes(tau), key=lambda fl: oracle.marginal(C, fl, tau)))
     S.add(0, tau + 1)  # same size as C again, same count as before
@@ -358,14 +356,12 @@ def test_phi_view_matches_x_from_phi():
 
 
 def test_flush_set_queries():
-    S = FlushSet(2, with_time_zero=False)
-    S.add(0, 3)
-    S.add(0, 7)
+    S = FlushSet.from_flushes(2, [(0, 3), (0, 7)])
     assert S.has_flush_in(0, 2, 3)
     assert not S.has_flush_in(0, 3, 6)
     assert S.has_flush_in(0, 3, 7)
     assert not S.has_flush_in(1, 0, 10)
     assert len(S) == 2 and (0, 3) in S
-    C = S.copy()
+    C = FlushSet.from_flushes(S.num_blocks, S)
     C.add(1, 1)
     assert (1, 1) not in S and (1, 1) in C

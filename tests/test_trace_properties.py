@@ -29,8 +29,7 @@ def _trace(inst, kind: str, seed: int):
     if kind == "opt":
         return opt_eviction(inst)[1]
     frac = run_fractional(inst)
-    incs = [(i.tau, i.flush, i.delta) for i in frac.solution.increments]
-    return randomized_round(structure_stream(incs, inst), seed)
+    return randomized_round(structure_stream(frac.solution.increments, inst), seed)
 
 
 @st.composite
