@@ -120,10 +120,14 @@ def _at_least_one(flag: str, value) -> bool:
 def cmd_run(args) -> int:
     if not _at_least_one("h", args.h):
         return 2
-    if args.h is not None and args.alg != "opt":
-        # only the offline DP takes a cache size; the others run with k
-        print(f"error: --h applies only to --alg opt, not {args.alg}", file=sys.stderr)
-        return 2
+    for flag in ("h", "model"):
+        if getattr(args, flag) is not None and args.alg != "opt":
+            # only the offline DP takes a cache size and a cost model; the
+            # others run with k and report their own model
+            print(
+                f"error: --{flag} applies only to --alg opt, not {args.alg}", file=sys.stderr
+            )
+            return 2
     inst = Instance.load(args.instance)
     prefix = args.output or os.path.splitext(args.instance)[0] + "." + args.alg
     h = inst.k if args.h is None else args.h
@@ -209,7 +213,7 @@ def cmd_run(args) -> int:
         )
         summary["pass"] = True
     else:  # opt
-        model = args.model
+        model = args.model or "evict"
         try:
             if model == "evict":
                 cost, trace = opt_eviction(inst, h)
@@ -363,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["det", "frac", "frac-round", "bicriteria-fetch", "bicriteria-evict", "opt"],
     )
-    run.add_argument("--model", choices=["evict", "fetch"], default="evict")
+    run.add_argument("--model", choices=["evict", "fetch"], default=None)
     run.add_argument("--seeds", type=int, nargs="+", default=[0])
     run.add_argument("--h", type=int, default=None, help="offline cache size")
     run.add_argument("-o", "--output", default=None, help="output path prefix")

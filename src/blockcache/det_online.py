@@ -78,7 +78,6 @@ class DualLedger:
 @dataclass
 class DetResult:
     trace: PolicyTrace
-    flushes: FlushSet
     ledger: DualLedger
     primal_cost: float
 
@@ -147,7 +146,6 @@ def run_deterministic(instance: Instance) -> DetResult:
     ledger = DualLedger()
     trace = PolicyTrace(instance=instance, capacity_bound=instance.k)
     cache: set[int] = set()
-    primal_cost = 0.0
 
     for tau in range(1, instance.T + 1):
         p = instance.request(tau)
@@ -161,8 +159,7 @@ def run_deterministic(instance: Instance) -> DetResult:
             ledger.mass[(b0, _t0)] = instance.costs[b0]  # snap to exactly tight
             cache -= set(instance.blocks[b0]) - {p}
             S.add(b0, tau)
-            primal_cost += instance.costs[b0]
             step_flushes.append((b0, tau))
         trace.record(tau, step_flushes, fetched, cache)
 
-    return DetResult(trace=trace, flushes=S, ledger=ledger, primal_cost=primal_cost)
+    return DetResult(trace=trace, ledger=ledger, primal_cost=trace.eviction_cost)

@@ -75,13 +75,6 @@ class FractionalSolution:
             )
         write_jsonl(path, records)
 
-    @classmethod
-    def replay(cls, instance: Instance, increments) -> "FractionalSolution":
-        sol = cls(instance)
-        for tau, flush, delta in increments:
-            sol.apply(tau, flush, delta)
-        return sol
-
 
 def load_increments(path: str, instance: Instance) -> list[Increment]:
     """Reads a saved increment log.  InstanceError names a line that is not an
@@ -200,7 +193,6 @@ def solve_event(
 class FracResult:
     solution: FractionalSolution
     ledger: DualLedger
-    oracle: CoverageOracle
     primal_cost: float
 
     @property
@@ -253,6 +245,4 @@ def run_fractional(instance: Instance) -> FracResult:
                 sol.snap_to_one(tau, flush0)
         else:
             raise AssertionError(f"dual raising did not converge at step {tau}")
-    return FracResult(
-        solution=sol, ledger=ledger, oracle=oracle, primal_cost=sol.cost
-    )
+    return FracResult(solution=sol, ledger=ledger, primal_cost=sol.cost)

@@ -408,32 +408,25 @@ def gen_beta_off(beta: int, repeats: int, direction: str = "evict-heavy") -> Ins
     )
     p_blocks = blocks[:beta]
     q_blocks = blocks[beta:]
+    fetch_heavy = direction == "fetch-heavy"
+
+    def part(seq, cut):
+        # the fetch-heavy direction takes the other side of every cut
+        return seq[cut:] if fetch_heavy else seq[:cut]
+
     requests: list[int] = []
     for i in range(1, beta + 1):
-        base: list[int] = []
-        if direction == "evict-heavy":
-            for blk in p_blocks:
-                base.extend(blk[: beta - i])
-            for blk in q_blocks[:i]:
-                base.extend(blk)
-        else:
-            for blk in p_blocks:
-                base.extend(blk[beta - i :])
-            for blk in q_blocks[i:]:
-                base.extend(blk)
-        for _ in range(repeats):
-            requests.extend(base)
-    if direction == "evict-heavy":
-        initial = frozenset(p for blk in p_blocks for p in blk)
-    else:
-        initial = frozenset(p for blk in q_blocks for p in blk)
+        base = [p for blk in p_blocks for p in part(blk, beta - i)]
+        base += [p for blk in part(q_blocks, i) for p in blk]
+        requests.extend(base * repeats)
+    cached = q_blocks if fetch_heavy else p_blocks
     return Instance(
         n=n,
         k=beta * beta,
         blocks=blocks,
         costs=(1.0,) * (2 * beta),
         requests=tuple(requests),
-        initial_cache=initial,
+        initial_cache=frozenset(p for blk in cached for p in blk),
     )
 
 

@@ -14,7 +14,6 @@ from .oracle import (
     derive_block_rates,
     fractional_costs_from_x,
     naive_lp_check,
-    phi_to_x,
     trace_to_x_mean,
 )
 from .submodular import CoverageOracle, Flush, PhiView, flush_cost
@@ -35,10 +34,11 @@ class StructuredStream:
 
     ``phi`` is the final structured solution (doubled, bucketed, with full
     flushes emitted whenever a half-rounded page value crosses 1/2); every
-    nonzero coordinate is at least 1/(4k^2), ``x`` is its missing-value
-    trajectory x[t][p], and ``by_step`` maps each step to its increments
-    summed per flush.  ``half_increments`` log the pre-doubling
-    half-rounded stage whose page values stay in [0,1/2)+{1}.
+    nonzero coordinate is at least 1/(4k^2).  ``x[t][p]`` is the
+    missing-value trajectory of the increments logged up to step t, and
+    ``by_step`` maps each step to its increments summed per flush.
+    ``half_increments`` log the pre-doubling half-rounded stage whose page
+    values stay in [0,1/2)+{1}; the tests check that invariant on it.
     """
 
     instance: Instance
@@ -121,10 +121,21 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
                 break
 
     stream.phi = out
-    stream.x = phi_to_x(out, instance)
-    for tau, flush, delta in stream.increments:
-        step = stream.by_step.setdefault(tau, {})
-        step[flush] = step.get(flush, 0.0) + delta
+    # row tau sees only the increments logged up to tau: mass a later step
+    # adds to an earlier flush is not yet there
+    view = PhiView({(b, 0): 1.0 for b in range(instance.num_blocks)}, instance.num_blocks)
+    pages = range(1, instance.n + 1)
+    stream.x = [[None] + [0.0 if p in instance.initial_cache else 1.0 for p in pages]]
+    increments = stream.increments
+    i = 0
+    for tau in range(1, instance.T + 1):
+        while i < len(increments) and increments[i][0] <= tau:
+            inc_tau, flush, delta = increments[i]
+            view.add(flush, delta)
+            step = stream.by_step.setdefault(inc_tau, {})
+            step[flush] = step.get(flush, 0.0) + delta
+            i += 1
+        stream.x.append([None] + [view.x(oracle, p, tau) for p in pages])
     return stream
 
 

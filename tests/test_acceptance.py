@@ -221,6 +221,7 @@ def test_acceptance_5b_coverage_lemma():
     inst = gen_random(8, 4, 2, 24, seed=55)
     res = run_fractional(inst)
     stream = structure_stream(res.solution.increments, inst)
+    oracle = CoverageOracle(inst, RequestIndex(inst))
     gamma = gamma_for(inst)
     floor = (inst.n - inst.k) * (1.0 - math.exp(-gamma))
     rng = random.Random(55)
@@ -244,7 +245,7 @@ def test_acceptance_5b_coverage_lemma():
                     if coin.random() < min(1.0, gamma * v)
                 ),
             )
-            values.append(res.oracle.f_tau(R, tau))
+            values.append(oracle.f_tau(R, tau))
         mean = sum(values) / len(values)
         var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
         stderr = math.sqrt(var / len(values))

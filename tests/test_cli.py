@@ -118,6 +118,14 @@ def test_run_opt_models(tmp_path):
         assert code == 0
         summary = json.loads((tmp_path / f"opt-{model}.summary.json").read_text())
         assert summary["cost"] == summary["oracle"]
+    # without --model the DP prices evictions
+    code = run_cli(
+        "run", "--instance", str(inst_path), "--alg", "opt", "-o", str(tmp_path / "opt"),
+    )
+    assert code == 0
+    summary = json.loads((tmp_path / "opt.summary.json").read_text())
+    evict = json.loads((tmp_path / "opt-evict.summary.json").read_text())
+    assert summary["model"] == "evict" and summary["cost"] == evict["cost"]
 
 
 def test_run_opt_intractable_exit_1(tmp_path):
@@ -331,6 +339,18 @@ def test_h_outside_opt_exit_2(tmp_path, capsys, alg):
     inst_path = gen_random_file(tmp_path)
     capsys.readouterr()
     argv = ["run", "--instance", str(inst_path), "--alg", alg, "--h", "2"]
+    assert run_cli(*argv, "-o", str(tmp_path / alg)) == 2
+    assert_one_error_line(capsys)
+    assert not (tmp_path / f"{alg}.summary.json").exists()
+
+
+@pytest.mark.parametrize("alg", ["det", "bicriteria-fetch"])
+def test_model_outside_opt_exit_2(tmp_path, capsys, alg):
+    # the other algorithms report their own cost model: a --model there
+    # would be ignored
+    inst_path = gen_random_file(tmp_path)
+    capsys.readouterr()
+    argv = ["run", "--instance", str(inst_path), "--alg", alg, "--model", "fetch"]
     assert run_cli(*argv, "-o", str(tmp_path / alg)) == 2
     assert_one_error_line(capsys)
     assert not (tmp_path / f"{alg}.summary.json").exists()

@@ -132,12 +132,13 @@ def test_randomized_round_cache_residency():
     res = run_fractional(inst)
     stream = structure_stream(res.solution.increments, inst)
     view = PhiView(stream.phi, inst.num_blocks)
+    oracle = CoverageOracle(inst, RequestIndex(inst))
     for seed in range(5):
         trace = randomized_round(stream, seed=seed)
         for t in range(1, inst.T + 1):
             cache = trace.cache_at(t)
             for p in range(1, inst.n + 1):
-                if view.x(res.oracle, p, t) == 0.0:
+                if view.x(oracle, p, t) == 0.0:
                     assert p in cache
 
 

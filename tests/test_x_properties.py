@@ -1,15 +1,16 @@
 """Property tests for the one fast missing-value path: a PhiView grown in
 place and the structured stream's dense trajectory both agree with the
-reference evaluator ``x_from_phi``."""
+reference evaluator ``x_from_phi``; row t of the stream's trajectory sees
+only the increments logged up to t."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from blockcache.instance import RequestIndex, gen_random  # noqa: E402
+from blockcache.instance import Instance, RequestIndex, gen_random  # noqa: E402
 from blockcache.rounding import structure_stream  # noqa: E402
 from blockcache.submodular import CoverageOracle, PhiView, x_from_phi  # noqa: E402
 
@@ -70,8 +71,18 @@ def test_grown_phi_view_matches_reference(case):
             assert abs(view.x(oracle, p, t) - want) <= X_TOL
 
 
+# page 1 is requested at steps 1 and 3; mass 0.6 logged at step 3 for the
+# flush at step 2 completes that flush then, inside page 1's window (1, 2]
+# of step 2, where it must not show yet
+LATE_MASS = (
+    Instance(n=2, k=1, blocks=((1,), (2,)), costs=(1.0, 1.0), requests=(1, 2, 1)),
+    [(3, (0, 2), 0.6)],
+)
+
+
 @PROPERTY
 @given(instance_and_raw_log())
+@example(LATE_MASS)
 def test_stream_x_matches_reference(case):
     inst, log = case
     stream = structure_stream(log, inst)
@@ -80,6 +91,10 @@ def test_stream_x_matches_reference(case):
     assert stream.x[0][1:] == [0.0 if p in inst.initial_cache else 1.0
                                for p in range(1, inst.n + 1)]
     for t in range(1, inst.T + 1):
+        logged: dict = {}
+        for tau, flush, delta in stream.increments:
+            if tau <= t:
+                logged[flush] = logged.get(flush, 0.0) + delta
         for p in range(1, inst.n + 1):
-            want = x_from_phi(stream.phi, oracle, p, t)
+            want = x_from_phi(logged, oracle, p, t)
             assert abs(stream.x[t][p] - want) <= X_TOL
