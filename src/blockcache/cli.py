@@ -62,10 +62,23 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
+def _outside(flag: str, given: bool, scope: str) -> bool:
+    """True, after one error line, when an option is given where it has no
+    effect: nothing is silently ignored."""
+    if given:
+        print(f"error: --{flag} applies only to {scope}", file=sys.stderr)
+    return given
+
+
 # ---------------------------------------------------------------- gen
 
 
 def cmd_gen(args) -> int:
+    if args.kind == "random" and _outside(
+        "delta", args.delta is not None and args.cost_profile != "log-uniform",
+        "--cost-profile log-uniform",
+    ):
+        return 2
     if args.kind == "gap":
         inst = gen_gap_instance(args.beta, args.rounds)
     elif args.kind == "beta-off":
@@ -77,11 +90,10 @@ def cmd_gen(args) -> int:
             args.beta,
             args.T,
             cost_profile=args.cost_profile,
-            delta=args.delta,
+            delta=1.0 if args.delta is None else args.delta,
             seed=args.seed,
         )
     inst.save(args.output)
-    Instance.load(args.output)  # round-trip as validation
     print(f"wrote {args.output}: n={inst.n} k={inst.k} T={inst.T} beta={inst.beta}")
     return 0
 
@@ -117,20 +129,26 @@ def _at_least_one(flag: str, value) -> bool:
     return True
 
 
+# the --alg values each run option acts on: only the offline DP takes a cache
+# size and a cost model, and only the rounding runs draw seeds
+RUN_OPTION_ALGS = {
+    "h": ("opt",),
+    "model": ("opt",),
+    "seeds": ("frac-round", "bicriteria-fetch", "bicriteria-evict"),
+}
+
+
 def cmd_run(args) -> int:
     if not _at_least_one("h", args.h):
         return 2
-    for flag in ("h", "model"):
-        if getattr(args, flag) is not None and args.alg != "opt":
-            # only the offline DP takes a cache size and a cost model; the
-            # others run with k and report their own model
-            print(
-                f"error: --{flag} applies only to --alg opt, not {args.alg}", file=sys.stderr
-            )
+    for flag, algs in RUN_OPTION_ALGS.items():
+        given = getattr(args, flag) is not None and args.alg not in algs
+        if _outside(flag, given, f"--alg {'|'.join(algs)}, not {args.alg}"):
             return 2
     inst = Instance.load(args.instance)
     prefix = args.output or os.path.splitext(args.instance)[0] + "." + args.alg
     h = inst.k if args.h is None else args.h
+    seeds = args.seeds or [0]
     summary: dict = {
         "instance": os.path.basename(args.instance),
         "algorithm": args.alg,
@@ -172,7 +190,6 @@ def cmd_run(args) -> int:
         summary["pass"] = res.primal_cost <= bound * dual + FRAC_BOUND_TOL
         _oracle_columns(summary, inst, res.primal_cost)
     elif args.alg == "frac-round":
-        seeds = args.seeds
         frac, stream, traces = _ensemble_traces(inst, seeds)
         for tr in traces:
             tr.validate()
@@ -193,7 +210,6 @@ def cmd_run(args) -> int:
         )
         summary["pass"] = mean <= rhs * ROUND_MEAN_SLACK
     elif args.alg in ("bicriteria-fetch", "bicriteria-evict"):
-        seeds = args.seeds
         _frac, _stream, traces = _ensemble_traces(inst, seeds)
         if args.alg == "bicriteria-fetch":
             out = derandomize_ensemble(traces)
@@ -249,6 +265,8 @@ def cmd_verify(args) -> int:
         return 2
     if args.instance is None:
         print("error: verify needs --instance", file=sys.stderr)
+        return 2
+    if _outside("capacity", args.capacity is not None and args.trace is None, "--trace"):
         return 2
     inst = Instance.load(args.instance)
     failures = []
@@ -356,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     g3.add_argument("--T", type=int, required=True)
     g3.add_argument("--seed", type=int, default=0)
     g3.add_argument("--cost-profile", choices=["unit", "log-uniform"], default="unit")
-    g3.add_argument("--delta", type=float, default=1.0)
+    g3.add_argument("--delta", type=float, default=None)
     for g in (g1, g2, g3):
         g.add_argument("-o", "--output", required=True)
 
@@ -368,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["det", "frac", "frac-round", "bicriteria-fetch", "bicriteria-evict", "opt"],
     )
     run.add_argument("--model", choices=["evict", "fetch"], default=None)
-    run.add_argument("--seeds", type=int, nargs="+", default=[0])
+    run.add_argument("--seeds", type=int, nargs="+", default=None)
     run.add_argument("--h", type=int, default=None, help="offline cache size")
     run.add_argument("-o", "--output", default=None, help="output path prefix")
 

@@ -104,9 +104,11 @@ def priced_candidates(
     S: FlushSet,
     oracle: CoverageOracle,
     tau: int,
+    residual: int,
 ) -> list[tuple[Flush, int, float, float]]:
     """(flush, marginal, mass, cost) of every alive flush outside S whose
-    marginal at tau is at least 1, in ``alive_flushes`` order.
+    marginal at tau, capped at ``residual`` = n - k - f_tau(S), is at least
+    1, in ``alive_flushes`` order.
 
     Dead flushes are dominated by the latest alive flush at or before them,
     so restricting to alive ones loses nothing.
@@ -116,7 +118,7 @@ def priced_candidates(
     for flush in oracle.index.alive_flushes(tau):
         if flush in S:
             continue
-        m = oracle.marginal(S, flush, tau)
+        m = oracle.marginal(S, flush, tau, residual)
         if m >= 1:
             candidates.append((flush, m, ledger.mass.get(flush, 0.0), costs[flush[0]]))
     return candidates
@@ -127,11 +129,12 @@ def next_tight_increase(
     S: FlushSet,
     oracle: CoverageOracle,
     tau: int,
+    residual: int,
 ) -> tuple[Flush, float, dict[Flush, int]]:
     """Smallest dual increase that makes some candidate's constraint tight,
     with the candidates' rates.  Ties break lexicographically on (block, t).
     """
-    candidates = priced_candidates(ledger, S, oracle, tau)
+    candidates = priced_candidates(ledger, S, oracle, tau, residual)
     gap, flush = first_tight(candidates)
     return flush, gap, {fl: m for fl, m, _A, _c in candidates}
 
@@ -154,7 +157,7 @@ def run_deterministic(instance: Instance) -> DetResult:
         step_flushes: list[Flush] = []
         if len(cache) > instance.k:
             coefficient = instance.n - instance.k - oracle.f_tau(S, tau)
-            (b0, _t0), dy, rates = next_tight_increase(ledger, S, oracle, tau)
+            (b0, _t0), dy, rates = next_tight_increase(ledger, S, oracle, tau, coefficient)
             ledger.raise_dual(tau, coefficient, dy, rates)
             ledger.mass[(b0, _t0)] = instance.costs[b0]  # snap to exactly tight
             cache -= set(instance.blocks[b0]) - {p}

@@ -221,9 +221,9 @@ def run_fractional(instance: Instance) -> FracResult:
             if ok:
                 break
             target0 = cap - oracle.f_tau(Sv, tau)
-            lhs = constraint_lhs(sol.phi, Sv, oracle, tau)
+            lhs = constraint_lhs(sol.phi, Sv, oracle, tau, target0)
             # flushes are unique, so sorting orders by flush alone
-            candidates = sorted(priced_candidates(ledger, Sv, oracle, tau))
+            candidates = sorted(priced_candidates(ledger, Sv, oracle, tau, target0))
             frozen = lhs
             for flush, m, _A, _c in candidates:
                 frozen -= m * sol.phi.get(flush, 0.0)

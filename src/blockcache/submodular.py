@@ -18,9 +18,6 @@ class FlushSet:
 
     ``FlushSet(num_blocks)`` holds every block's time-0 flush, the starting
     state of the online algorithms; ``from_flushes`` builds any other set.
-    Membership changes only through ``add``, which only grows the set, so
-    one object's ``len`` works as a version stamp
-    (``CoverageOracle.missing_count`` relies on it).
     """
 
     def __init__(self, num_blocks: int):
@@ -69,38 +66,21 @@ class CoverageOracle:
     def __init__(self, instance: Instance, index: RequestIndex):
         self.instance = instance
         self.index = index
-        # (S, len(S), tau, count) of the last missing_count
-        self._last_count: tuple[FlushSet, int, int, int] | None = None
 
     def is_missing(self, S: FlushSet, p: int, tau: int) -> bool:
         r = self.index.last_request(p, tau)
         lo = r if r is not None else -1
         return S.has_flush_in(self.instance.block_of(p), lo, tau)
 
-    def missing_count(self, S: FlushSet, tau: int) -> int:
-        """Uncapped number of missing pages at tau.
-
-        The last count is reused while S is the same object at the same size
-        and tau is the same: every candidate flush priced against one (S,
-        tau) shares one count.
-        """
-        last = self._last_count
-        if last is not None and last[0] is S and last[1] == len(S) and last[2] == tau:
-            return last[3]
-        count = sum(
-            1
-            for p in range(1, self.instance.n + 1)
-            if self.is_missing(S, p, tau)
-        )
-        self._last_count = (S, len(S), tau, count)
-        return count
-
     def f_tau(self, S: FlushSet, tau: int) -> int:
         inst = self.instance
-        return min(inst.n - inst.k, self.missing_count(S, tau))
+        count = sum(1 for p in range(1, inst.n + 1) if self.is_missing(S, p, tau))
+        return min(inst.n - inst.k, count)
 
-    def marginal(self, S: FlushSet, flush: Flush, tau: int) -> int:
-        """f_tau(S + flush) - f_tau(S), computed from block-local changes."""
+    def marginal(self, S: FlushSet, flush: Flush, tau: int, residual: int) -> int:
+        """f_tau(S + flush) - f_tau(S): the pages the flush newly makes
+        missing, capped at ``residual`` = n - k - f_tau(S), which every
+        caller already holds as its constraint's right-hand side."""
         inst = self.instance
         block, t = flush
         if t > tau or flush in S:
@@ -111,22 +91,19 @@ class CoverageOracle:
             lo = r if r is not None else -1
             if lo < t <= tau and not S.has_flush_in(block, lo, tau):
                 new += 1
-        if new == 0:
-            return 0
-        base = self.missing_count(S, tau)
-        cap = inst.n - inst.k
-        return min(cap, base + new) - min(cap, base)
+        return min(new, residual)
 
 
 def constraint_lhs(
-    phi: dict[Flush, float], S: FlushSet, oracle: CoverageOracle, tau: int
+    phi: dict[Flush, float], S: FlushSet, oracle: CoverageOracle, tau: int, residual: int
 ) -> float:
-    """Left-hand side of the covering constraint indexed by (S, tau): the
-    flush mass outside S, each flush weighted by its marginal."""
+    """Left-hand side of the covering constraint indexed by (S, tau), whose
+    right-hand side is ``residual``: the flush mass outside S, each flush
+    weighted by its marginal."""
     lhs = 0.0
     for flush, value in phi.items():
         if value > 0.0 and flush not in S:
-            m = oracle.marginal(S, flush, tau)
+            m = oracle.marginal(S, flush, tau, residual)
             if m:
                 lhs += m * value
     return lhs
@@ -142,7 +119,7 @@ def constraint_slack(
     """
     inst = oracle.instance
     target = inst.n - inst.k - oracle.f_tau(S, tau)
-    return constraint_lhs(phi, S, oracle, tau) - target
+    return constraint_lhs(phi, S, oracle, tau, target) - target
 
 
 def most_violated_constraint(

@@ -87,8 +87,9 @@ def test_acceptance_2_submodularity_samples():
         v = rng.choice(ground)
         if oracle.f_tau(S, tau) > oracle.f_tau(Sp, tau):
             violations += 1
-        if v not in Sp and oracle.marginal(S, v, tau) < oracle.marginal(
-            Sp, v, tau
+        res, res_p = (inst.n - inst.k - oracle.f_tau(X, tau) for X in (S, Sp))
+        if v not in Sp and oracle.marginal(S, v, tau, res) < oracle.marginal(
+            Sp, v, tau, res_p
         ):
             violations += 1
     elapsed = time.monotonic() - start

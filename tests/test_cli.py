@@ -41,11 +41,17 @@ def test_gen_gap_and_beta_off(tmp_path):
 
 
 def test_gen_invalid_usage_exit_2(tmp_path):
-    code = run_cli(
-        "gen", "random", "--n", "3", "--k", "5", "--beta", "1", "--T", "4",
-        "-o", str(tmp_path / "bad.json"),
-    )
-    assert code == 2
+    for argv in (
+        ["random", "--n", "3", "--k", "5", "--beta", "1", "--T", "4"],
+        ["random", "--n", "3", "--k", "2", "--beta", "1", "--T", "0"],
+        ["random", "--n", "3", "--k", "2", "--beta", "1", "--T", "4",
+         "--cost-profile", "log-uniform", "--delta", "0.5"],
+        ["gap", "--beta", "3", "--rounds", "0"],
+        ["beta-off", "--beta", "1", "--L", "2"],
+        ["beta-off", "--beta", "2", "--L", "0"],
+    ):
+        assert run_cli("gen", *argv, "-o", str(tmp_path / "bad.json")) == 2, argv
+    assert not (tmp_path / "bad.json").exists()
 
 
 def test_run_det_artifacts(tmp_path):
@@ -260,12 +266,13 @@ def _edit_first(text, key, value):
         ("trace", lambda text: text.replace('"cache"', '"kache"', 1)),
         ("trace", lambda text: text.replace('"evict_cost_cum": 0.0', '"evict_cost_cum": NaN', 1)),
         ("instance", lambda text: text.replace('"n": 8,', '"n": 8.0,', 1)),
+        ("instance", lambda text: f"[{text}]"),
     ],
     ids=[
         "instance-missing-key", "instance-invalid-json", "increment-missing-key",
         "increment-unknown-block", "increment-phi-after-off", "increment-time-zero-flush",
         "increment-future-flush", "trace-missing-key", "trace-nan-cost",
-        "instance-float-n",
+        "instance-float-n", "instance-not-an-object",
     ],
 )
 def test_malformed_input_exit_2(tmp_path, capsys, target, corrupt):
@@ -332,28 +339,36 @@ def test_size_option_below_one_exit_2(tmp_path, capsys, argv):
     assert_one_error_line(capsys)
 
 
-@pytest.mark.parametrize("alg", ["det", "frac", "frac-round", "bicriteria-fetch"])
-def test_h_outside_opt_exit_2(tmp_path, capsys, alg):
+RUN = ["run", "--instance", "{inst}", "-o", "{tmp}/out", "--alg"]
+OPTIONS_WITHOUT_EFFECT = {
     # the online algorithms run with cache size k: an --h there would only
-    # relabel the summary
-    inst_path = gen_random_file(tmp_path)
-    capsys.readouterr()
-    argv = ["run", "--instance", str(inst_path), "--alg", alg, "--h", "2"]
-    assert run_cli(*argv, "-o", str(tmp_path / alg)) == 2
-    assert_one_error_line(capsys)
-    assert not (tmp_path / f"{alg}.summary.json").exists()
+    # relabel the summary, and they report their own cost model
+    "h-det": [*RUN, "det", "--h", "2"],
+    "h-frac": [*RUN, "frac", "--h", "2"],
+    "h-frac-round": [*RUN, "frac-round", "--h", "2"],
+    "h-bicriteria-fetch": [*RUN, "bicriteria-fetch", "--h", "2"],
+    "model-det": [*RUN, "det", "--model", "fetch"],
+    "model-bicriteria-fetch": [*RUN, "bicriteria-fetch", "--model", "fetch"],
+    # only the roundings draw seeds
+    "seeds-det": [*RUN, "det", "--seeds", "1"],
+    "seeds-frac": [*RUN, "frac", "--seeds", "1"],
+    "seeds-opt": [*RUN, "opt", "--seeds", "1"],
+    # unit costs have no aspect ratio; a capacity bounds only a trace
+    "delta-unit": ["gen", "random", "--n", "4", "--k", "2", "--beta", "1", "--T", "3",
+                   "--delta", "8", "-o", "{tmp}/out.json"],
+    "capacity-without-trace": ["verify", "--instance", "{inst}", "--capacity", "8"],
+}
 
 
-@pytest.mark.parametrize("alg", ["det", "bicriteria-fetch"])
-def test_model_outside_opt_exit_2(tmp_path, capsys, alg):
-    # the other algorithms report their own cost model: a --model there
-    # would be ignored
+@pytest.mark.parametrize(
+    "argv", list(OPTIONS_WITHOUT_EFFECT.values()), ids=list(OPTIONS_WITHOUT_EFFECT)
+)
+def test_option_without_effect_exit_2(tmp_path, capsys, argv):
     inst_path = gen_random_file(tmp_path)
     capsys.readouterr()
-    argv = ["run", "--instance", str(inst_path), "--alg", alg, "--model", "fetch"]
-    assert run_cli(*argv, "-o", str(tmp_path / alg)) == 2
+    assert run_cli(*[a.format(inst=inst_path, tmp=tmp_path) for a in argv]) == 2
     assert_one_error_line(capsys)
-    assert not (tmp_path / f"{alg}.summary.json").exists()
+    assert not list(tmp_path.glob("out*"))
 
 
 @pytest.mark.parametrize(

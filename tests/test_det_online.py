@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from blockcache.det_online import next_tight_increase, run_deterministic
+from blockcache.det_online import DUAL_EPS, first_tight, next_tight_increase, run_deterministic
 from blockcache.instance import Instance, RequestIndex, gen_random
 from blockcache.oracle import opt_eviction
 from blockcache.submodular import CoverageOracle, FlushSet
@@ -90,6 +90,13 @@ def test_flushed_constraints_are_tight():
             for (bb, _t), a in res.ledger.mass.items()
             if bb == b
         )
+    # a tight constraint may overshoot c_B by float error only
+    fl = next(fl for fl, a in res.ledger.mass.items() if a == inst.costs[fl[0]])
+    res.ledger.mass[fl] += 0.5 * DUAL_EPS
+    res.ledger.check_feasible(inst)
+    res.ledger.mass[fl] += DUAL_EPS
+    with pytest.raises(AssertionError, match="overshot"):
+        res.ledger.check_feasible(inst)
 
 
 def test_next_tight_increase_tie_break():
@@ -107,15 +114,16 @@ def test_next_tight_increase_tie_break():
     ledger = DualLedger()
     S = FlushSet(inst.num_blocks)
     tau = 3
+    residual = inst.n - inst.k - oracle.f_tau(S, tau)
     # alive: (0,2) covering p1, (0,3) covering p2... marginals computed live;
     # plant mass to force the tie between lexicographically ordered flushes
     cands = {
         fl: m
         for fl in oracle.index.alive_flushes(tau)
-        if (m := oracle.marginal(S, fl, tau)) >= 1
+        if (m := oracle.marginal(S, fl, tau, residual)) >= 1
     }
     assert cands
-    flush, dy, rates = next_tight_increase(ledger, S, oracle, tau)
+    flush, dy, rates = next_tight_increase(ledger, S, oracle, tau, residual)
     best_gap = min((inst.costs[fl[0]] - 0.0) / m for fl, m in cands.items())
     achievers = sorted(
         fl for fl, m in cands.items() if abs(inst.costs[fl[0]] / m - best_gap) < 1e-15
@@ -123,6 +131,8 @@ def test_next_tight_increase_tie_break():
     assert flush == achievers[0]
     assert abs(dy - best_gap) < 1e-15
     assert rates == cands
+    with pytest.raises(AssertionError, match="no candidate"):
+        first_tight([])
 
 
 def test_certificate_file(tmp_path):

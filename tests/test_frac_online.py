@@ -123,6 +123,12 @@ def test_integral_set_values_snapped():
                 assert res.solution.phi[fl] == 1.0
         for fl, v in res.solution.phi.items():
             assert -1e-15 <= v <= 1.0
+    # snapping a partial flush logs the top-up and ends at exactly 1
+    sol = FractionalSolution(gen_random(4, 2, 2, 4, seed=0))
+    sol.apply(1, (0, 1), 0.3)
+    sol.snap_to_one(2, (0, 1))
+    assert sol.phi[(0, 1)] == 1.0
+    assert sol.increments[-1] == (2, (0, 1), 1.0 - 0.3)
 
 
 def test_rate_inequality_holds():

@@ -58,6 +58,7 @@ def test_basic_properties():
         dict(blocks=((1.0, 2), (3, 4))),
         dict(requests=(1, 2.0)),
         dict(initial_cache=frozenset({1.0})),
+        dict(blocks=((1, 2), (), (3, 4)), costs=(1.0, 1.0, 1.0)),
     ],
 )
 def test_validation_rejects(kw):
@@ -126,6 +127,9 @@ def test_trace_costs_and_validation():
     assert trace.fetching_cost == 1.0 + 1.0 + 2.0 + 2.0
     assert trace.cache_at(0) == frozenset()
     assert trace.cache_at(2) == frozenset({1, 2})
+    short = PolicyTrace(instance=inst, capacity_bound=2, steps=trace.steps[:3])
+    with pytest.raises(ValueError, match="length"):
+        short.validate()
 
 
 def test_trace_validate_catches_missing_request():

@@ -227,6 +227,13 @@ def test_naive_lp_planted_violations():
         bad_phi[t] = [0.0] * inst.num_blocks
     v3 = naive_lp_check(x, bad_phi, +1, inst)
     assert v3 is not None and v3.kind == "block-rate"
+    bad_x3 = [list(row) if row else row for row in x]
+    bad_x3[0][2] = 1.5
+    v4 = naive_lp_check(bad_x3, phi, +1, inst)
+    assert v4 is not None and v4.kind == "x-bounds" and (v4.t, v4.who) == (0, 2)
+    bad_phi[1] = [0.0, -0.5, 0.0]
+    v5 = naive_lp_check(x, bad_phi, +1, inst)
+    assert v5 is not None and v5.kind == "phi-bounds" and (v5.t, v5.who) == (1, 1)
 
 
 def test_gap_solution_feasible_and_costs():

@@ -12,6 +12,8 @@ from blockcache.oracle import (
     trace_to_x_mean,
 )
 from blockcache.rounding import (
+    AlterationError,
+    StructuredStream,
     bicriteria_round_evict,
     bicriteria_round_fetch,
     derandomize_ensemble,
@@ -142,6 +144,28 @@ def test_randomized_round_cache_residency():
                     assert p in cache
 
 
+def test_randomized_round_alteration_loop():
+    # no coin fires (empty by_step), so every eviction is an alteration: the
+    # block of the cached page with the largest x, ties to the lowest block
+    inst = Instance(
+        n=4, k=2, blocks=((1,), (2,), (3, 4)), costs=(1.0,) * 3, requests=(1, 2, 3, 4)
+    )
+    x = [
+        [None, 1.0, 1.0, 1.0, 1.0],
+        [None, 0.0, 1.0, 1.0, 1.0],
+        [None, 0.0, 0.0, 1.0, 1.0],
+        [None, 0.5, 0.5, 0.0, 1.0],  # tie between blocks 0 and 1
+        [None, 1.0, 1.0, 0.3, 0.0],  # page 2 has the largest x
+    ]
+    trace = randomized_round(StructuredStream(instance=inst, x=x), seed=0)
+    trace.validate()
+    assert [step.flushes for step in trace.steps] == [[], [], [(0, 3)], [(1, 4)]]
+    assert trace.cache_at(4) == {3, 4}
+    x[3][1] = x[3][2] = 0.0  # no cached page can be evicted at t=3
+    with pytest.raises(AlterationError):
+        randomized_round(StructuredStream(instance=inst, x=x), seed=0)
+
+
 def test_randomized_round_mean_cost():
     inst = gen_random(8, 4, 2, 24, seed=29)
     stream = structure_stream(run_fractional(inst).solution.increments, inst)
@@ -180,6 +204,9 @@ def test_bicriteria_fetch_rejects_infeasible():
     inst = Instance(n=2, k=1, blocks=((1,), (2,)), costs=(1.0, 1.0), requests=(1,))
     x = [[None, 1.0, 1.0], [None, 0.7, 0.0]]  # requested page not at 0
     with pytest.raises(ValueError):
+        bicriteria_round_fetch(x, inst)
+    x = [[None, 0.5, 1.0], [None, 0.0, 1.0]]  # page 1 starts outside the cache
+    with pytest.raises(ValueError, match="starts outside the cache"):
         bicriteria_round_fetch(x, inst)
 
 

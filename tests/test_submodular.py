@@ -54,8 +54,9 @@ def test_worked_example_values():
     assert oracle.f_tau(s1, tau) == 2
     assert oracle.f_tau(s2, tau) == 3
     assert oracle.f_tau(s12, tau) == 4  # capped at n - k
-    assert oracle.marginal(s1, (1, 8), tau) == 2
-    assert oracle.marginal(FlushSet.from_flushes(3, []), (1, 8), tau) == 3
+    assert oracle.marginal(s1, (1, 8), tau, inst.n - inst.k - oracle.f_tau(s1, tau)) == 2
+    empty = FlushSet.from_flushes(3, [])
+    assert oracle.marginal(empty, (1, 8), tau, inst.n - inst.k - oracle.f_tau(empty, tau)) == 3
 
 
 def test_missing_basics():
@@ -111,7 +112,8 @@ def test_monotone_and_submodular_samples():
         v = rng.choice(ground)
         assert oracle.f_tau(S, tau) <= oracle.f_tau(Sp, tau)
         if v not in Sp:
-            assert oracle.marginal(S, v, tau) >= oracle.marginal(Sp, v, tau)
+            res, res_p = (inst.n - inst.k - oracle.f_tau(X, tau) for X in (S, Sp))
+            assert oracle.marginal(S, v, tau, res) >= oracle.marginal(Sp, v, tau, res_p)
 
 
 def test_marginal_matches_difference():
@@ -125,7 +127,8 @@ def test_marginal_matches_difference():
         t = rng.randint(0, inst.T)
         Sv = FlushSet.from_flushes(S.num_blocks, S)
         Sv.add(b, t)
-        assert oracle.marginal(S, (b, t), tau) == oracle.f_tau(
+        residual = inst.n - inst.k - oracle.f_tau(S, tau)
+        assert oracle.marginal(S, (b, t), tau, residual) == oracle.f_tau(
             Sv, tau
         ) - oracle.f_tau(S, tau)
 
@@ -139,11 +142,11 @@ def test_marginal_bounds():
         S = random_flush_set(rng, inst)
         b = rng.randrange(inst.num_blocks)
         t = rng.randint(0, inst.T)
-        m = oracle.marginal(S, (b, t), tau)
         cap = inst.n - inst.k - oracle.f_tau(S, tau)
+        m = oracle.marginal(S, (b, t), tau, cap)
         assert 0 <= m <= min(inst.beta, cap)
         S.add(b, t)
-        assert oracle.marginal(S, (b, t), tau) == 0
+        assert oracle.marginal(S, (b, t), tau, inst.n - inst.k - oracle.f_tau(S, tau)) == 0
 
 
 def test_cap_reached_by_all_flushes():
@@ -292,15 +295,18 @@ def test_separation_exact_when_residual_exceeds_counts():
 
 
 def test_reused_oracle_matches_fresh_oracle():
-    # one oracle keeps its last missing count; growing the set, moving tau
+    # an oracle keeps no state between calls: growing the set, moving tau
     # and changing a copy must each give the values a fresh oracle gives
     inst = gen_random(10, 4, 3, 16, seed=3)
     index = RequestIndex(inst)
     oracle = CoverageOracle(inst, index)
 
+    def marginal(orc, S, fl, tau):
+        return orc.marginal(S, fl, tau, inst.n - inst.k - orc.f_tau(S, tau))
+
     def values(orc, S, tau):
         flushes = sorted(index.alive_flushes(tau))
-        return orc.f_tau(S, tau), [orc.marginal(S, fl, tau) for fl in flushes]
+        return orc.f_tau(S, tau), [marginal(orc, S, fl, tau) for fl in flushes]
 
     def check(S, tau):
         got = values(oracle, S, tau)
@@ -310,13 +316,13 @@ def test_reused_oracle_matches_fresh_oracle():
     S = FlushSet(inst.num_blocks)
     tau = 12
     before = check(S, tau)
-    flush = max(index.alive_flushes(tau), key=lambda fl: oracle.marginal(S, fl, tau))
+    flush = max(index.alive_flushes(tau), key=lambda fl: marginal(oracle, S, fl, tau))
     S.add(*flush)
     assert check(S, tau) != before
     assert check(S, tau - 1) != check(S, tau)
     C = FlushSet.from_flushes(S.num_blocks, S)
     check(C, tau)
-    C.add(*max(index.alive_flushes(tau), key=lambda fl: oracle.marginal(C, fl, tau)))
+    C.add(*max(index.alive_flushes(tau), key=lambda fl: marginal(oracle, C, fl, tau)))
     S.add(0, tau + 1)  # same size as C again, same count as before
     assert check(C, tau) != check(S, tau)
 
