@@ -86,7 +86,8 @@ def first_tight(candidates) -> tuple[float, Flush]:
     """(dual increase, flush) of the candidate whose dual constraint goes
     tight first: the least (c - A) / m over (flush, m, A, c) candidates, ties
     within TIE_EPS to the smaller flush.  The tie band is not transitive, so
-    the result can depend on the candidates' order."""
+    the result can depend on the candidates' order; both callers pass them
+    in flush order."""
     best: tuple[float, Flush] | None = None
     for flush, m, A, c in candidates:
         gap = (c - A) / m
@@ -108,14 +109,14 @@ def priced_candidates(
 ) -> list[tuple[Flush, int, float, float]]:
     """(flush, marginal, mass, cost) of every alive flush outside S whose
     marginal at tau, capped at ``residual`` = n - k - f_tau(S), is at least
-    1, in ``alive_flushes`` order.
+    1, in flush order.
 
     Dead flushes are dominated by the latest alive flush at or before them,
     so restricting to alive ones loses nothing.
     """
     costs = oracle.instance.costs
     candidates = []
-    for flush in oracle.index.alive_flushes(tau):
+    for flush in sorted(oracle.index.alive_flushes(tau)):
         if flush in S:
             continue
         m = oracle.marginal(S, flush, tau, residual)

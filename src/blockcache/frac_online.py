@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 from .det_online import DualLedger, first_tight, priced_candidates
 from .instance import (
-    Instance, InstanceError, RequestIndex, is_int_in, read_jsonl, round12, write_jsonl
+    Instance, InstanceError, RequestIndex, is_int_in, is_number, read_jsonl, round12, write_jsonl
 )
 from .submodular import (
     CoverageOracle,
@@ -37,16 +37,15 @@ class Increment(NamedTuple):
 class FractionalSolution:
     """Sparse flush values plus the ordered increment log.
 
-    Values only ever increase; a flush whose dual constraint is tight has
-    value exactly 1 (snapped, because downstream logic branches on it).
+    ``phi`` lists only flushes after time 0; the time-0 flushes are
+    integral and belong to ``FlushSet``.  Values only ever increase; a flush
+    whose dual constraint is tight has value exactly 1 (snapped, because
+    downstream logic branches on it).
     """
 
     instance: Instance
-    phi: dict[Flush, float] = field(init=False)
+    phi: dict[Flush, float] = field(init=False, default_factory=dict)
     increments: list[Increment] = field(init=False, default_factory=list)
-
-    def __post_init__(self):
-        self.phi = {(b, 0): 1.0 for b in range(self.instance.num_blocks)}
 
     def apply(self, tau: int, flush: Flush, delta: float) -> None:
         if delta <= 0.0:
@@ -78,16 +77,18 @@ class FractionalSolution:
 
 def load_increments(path: str, instance: Instance) -> list[Increment]:
     """Reads a saved increment log.  InstanceError names a line that is not an
-    increment of this instance (1 <= t <= tau, positive finite delta) or whose
-    phi_after is off its flush's running sum by more than PHI_AFTER_EPS; the
-    sums run in (tau, phi_after) order, the order a monotone log is written
-    in, so a reordered log loads and ``replay_failures`` reports it."""
+    increment of this instance (1 <= t <= tau, positive finite delta, finite
+    phi_after) or whose phi_after is off its flush's running sum by more than
+    PHI_AFTER_EPS; the sums run in (tau, phi_after) order, the order a
+    monotone log is written in, so a reordered log loads and
+    ``replay_failures`` reports it."""
 
     def parse(rec: dict) -> tuple[Increment, float] | None:
         tau, block, t, delta = rec["tau"], rec["block"], rec["t"], rec["delta"]
-        ok = is_int_in(tau, 1, instance.T) and is_int_in(t, 1, tau)
-        ok = ok and is_int_in(block, 0, instance.num_blocks - 1) and 0 < delta < math.inf
-        return (Increment(tau, (block, t), delta), float(rec["phi_after"])) if ok else None
+        phi_after = rec["phi_after"]
+        ok = is_int_in(tau, 1, instance.T) and is_int_in(t, 1, tau) and is_number(phi_after)
+        ok = ok and is_int_in(block, 0, instance.num_blocks - 1) and is_number(delta) and delta > 0
+        return (Increment(tau, (block, t), delta), phi_after) if ok else None
 
     records = read_jsonl(path, parse)
     running: dict[Flush, float] = {}
@@ -106,7 +107,7 @@ def replay_failures(increments, instance: Instance) -> list[str]:
     (``check_feasible``) at every tau on the mass logged up to tau: one line
     per infeasible step, and a last one where the log goes back in time."""
     oracle = CoverageOracle(instance, RequestIndex(instance))
-    phi = {(b, 0): 1.0 for b in range(instance.num_blocks)}
+    phi: dict[Flush, float] = {}
     failures = []
     i = 0
     for tau in range(1, instance.T + 1):
@@ -221,18 +222,15 @@ def run_fractional(instance: Instance) -> FracResult:
             if ok:
                 break
             target0 = cap - oracle.f_tau(Sv, tau)
-            lhs = constraint_lhs(sol.phi, Sv, oracle, tau, target0)
-            # flushes are unique, so sorting orders by flush alone
-            candidates = sorted(priced_candidates(ledger, Sv, oracle, tau, target0))
-            frozen = lhs
-            for flush, m, _A, _c in candidates:
-                frozen -= m * sol.phi.get(flush, 0.0)
+            candidates = priced_candidates(ledger, Sv, oracle, tau, target0)
+            rates = {fl: f for fl, f, _A, _c in candidates}
+            # the constraint's left side from the flushes this event does not raise
+            unraised = {fl: v for fl, v in sol.phi.items() if fl not in rates}
+            frozen = constraint_lhs(unraised, Sv, oracle, tau, target0)
             # rate inequality over the alive flushes outside Sv; those that are
             # not candidates have marginal 0
-            rate = sum(m for _fl, m, _A, _c in candidates)
-            assert rate / (k * beta) <= target0 + FEAS_EPS
+            assert sum(rates.values()) / (k * beta) <= target0 + FEAS_EPS
             outcome = solve_event(candidates, target0 - frozen, k, beta)
-            rates = {fl: f for fl, f, _A, _c in candidates}
             ledger.raise_dual(tau, target0, outcome.delta_y, rates)
             for flush, f, A, c in candidates:
                 new_phi = min(1.0, phi_closed_form(A + f * outcome.delta_y, c, k, beta))

@@ -28,6 +28,11 @@ def is_int_in(v, lo: int, hi: float) -> bool:
     return type(v) is int and lo <= v <= hi
 
 
+def is_number(v) -> bool:
+    """True iff v is a finite int or float (not a bool)."""
+    return type(v) in (int, float) and math.isfinite(v)
+
+
 def read_jsonl(path: str, parse) -> list:
     """parse(record) for every line of a JSON-lines file.  A line that is not
     JSON, lacks a field parse reads, or that parse returns None for raises
@@ -87,8 +92,8 @@ class Instance:
             raise InstanceError("blocks must cover all pages 1..n")
         if len(self.costs) != len(self.blocks):
             raise InstanceError("one cost per block required")
-        if not all(0 < c < math.inf for c in self.costs):
-            raise InstanceError("block costs must be positive and finite")
+        if not all(is_number(c) and c > 0 for c in self.costs):
+            raise InstanceError("block costs must be positive finite numbers")
         if self.beta > self.k:
             raise InstanceError("max block size exceeds cache size")
         for p in self.requests:
@@ -155,7 +160,7 @@ class Instance:
                 n=doc["n"],
                 k=doc["k"],
                 blocks=tuple(tuple(b) for b in doc["blocks"]),
-                costs=tuple(float(c) for c in doc["costs"]),
+                costs=tuple(float(c) if is_number(c) else c for c in doc["costs"]),
                 requests=tuple(doc["requests"]),
                 initial_cache=frozenset(doc.get("initial_cache", [])),
             )
@@ -351,7 +356,7 @@ class PolicyTrace:
                 fetch_cost_cum=rec["fetch_cost_cum"],
             )
             ok = is_int_in(step.t, 1, inst.T)
-            ok = ok and math.isfinite(step.evict_cost_cum + step.fetch_cost_cum)
+            ok = ok and is_number(step.evict_cost_cum) and is_number(step.fetch_cost_cum)
             ok = ok and all(is_int_in(p, 1, inst.n) for p in [*step.fetched, *step.cache])
             ok = ok and all(
                 is_int_in(b, 0, inst.num_blocks - 1) and is_int_in(t, 0, inst.T)

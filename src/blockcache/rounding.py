@@ -33,10 +33,12 @@ class StructuredStream:
     """Causal stream of structured increments derived from a raw log.
 
     ``phi`` is the final structured solution (doubled, bucketed, with full
-    flushes emitted whenever a half-rounded page value crosses 1/2); every
+    flushes emitted whenever a half-rounded page value crosses 1/2); like
+    ``FractionalSolution.phi`` it lists only flushes after time 0, and every
     nonzero coordinate is at least 1/(4k^2).  ``x[t][p]`` is the
     missing-value trajectory of the increments logged up to step t, and
-    ``by_step`` maps each step to its increments summed per flush.
+    ``by_step`` maps each step to its increments summed per flush; the one
+    sweep that emits the increments builds both.
     ``half_increments`` log the pre-doubling half-rounded stage whose page
     values stay in [0,1/2)+{1}; the tests check that invariant on it.
     """
@@ -67,10 +69,18 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
     threshold = 1.0 / (4.0 * k * k)
 
     stream = StructuredStream(instance=instance)
-    out: dict[Flush, float] = {(b, 0): 1.0 for b in range(instance.num_blocks)}
-    half = PhiView(out, instance.num_blocks)  # copies out
+    half = PhiView({}, instance.num_blocks)
+    view = PhiView({}, instance.num_blocks)  # the emitted increments, for x
     bucketed: dict[Flush, float] = {}
     bucket = [0.0] * instance.num_blocks
+    pages = range(1, instance.n + 1)
+    stream.x.append([None] + [0.0 if p in instance.initial_cache else 1.0 for p in pages])
+
+    def add_rows(upto: int) -> None:
+        # row t sees only the increments emitted up to t: mass a later step
+        # adds to an earlier flush is not yet there
+        for t in range(len(stream.x), upto + 1):
+            stream.x.append([None] + [view.x(oracle, p, t) for p in pages])
 
     def add_half(tau: int, flush: Flush, delta: float) -> float:
         eff = min(delta, 1.0 - half.get(flush))
@@ -81,26 +91,20 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
         return eff
 
     def emit(tau: int, flush: Flush, value_target: float) -> None:
-        cur = out.get(flush, 0.0)
-        if value_target > cur:
-            out[flush] = value_target
-            stream.increments.append((tau, flush, value_target - cur))
+        delta = value_target - stream.phi.get(flush, 0.0)
+        if delta > 0.0:
+            stream.phi[flush] = value_target
+            stream.increments.append((tau, flush, delta))
+            view.add(flush, delta)
+            step = stream.by_step.setdefault(tau, {})
+            step[flush] = step.get(flush, 0.0) + delta
 
-    def flush_bucket(b: int, tau: int) -> None:
-        if bucket[b] >= threshold:
-            flush = (b, tau)
-            bucketed[flush] = bucketed.get(flush, 0.0) + bucket[b]
-            bucket[b] = 0.0
-            value = min(2.0 * bucketed[flush], 1.0)
-            if value == 1.0:
-                add_half(tau, flush, 1.0)
-            emit(tau, flush, value)
-
-    def full_flush(b: int, tau: int) -> None:
-        add_half(tau, (b, tau), 1.0)
-        emit(tau, (b, tau), 1.0)
+    def complete(tau: int, flush: Flush) -> None:
+        add_half(tau, flush, 1.0)
+        emit(tau, flush, 1.0)
 
     for tau, flush, delta in raw_increments:
+        add_rows(tau - 1)
         b = flush[0]
         eff = add_half(tau, flush, delta)
         if eff > 0.0:
@@ -108,34 +112,24 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
                 # coordinate half-rounding: once a flush holds half its mass
                 # it is completed and emitted integrally, so it stays aligned
                 # with the integral part of the doubled output
-                add_half(tau, flush, 1.0)
-                emit(tau, flush, 1.0)
+                complete(tau, flush)
             else:
                 bucket[b] += eff
-                flush_bucket(b, tau)
+                if bucket[b] >= threshold:
+                    bucketed[b, tau] = bucketed.get((b, tau), 0.0) + bucket[b]
+                    bucket[b] = 0.0
+                    value = min(2.0 * bucketed[b, tau], 1.0)
+                    if value == 1.0:
+                        complete(tau, (b, tau))
+                    else:
+                        emit(tau, (b, tau), value)
         # crossing check for the touched block's pages
         for p in instance.blocks[b]:
             xv = half.x(oracle, p, tau)
             if 0.5 <= xv < 1.0 - FULL_EPS:
-                full_flush(b, tau)
+                complete(tau, (b, tau))
                 break
-
-    stream.phi = out
-    # row tau sees only the increments logged up to tau: mass a later step
-    # adds to an earlier flush is not yet there
-    view = PhiView({(b, 0): 1.0 for b in range(instance.num_blocks)}, instance.num_blocks)
-    pages = range(1, instance.n + 1)
-    stream.x = [[None] + [0.0 if p in instance.initial_cache else 1.0 for p in pages]]
-    increments = stream.increments
-    i = 0
-    for tau in range(1, instance.T + 1):
-        while i < len(increments) and increments[i][0] <= tau:
-            inc_tau, flush, delta = increments[i]
-            view.add(flush, delta)
-            step = stream.by_step.setdefault(inc_tau, {})
-            step[flush] = step.get(flush, 0.0) + delta
-            i += 1
-        stream.x.append([None] + [view.x(oracle, p, tau) for p in pages])
+    add_rows(instance.T)
     return stream
 
 

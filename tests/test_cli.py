@@ -244,6 +244,12 @@ def _drop_key(text, key):
     return json.dumps(doc)
 
 
+def _set_first_cost(text, value):
+    doc = json.loads(text)
+    doc["costs"][0] = value
+    return json.dumps(doc)
+
+
 def _edit_first(text, key, value):
     """The JSON-lines text with field key of its first record set to
     value(record)."""
@@ -267,12 +273,18 @@ def _edit_first(text, key, value):
         ("trace", lambda text: text.replace('"evict_cost_cum": 0.0', '"evict_cost_cum": NaN', 1)),
         ("instance", lambda text: text.replace('"n": 8,', '"n": 8.0,', 1)),
         ("instance", lambda text: f"[{text}]"),
+        # numbers must be JSON numbers, not strings or booleans
+        ("instance", lambda text: _set_first_cost(text, "1.0")),
+        ("instance", lambda text: _set_first_cost(text, True)),
+        ("trace", lambda text: text.replace('"evict_cost_cum": 0.0', '"evict_cost_cum": false', 1)),
+        ("increments", lambda text: _edit_first(text, "phi_after", lambda r: str(r["phi_after"]))),
     ],
     ids=[
         "instance-missing-key", "instance-invalid-json", "increment-missing-key",
         "increment-unknown-block", "increment-phi-after-off", "increment-time-zero-flush",
         "increment-future-flush", "trace-missing-key", "trace-nan-cost",
-        "instance-float-n", "instance-not-an-object",
+        "instance-float-n", "instance-not-an-object", "instance-string-cost",
+        "instance-bool-cost", "trace-bool-cost", "increment-string-phi-after",
     ],
 )
 def test_malformed_input_exit_2(tmp_path, capsys, target, corrupt):

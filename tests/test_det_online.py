@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from blockcache.det_online import DUAL_EPS, first_tight, next_tight_increase, run_deterministic
+from blockcache.det_online import (
+    DUAL_EPS, DualLedger, first_tight, next_tight_increase, priced_candidates, run_deterministic
+)
 from blockcache.instance import Instance, RequestIndex, gen_random
 from blockcache.oracle import opt_eviction
 from blockcache.submodular import CoverageOracle, FlushSet
@@ -109,8 +111,6 @@ def test_next_tight_increase_tie_break():
         requests=(1, 2, 3),
     )
     oracle = CoverageOracle(inst, RequestIndex(inst))
-    from blockcache.det_online import DualLedger
-
     ledger = DualLedger()
     S = FlushSet(inst.num_blocks)
     tau = 3
@@ -133,6 +133,20 @@ def test_next_tight_increase_tie_break():
     assert rates == cands
     with pytest.raises(AssertionError, match="no candidate"):
         first_tight([])
+
+
+def test_priced_candidates_in_flush_order():
+    # det and frac both pass priced_candidates' list to first_tight, whose
+    # tie band makes its answer depend on the order
+    for seed in range(4):
+        inst = gen_random(16, 8, 4, 40, seed=seed)
+        oracle = CoverageOracle(inst, RequestIndex(inst))
+        S = FlushSet(inst.num_blocks)
+        for tau in range(1, inst.T + 1):
+            residual = inst.n - inst.k - oracle.f_tau(S, tau)
+            candidates = priced_candidates(DualLedger(), S, oracle, tau, residual)
+            flushes = [fl for fl, _m, _A, _c in candidates]
+            assert flushes == sorted(flushes), (seed, tau)
 
 
 def test_certificate_file(tmp_path):
