@@ -11,7 +11,9 @@ from math import comb
 from .instance import Instance, PolicyTrace, RequestIndex, gen_gap_instance
 from .submodular import CoverageOracle, Flush, FlushSet, PhiView, flush_cost
 
-DP_STATE_LIMIT = 10**6
+# moves the exact DPs may enumerate: a move takes 2-5 us of pure Python on a
+# 2-core VM, so an oracle call in budget finishes in under a minute
+DP_MOVE_LIMIT = 10**7
 LP_EPS = 1e-9  # x and rates are float means and differences: this close meets a bound
 COST_EPS = 1e-9  # bounds between two float sums of c_B-weighted rates hold up to this
 DP_TIE_EPS = 1e-12  # a DP path replaces another only when cheaper beyond float error
@@ -28,11 +30,16 @@ def _subsets(items):
     )
 
 
-def _check_dp_budget(instance: Instance, h: int) -> None:
-    size = comb(instance.n, min(h, instance.n)) * max(1, instance.T)
-    if size > DP_STATE_LIMIT:
+def _check_dp_budget(instance: Instance, h: int, moves_per_state: int) -> None:
+    """Raise unless the DP's moves fit ``DP_MOVE_LIMIT``.  After step 0 a
+    state is a cache of at most h pages, so each of the T steps keeps at
+    most sum_{i<=h} C(n, i) states; each is expanded into at most
+    ``moves_per_state`` moves."""
+    states = sum(comb(instance.n, i) for i in range(min(h, instance.n) + 1))
+    moves = states * max(1, instance.T) * moves_per_state
+    if moves > DP_MOVE_LIMIT:
         raise OracleIntractableError(
-            f"DP state bound {size} exceeds limit {DP_STATE_LIMIT}"
+            f"DP move bound {moves} exceeds limit {DP_MOVE_LIMIT}"
         )
 
 
@@ -91,25 +98,43 @@ def _run_dp(instance: Instance, h: int, transitions) -> tuple[float, PolicyTrace
 def opt_eviction(instance: Instance, h: int | None = None) -> tuple[float, PolicyTrace]:
     """Exact minimum eviction cost over all feasible trajectories.
 
-    Fetches are free, so the next cache may keep any subset of the previous
-    contents plus the requested page; each evicted block costs c_B once per
-    step.  Evicting initially cached pages is paid like any other eviction.
+    Fetches are free and only the requested page enters, so a step keeps a
+    subset of the previous contents plus the requested page; each block
+    with an evicted page costs c_B once per step.  Evicting initially
+    cached pages is paid like any other eviction.
+
+    Only whole-block evictions are enumerated: a step evicts, for some set
+    E of blocks, every cached page of E except the requested page.  This
+    loses nothing.
+
+    *A subset state is at least as good.*  Let S' be a subset of S'' at
+    step t.  If S'' continues with S''_u for u > t, let S' continue with
+    S'_u = S''_u & (S'_{u-1} | {p_u}).  Then S'_u is a subset of S''_u,
+    so it fits in h pages and holds p_u.  The pages it evicts,
+    (S'_{u-1} | {p_u}) - S''_u, are a subset of those S'' evicts, so
+    every block it pays for S'' pays for too.
+
+    *A whole-block step dominates.*  A step from ``prev`` that evicts pages
+    of the blocks E costs the sum of c_B over E.  Evicting every page of E
+    in ``prev - {p}`` costs the same and reaches a subset of that state.
+    By induction from the last step, the optimum over whole-block steps
+    from any state then equals the optimum over all steps.  A state holds
+    pages of at most min(h, #blocks) blocks, so a state has at most
+    2^min(h, #blocks) moves instead of 2^|cache|.
     """
     h = instance.k if h is None else h
-    _check_dp_budget(instance, h)
+    _check_dp_budget(instance, h, 2 ** min(h, instance.num_blocks))
 
     def transitions(prev: frozenset[int], t: int):
         p = instance.request(t)
-        pool = sorted((prev | {p}) - {p})
-        for evicted in _subsets(pool):
-            state = (prev | {p}) - set(evicted)
-            if len(state) > h:
-                continue
-            cost = sum(
-                instance.costs[b]
-                for b in {instance.block_of(q) for q in evicted}
-            )
-            yield frozenset(state), cost
+        held: dict[int, list[int]] = {}
+        for q in sorted(prev - {p}):
+            held.setdefault(instance.block_of(q), []).append(q)
+        start = prev | {p}
+        for evicted in _subsets(sorted(held)):
+            state = start.difference(*(held[b] for b in evicted))
+            if len(state) <= h:
+                yield state, sum(instance.costs[b] for b in evicted)
 
     return _run_dp(instance, h, transitions)
 
@@ -118,24 +143,46 @@ def opt_fetching(instance: Instance, h: int | None = None) -> tuple[float, Polic
     """Exact minimum fetching cost; evictions are free.
 
     Batched fetches only ever pay off within the requested page's block, so
-    transitions fetch a subset of that block; every fetch batch costs the
-    block cost once.
+    a step fetches the requested page (if missing) and a batch of the
+    block's other missing pages; it costs the block cost once if it
+    fetches anything.
+
+    Only kept sets of maximal size are enumerated: for each batch, the
+    step keeps min(|prev - {p}|, h - |batch| - 1) pages of ``prev - {p}``.
+    This loses nothing.
+
+    *A superset state is at least as good.*  Let S' be a superset of S''
+    at step t.  If S'' steps to S''_{t+1}, S' can step there too, evicting
+    for free.  The pages it fetches, S''_{t+1} - S', are a subset of those
+    S'' fetches, all in the requested block, so it pays only if S'' pays;
+    from then on both follow the same path.
+
+    *A maximal kept set dominates.*  For a fixed batch the step's cost does
+    not depend on which pages are kept.  Every smaller kept set lies inside
+    one of maximal size, which reaches a superset state at the same cost.
+    By induction from the last step, the optimum over maximal kept sets
+    from any state then equals the optimum over all of them.  With |batch|
+    = j there are at most C(beta - 1, j) batches and C(h, h - 1 - j) kept
+    sets (a cache missing p may hold h pages to choose from).
     """
     h = instance.k if h is None else h
-    _check_dp_budget(instance, h)
+    beta = instance.beta
+    _check_dp_budget(
+        instance, h, sum(comb(beta - 1, j) * comb(h, j + 1) for j in range(min(beta, h)))
+    )
 
     def transitions(prev: frozenset[int], t: int):
         p = instance.request(t)
-        block = instance.blocks[instance.block_of(p)]
-        extra = sorted(set(block) - prev - {p})
-        for kept in _subsets(sorted(prev - {p})):
-            for batch in _subsets(extra):
-                state = frozenset(kept) | set(batch) | {p}
-                if len(state) > h:
-                    continue
-                fetched_any = p not in prev or batch
-                cost = instance.costs[instance.block_of(p)] if fetched_any else 0.0
-                yield frozenset(state), cost
+        b = instance.block_of(p)
+        others = sorted(prev - {p})
+        extra = sorted(set(instance.blocks[b]) - prev - {p})
+        for batch in _subsets(extra):
+            room = h - len(batch) - 1
+            if room < 0:
+                break  # _subsets yields batches in order of size
+            cost = instance.costs[b] if p not in prev or batch else 0.0
+            for kept in combinations(others, min(len(others), room)):
+                yield frozenset((p, *kept, *batch)), cost
 
     return _run_dp(instance, h, transitions)
 

@@ -25,6 +25,7 @@ from blockcache.oracle import (
 )
 from blockcache.rounding import derive_block_rates
 from blockcache.submodular import CoverageOracle, FlushSet
+from reference import opt_eviction_exhaustive, opt_fetching_exhaustive
 
 
 def test_singletons_simple():
@@ -86,6 +87,37 @@ def test_fetching_batches_block():
     cost, trace = opt_fetching(inst)
     trace.validate()
     assert cost == 3.0  # block0, block1, block0 again
+
+
+def test_eviction_evicts_a_whole_block():
+    # k=2, blocks A={1,2}, B={3}, C={4}, unit costs, requests 1 2 3 4.  At
+    # t=3 the cache {1,2} must lose a page.  Evicting page 1 alone costs
+    # c_A = 1 and leaves {2,3}, so t=4 evicts again (page 2 or 3, 1 more):
+    # 2 in all.  Evicting block A whole at t=3 costs c_A = 1 and leaves {3},
+    # so page 4 fits at t=4: 1 in all, and no other path costs 1.
+    inst = Instance(
+        n=4, k=2, blocks=((1, 2), (3,), (4,)), costs=(1.0,) * 3, requests=(1, 2, 3, 4)
+    )
+    cost, trace = opt_eviction(inst)
+    trace.validate()
+    assert cost == 1.0
+    assert trace.cache_at(3) == {3}
+    assert opt_eviction_exhaustive(inst)[0] == opt_eviction_flushsets(inst) == 1.0
+
+
+def test_fetching_drops_a_page_to_take_a_batch():
+    # k=2, blocks A={1}, B={2,3}, unit costs, requests 1 2 3.  After t=1 the
+    # cache holds h - 1 = 1 page.  Keeping page 1 at t=2 leaves no room to
+    # batch page 3 with page 2, so t=3 fetches B again: 1 + 1 + 1 = 3.
+    # Dropping page 1 and fetching {2,3} at t=2 costs 1 + 1 = 2.
+    inst = Instance(
+        n=3, k=2, blocks=((1,), (2, 3)), costs=(1.0, 1.0), requests=(1, 2, 3)
+    )
+    cost, trace = opt_fetching(inst)
+    trace.validate()
+    assert cost == 2.0
+    assert trace.cache_at(2) == {2, 3}
+    assert opt_fetching_exhaustive(inst)[0] == 2.0
 
 
 def test_dp_matches_flushset_enumeration():

@@ -1,6 +1,8 @@
 """Round-trip properties of the saved formats: an instance file loads back as
 an equal instance, and an increment log loads back as the same log, replays
-to the same phi and is feasible at every step."""
+to the same phi and is feasible at every step.  On the same instances the
+exact DPs, which enumerate only dominant moves, match their exhaustive
+references in ``reference``."""
 
 import dataclasses
 import os
@@ -20,15 +22,17 @@ from blockcache.frac_online import (  # noqa: E402
     run_fractional,
 )
 from blockcache.instance import Instance, gen_random, round12  # noqa: E402
+from blockcache.oracle import COST_EPS, DP_TIE_EPS, opt_eviction, opt_fetching  # noqa: E402
+from reference import opt_eviction_exhaustive, opt_fetching_exhaustive  # noqa: E402
 
 PROPERTY = settings(max_examples=200, deadline=None)
 
 
 @st.composite
-def instances(draw):
+def instances(draw, max_n=8):
     """Small random instances with unit or log-uniform costs, with or
     without a starting cache."""
-    n = draw(st.integers(2, 8))
+    n = draw(st.integers(2, max_n))
     k = draw(st.integers(1, n))
     beta = draw(st.integers(1, k))
     T = draw(st.integers(1, 12))
@@ -65,3 +69,18 @@ def test_increment_log_round_trip(inst):
     assert replayed.keys() == sol.phi.keys()
     assert all(abs(replayed[fl] - v) <= PHI_AFTER_EPS for fl, v in sol.phi.items())
     assert replay_failures(loaded, inst) == []
+
+
+@PROPERTY
+@given(instances(max_n=6), st.data())
+def test_pruned_dp_matches_exhaustive(inst, data):
+    h = data.draw(st.integers(1, inst.k))
+    for fast, exhaustive, model in [
+        (opt_eviction, opt_eviction_exhaustive, "eviction_cost"),
+        (opt_fetching, opt_fetching_exhaustive, "fetching_cost"),
+    ]:
+        cost, trace = fast(inst, h)
+        best, _ = exhaustive(inst, h)
+        assert cost == pytest.approx(best, rel=DP_TIE_EPS, abs=DP_TIE_EPS)
+        trace.validate()
+        assert getattr(trace, model) == pytest.approx(cost, abs=COST_EPS)
