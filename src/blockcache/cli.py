@@ -324,6 +324,8 @@ def _report_row(path: str) -> dict:
             row[c] = f"{s[c]:.12g}"
     row["lower_bound"] = _lower_bound(s)
     if "pass" in s:
+        if type(s["pass"]) is not bool:
+            raise ValueError(f"pass must be true or false, got {s['pass']!r}")
         row["pass"] = "pass" if s["pass"] else "fail"
     return row
 

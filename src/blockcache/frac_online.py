@@ -132,22 +132,6 @@ def phi_closed_form(A: float, c_B: float, k: int, beta: int) -> float:
     return ((kb + 1.0) ** (A / c_B) - 1.0) / kb
 
 
-def integrate_rate_law(
-    A: float, c_B: float, k: int, beta: int, step: float = 1e-6
-) -> float:
-    """Midpoint-rule integration of the growth dynamics, used as an
-    independent cross-check of the closed form."""
-    kb = k * beta
-    eta = math.log(kb + 1.0) / c_B
-    n_steps = max(1, int(math.ceil(A / step)))
-    h = A / n_steps
-    phi = 0.0
-    for _ in range(n_steps):
-        mid = phi + 0.5 * h * eta * (phi + 1.0 / kb)
-        phi += h * eta * (mid + 1.0 / kb)
-    return phi
-
-
 @dataclass
 class EventOutcome:
     delta_y: float

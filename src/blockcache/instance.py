@@ -451,8 +451,8 @@ def gen_random(
         raise InstanceError("need at least one request")
     if cost_profile not in ("unit", "log-uniform"):
         raise InstanceError(f"unknown cost profile {cost_profile!r}")
-    if cost_profile == "log-uniform" and delta < 1.0:
-        raise InstanceError("aspect ratio must be >= 1")
+    if cost_profile == "log-uniform" and not 1.0 <= delta < math.inf:
+        raise InstanceError("aspect ratio must be finite and >= 1")
     rng = random.Random(seed)
     pages = list(range(1, n + 1))
     rng.shuffle(pages)

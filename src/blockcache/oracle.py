@@ -1,15 +1,13 @@
-"""Ground truth: brute-force offline optima, fractional cost functionals,
-the naive LP checker, and the hand-built gap-instance fractional solution."""
+"""Ground truth: the exact offline optima, fractional cost functionals and
+the naive LP checker."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
 
-from .instance import Instance, PolicyTrace, RequestIndex, gen_gap_instance
-from .submodular import CoverageOracle, Flush, FlushSet, PhiView, flush_cost
+from .instance import Instance, PolicyTrace
 
 # moves the exact DPs may enumerate: a move takes 2-5 us of pure Python on a
 # 2-core VM, so an oracle call in budget finishes in under a minute
@@ -187,40 +185,6 @@ def opt_fetching(instance: Instance, h: int | None = None) -> tuple[float, Polic
     return _run_dp(instance, h, transitions)
 
 
-def opt_eviction_flushsets(instance: Instance) -> float:
-    """Eviction optimum by enumerating flush sets; independent of the DP.
-
-    Only canonical flushes (B(p_r), r+1) with r+1 <= T are enumerated, on
-    top of the time-0 flushes.  That loses nothing: moving a flush (B, t)
-    back to just after the previous request of a page of B keeps its cost
-    and makes a superset of pages missing at every tau >= t, and with no
-    earlier request of B it is dominated by the time-0 flush.  Exponential
-    in T; tiny instances only.  The flush formulation assumes an empty
-    starting cache.
-    """
-    if instance.initial_cache:
-        raise ValueError("flush-set enumeration requires an empty initial cache")
-    index = RequestIndex(instance)
-    oracle = CoverageOracle(instance, index)
-    ground = sorted(
-        {(instance.block_of(instance.request(r)), r + 1) for r in range(1, instance.T)}
-    )
-    best = None
-    for chosen in _subsets(ground):
-        S = FlushSet(instance.num_blocks)
-        for b, t in chosen:
-            S.add(b, t)
-        if all(
-            oracle.f_tau(S, tau) == instance.n - instance.k
-            for tau in range(1, instance.T + 1)
-        ):
-            cost = sum(instance.costs[b] for b, _t in chosen)
-            if best is None or cost < best:
-                best = cost
-    assert best is not None  # the all-flushes set is always feasible
-    return best
-
-
 def trace_to_x_mean(traces: list[PolicyTrace]) -> list[list]:
     """Mean missing-value trajectory of a nonempty ensemble of integral
     traces of one instance."""
@@ -260,30 +224,6 @@ def fractional_costs_from_x(x: list[list], instance: Instance) -> tuple:
         )
         for sigma in (+1, -1)
     )
-
-
-def phi_to_x(phi: dict[Flush, float], instance: Instance) -> list[list]:
-    """Missing-value trajectory x[t][p] of a sparse flush solution, t in
-    [0,T]; row 0 is the starting cache."""
-    oracle = CoverageOracle(instance, RequestIndex(instance))
-    view = PhiView(phi, instance.num_blocks)
-    pages = range(1, instance.n + 1)
-    x = [[None] + [0.0 if p in instance.initial_cache else 1.0 for p in pages]]
-    for t in range(1, instance.T + 1):
-        x.append([None] + [view.x(oracle, p, t) for p in pages])
-    return x
-
-
-def fractional_costs(phi: dict[Flush, float], instance: Instance) -> tuple[float, float]:
-    """(eviction, fetching) cost of a sparse flush solution.
-
-    Eviction is the weighted flush mass after time 0; fetching is derived
-    from the induced per-page missing trajectory.
-    """
-    evict = flush_cost(phi, instance)
-    _evict_from_x, fetch = fractional_costs_from_x(phi_to_x(phi, instance), instance)
-    assert fetch <= instance.beta * (evict + instance.total_block_cost) + COST_EPS
-    return evict, fetch
 
 
 @dataclass
@@ -327,60 +267,3 @@ def naive_lp_check(
                 if phi[t][b] < need - LP_EPS:
                     return LPViolation("block-rate", t, b, float(need - phi[t][b]))
     return None
-
-
-@dataclass
-class GapSolution:
-    """Hand-built fractional solution for the gap instance.
-
-    Keeps the requested block fully loaded and the other block loaded to
-    extent (beta-1)/beta; values are exact rationals.
-    """
-
-    instance: Instance
-    x: list[list]
-    phi_evict: list[list]
-    phi_fetch: list[list]
-
-    @property
-    def eviction_cost(self) -> Fraction:
-        return sum(
-            Fraction(self.instance.costs[b]) * self.phi_evict[t][b]
-            for t in range(1, self.instance.T + 1)
-            for b in range(self.instance.num_blocks)
-        )
-
-    @property
-    def fetching_cost(self) -> Fraction:
-        return sum(
-            Fraction(self.instance.costs[b]) * self.phi_fetch[t][b]
-            for t in range(1, self.instance.T + 1)
-            for b in range(self.instance.num_blocks)
-        )
-
-
-def gap_fractional_solution(beta: int, rounds: int) -> GapSolution:
-    instance = gen_gap_instance(beta, max(rounds, 1))
-    if rounds == 0:
-        instance = Instance(
-            n=instance.n,
-            k=instance.k,
-            blocks=instance.blocks,
-            costs=instance.costs,
-            requests=(),
-        )
-    n, T = instance.n, instance.T
-    small = Fraction(1, beta)
-    x: list[list] = [[None] + [Fraction(1)] * n]
-    for t in range(1, T + 1):
-        phase = 0 if ((t - 1) % (2 * beta)) < beta else 1
-        x.append([None] + [
-            Fraction(0) if instance.block_of(p) == phase else small
-            for p in range(1, n + 1)
-        ])
-    return GapSolution(
-        instance=instance,
-        x=x,
-        phi_evict=derive_block_rates(x, instance, +1),
-        phi_fetch=derive_block_rates(x, instance, -1),
-    )

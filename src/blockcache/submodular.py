@@ -4,7 +4,6 @@ strengthened LP constraint checks."""
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from itertools import combinations
 
 from .instance import Instance, RequestIndex
 
@@ -107,19 +106,6 @@ def constraint_lhs(
             if m:
                 lhs += m * value
     return lhs
-
-
-def constraint_slack(
-    phi: dict[Flush, float], S: FlushSet, oracle: CoverageOracle, tau: int
-) -> float:
-    """LHS minus RHS of the covering constraint indexed by (S, tau).
-
-    Negative slack means the constraint is violated.  Coefficients are exact
-    integers; only phi carries float error.
-    """
-    inst = oracle.instance
-    target = inst.n - inst.k - oracle.f_tau(S, tau)
-    return constraint_lhs(phi, S, oracle, tau, target) - target
 
 
 def most_violated_constraint(
@@ -253,45 +239,9 @@ def check_feasible(
 check_feasible_full = check_feasible  # old name, still imported by bench/checks.py
 
 
-def check_feasible_exhaustive(
-    phi: dict[Flush, float], oracle: CoverageOracle, tau: int
-) -> tuple[bool, FlushSet | None]:
-    """Enumerates every constraint (S', tau).  Exponential; tiny inputs only."""
-    inst = oracle.instance
-    ground = [(b, t) for b in range(inst.num_blocks) for t in range(inst.T + 1)]
-    for size in range(len(ground) + 1):
-        for combo in combinations(ground, size):
-            S = FlushSet.from_flushes(inst.num_blocks, combo)
-            if constraint_slack(phi, S, oracle, tau) < -FEAS_EPS:
-                return False, S
-    return True, None
-
-
 def flush_cost(phi: dict[Flush, float], instance: Instance) -> float:
     """Eviction cost of a sparse phi: c_B times the flush mass after time 0."""
     return sum(instance.costs[b] * v for (b, t), v in phi.items() if t >= 1)
-
-
-def x_from_phi(
-    phi: dict[Flush, float],
-    oracle: CoverageOracle,
-    p: int,
-    t: int,
-) -> float:
-    """Fractional amount by which page p is missing at time t.
-
-    Never-requested pages are fully missing; otherwise the flush mass of the
-    page's block over (r(p,t), t] is summed and capped at 1.
-    """
-    r = oracle.index.last_request(p, t)
-    if r is None:
-        return 1.0
-    block = oracle.instance.block_of(p)
-    total = 0.0
-    for (b, u), value in phi.items():
-        if b == block and r < u <= t:
-            total += value
-    return min(1.0, total)
 
 
 class PhiView:

@@ -1,10 +1,20 @@
-"""Independent references for the tests: slow enumerations that the fast
-code paths of ``blockcache`` are checked against.  Tiny inputs only."""
+"""Independent references for the tests: slow enumerations, a numerical
+integrator and an exact-rational LP point that the fast code paths of
+``blockcache`` are checked against.  Tiny inputs only."""
 
 from __future__ import annotations
 
-from blockcache.instance import Instance, PolicyTrace
-from blockcache.oracle import _run_dp, _subsets
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+from blockcache.instance import Instance, PolicyTrace, RequestIndex, gen_gap_instance
+from blockcache.oracle import (
+    COST_EPS, _run_dp, _subsets, derive_block_rates, fractional_costs_from_x
+)
+from blockcache.submodular import (
+    FEAS_EPS, CoverageOracle, Flush, FlushSet, constraint_lhs, flush_cost
+)
 
 
 def opt_eviction_exhaustive(
@@ -50,3 +60,185 @@ def opt_fetching_exhaustive(
                 yield frozenset(state), cost
 
     return _run_dp(instance, h, transitions)
+
+
+def opt_eviction_flushsets(instance: Instance) -> float:
+    """Eviction optimum by enumerating flush sets; independent of the DP.
+
+    Only canonical flushes (B(p_r), r+1) with r+1 <= T are enumerated, on
+    top of the time-0 flushes.  That loses nothing: moving a flush (B, t)
+    back to just after the previous request of a page of B keeps its cost
+    and makes a superset of pages missing at every tau >= t, and with no
+    earlier request of B it is dominated by the time-0 flush.  The flush
+    formulation assumes an empty starting cache.
+    """
+    if instance.initial_cache:
+        raise ValueError("flush-set enumeration requires an empty initial cache")
+    oracle = CoverageOracle(instance, RequestIndex(instance))
+    ground = sorted(
+        {(instance.block_of(instance.request(r)), r + 1) for r in range(1, instance.T)}
+    )
+    best = None
+    for chosen in _subsets(ground):
+        S = FlushSet(instance.num_blocks)
+        for b, t in chosen:
+            S.add(b, t)
+        if all(
+            oracle.f_tau(S, tau) == instance.n - instance.k
+            for tau in range(1, instance.T + 1)
+        ):
+            cost = sum(instance.costs[b] for b, _t in chosen)
+            if best is None or cost < best:
+                best = cost
+    assert best is not None  # the all-flushes set is always feasible
+    return best
+
+
+def constraint_slack(
+    phi: dict[Flush, float], S: FlushSet, oracle: CoverageOracle, tau: int
+) -> float:
+    """LHS minus RHS of the covering constraint indexed by (S, tau).
+
+    Negative slack means the constraint is violated.  Coefficients are exact
+    integers; only phi carries float error.
+    """
+    inst = oracle.instance
+    target = inst.n - inst.k - oracle.f_tau(S, tau)
+    return constraint_lhs(phi, S, oracle, tau, target) - target
+
+
+def least_slack(
+    phi: dict[Flush, float], oracle: CoverageOracle, tau: int, ground, base=()
+) -> tuple[float, FlushSet]:
+    """The least slack at tau, and a set reaching it, over the constraint
+    sets ``base`` plus every subset of ``ground``."""
+    best = None
+    for combo in _subsets(ground):
+        S = FlushSet.from_flushes(oracle.instance.num_blocks, [*base, *combo])
+        slack = constraint_slack(phi, S, oracle, tau)
+        if best is None or slack < best[0]:
+            best = (slack, S)
+    return best
+
+
+def check_feasible_exhaustive(
+    phi: dict[Flush, float], oracle: CoverageOracle, tau: int
+) -> tuple[bool, FlushSet | None]:
+    """``check_feasible`` by enumerating every constraint set (S, tau)."""
+    inst = oracle.instance
+    ground = [(b, t) for b in range(inst.num_blocks) for t in range(inst.T + 1)]
+    slack, S = least_slack(phi, oracle, tau, ground)
+    return (True, None) if slack >= -FEAS_EPS else (False, S)
+
+
+def x_from_phi(
+    phi: dict[Flush, float],
+    oracle: CoverageOracle,
+    p: int,
+    t: int,
+) -> float:
+    """Fractional amount by which page p is missing at time t.
+
+    Never-requested pages are fully missing; otherwise the flush mass of the
+    page's block over (r(p,t), t] is summed and capped at 1.
+    """
+    r = oracle.index.last_request(p, t)
+    if r is None:
+        return 1.0
+    block = oracle.instance.block_of(p)
+    total = 0.0
+    for (b, u), value in phi.items():
+        if b == block and r < u <= t:
+            total += value
+    return min(1.0, total)
+
+
+def fractional_costs(phi: dict[Flush, float], instance: Instance) -> tuple[float, float]:
+    """(eviction, fetching) cost of a sparse flush solution.
+
+    Eviction is the weighted flush mass after time 0; fetching is derived
+    from the induced missing trajectory, whose row 0 is the starting cache
+    and whose rows t >= 1 come from ``x_from_phi``.
+    """
+    oracle = CoverageOracle(instance, RequestIndex(instance))
+    pages = range(1, instance.n + 1)
+    x = [[None] + [0.0 if p in instance.initial_cache else 1.0 for p in pages]]
+    for t in range(1, instance.T + 1):
+        x.append([None] + [x_from_phi(phi, oracle, p, t) for p in pages])
+    evict = flush_cost(phi, instance)
+    _evict_from_x, fetch = fractional_costs_from_x(x, instance)
+    assert fetch <= instance.beta * (evict + instance.total_block_cost) + COST_EPS
+    return evict, fetch
+
+
+def integrate_rate_law(
+    A: float, c_B: float, k: int, beta: int, step: float = 1e-6
+) -> float:
+    """Midpoint-rule integration of the growth dynamics, an independent
+    cross-check of ``phi_closed_form``."""
+    kb = k * beta
+    eta = math.log(kb + 1.0) / c_B
+    n_steps = max(1, int(math.ceil(A / step)))
+    h = A / n_steps
+    phi = 0.0
+    for _ in range(n_steps):
+        mid = phi + 0.5 * h * eta * (phi + 1.0 / kb)
+        phi += h * eta * (mid + 1.0 / kb)
+    return phi
+
+
+@dataclass
+class GapSolution:
+    """Hand-built fractional solution for the gap instance.
+
+    Keeps the requested block fully loaded and the other block loaded to
+    extent (beta-1)/beta; values are exact rationals.
+    """
+
+    instance: Instance
+    x: list[list]
+    phi_evict: list[list]
+    phi_fetch: list[list]
+
+    @property
+    def eviction_cost(self) -> Fraction:
+        return sum(
+            Fraction(self.instance.costs[b]) * self.phi_evict[t][b]
+            for t in range(1, self.instance.T + 1)
+            for b in range(self.instance.num_blocks)
+        )
+
+    @property
+    def fetching_cost(self) -> Fraction:
+        return sum(
+            Fraction(self.instance.costs[b]) * self.phi_fetch[t][b]
+            for t in range(1, self.instance.T + 1)
+            for b in range(self.instance.num_blocks)
+        )
+
+
+def gap_fractional_solution(beta: int, rounds: int) -> GapSolution:
+    instance = gen_gap_instance(beta, max(rounds, 1))
+    if rounds == 0:
+        instance = Instance(
+            n=instance.n,
+            k=instance.k,
+            blocks=instance.blocks,
+            costs=instance.costs,
+            requests=(),
+        )
+    n, T = instance.n, instance.T
+    small = Fraction(1, beta)
+    x: list[list] = [[None] + [Fraction(1)] * n]
+    for t in range(1, T + 1):
+        phase = 0 if ((t - 1) % (2 * beta)) < beta else 1
+        x.append([None] + [
+            Fraction(0) if instance.block_of(p) == phase else small
+            for p in range(1, n + 1)
+        ])
+    return GapSolution(
+        instance=instance,
+        x=x,
+        phi_evict=derive_block_rates(x, instance, +1),
+        phi_fetch=derive_block_rates(x, instance, -1),
+    )

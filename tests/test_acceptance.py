@@ -8,12 +8,7 @@ from fractions import Fraction
 from itertools import product
 
 from blockcache.det_online import run_deterministic
-from blockcache.frac_online import (
-    integrate_rate_law,
-    phi_closed_form,
-    replay_failures,
-    run_fractional,
-)
+from blockcache.frac_online import phi_closed_form, replay_failures, run_fractional
 from blockcache.instance import (
     Instance,
     RequestIndex,
@@ -21,13 +16,7 @@ from blockcache.instance import (
     gen_gap_instance,
     gen_random,
 )
-from blockcache.oracle import (
-    fractional_costs,
-    gap_fractional_solution,
-    naive_lp_check,
-    opt_eviction,
-    opt_fetching,
-)
+from blockcache.oracle import naive_lp_check, opt_eviction, opt_fetching
 from blockcache.rounding import (
     bicriteria_round_fetch,
     derandomize_ensemble,
@@ -36,6 +25,7 @@ from blockcache.rounding import (
     structure_stream,
 )
 from blockcache.submodular import CoverageOracle, FlushSet
+from reference import fractional_costs, gap_fractional_solution, integrate_rate_law
 
 
 def _report(num: int, label: str, ok: bool, detail: str, elapsed: float) -> None:

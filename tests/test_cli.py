@@ -54,6 +54,15 @@ def test_gen_invalid_usage_exit_2(tmp_path):
     assert not (tmp_path / "bad.json").exists()
 
 
+@pytest.mark.parametrize("delta", ["inf", "nan"])
+def test_gen_non_finite_delta_is_an_aspect_ratio_error(tmp_path, capsys, delta):
+    out = tmp_path / "bad.json"
+    assert run_cli("gen", "random", "--n", "4", "--k", "2", "--beta", "1", "--T", "3",
+                   "--cost-profile", "log-uniform", "--delta", delta, "-o", str(out)) == 2
+    assert capsys.readouterr().err == "error: aspect ratio must be finite and >= 1\n"
+    assert not out.exists()
+
+
 def test_run_det_artifacts(tmp_path):
     inst_path = gen_random_file(tmp_path)
     prefix = tmp_path / "det"
@@ -385,8 +394,8 @@ def test_option_without_effect_exit_2(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize(
     "text",
-    ['{"cost": 1', '{"cost": "x"}', "[1, 2]"],
-    ids=["invalid-json", "non-numeric-cost", "not-an-object"],
+    ['{"cost": 1', '{"cost": "x"}', "[1, 2]", '{"pass": "false"}'],
+    ids=["invalid-json", "non-numeric-cost", "not-an-object", "non-boolean-pass"],
 )
 def test_report_malformed_summary_exit_2(tmp_path, capsys, text):
     path = tmp_path / "bad.summary.json"

@@ -5,7 +5,6 @@ import pytest
 
 from blockcache.frac_online import (
     FractionalSolution,
-    integrate_rate_law,
     load_increments,
     phi_closed_form,
     replay_failures,
@@ -15,6 +14,7 @@ from blockcache.frac_online import (
 from blockcache.instance import Instance, gen_random
 from blockcache.oracle import opt_eviction
 from blockcache.submodular import flush_cost
+from reference import integrate_rate_law
 
 
 def run_checked(inst):

@@ -14,18 +14,21 @@ from blockcache.instance import (
 )
 from blockcache.oracle import (
     OracleIntractableError,
-    fractional_costs,
     fractional_costs_from_x,
-    gap_fractional_solution,
     naive_lp_check,
     opt_eviction,
-    opt_eviction_flushsets,
     opt_fetching,
     trace_to_x_mean,
 )
 from blockcache.rounding import derive_block_rates
 from blockcache.submodular import CoverageOracle, FlushSet
-from reference import opt_eviction_exhaustive, opt_fetching_exhaustive
+from reference import (
+    fractional_costs,
+    gap_fractional_solution,
+    opt_eviction_exhaustive,
+    opt_eviction_flushsets,
+    opt_fetching_exhaustive,
+)
 
 
 def test_singletons_simple():

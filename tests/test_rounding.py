@@ -5,12 +5,7 @@ import pytest
 
 from blockcache.frac_online import replay_failures, run_fractional
 from blockcache.instance import Instance, RequestIndex, gen_random
-from blockcache.oracle import (
-    fractional_costs,
-    gap_fractional_solution,
-    opt_eviction,
-    trace_to_x_mean,
-)
+from blockcache.oracle import opt_eviction, trace_to_x_mean
 from blockcache.rounding import (
     AlterationError,
     StructuredStream,
@@ -23,6 +18,7 @@ from blockcache.rounding import (
     structure_stream,
 )
 from blockcache.submodular import CoverageOracle, PhiView
+from reference import gap_fractional_solution
 
 
 def test_gamma_value():

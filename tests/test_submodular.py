@@ -7,11 +7,9 @@ from blockcache.submodular import (
     FlushSet,
     PhiView,
     check_feasible,
-    check_feasible_exhaustive,
-    constraint_slack,
     most_violated_constraint,
-    x_from_phi,
 )
+from reference import check_feasible_exhaustive, constraint_slack, least_slack, x_from_phi
 
 
 def make_oracle(inst):
@@ -239,12 +237,7 @@ def brute_force_slack(phi, oracle, tau):
         for t in range(1, tau + 1)
         if (b, t) not in integral
     ]
-    best = float("inf")
-    for size in range(len(ground) + 1):
-        for combo in combinations(ground, size):
-            S = FlushSet.from_flushes(inst.num_blocks, list(combo) + integral)
-            best = min(best, constraint_slack(phi, S, oracle, tau))
-    return best
+    return least_slack(phi, oracle, tau, ground, integral)[0]
 
 
 def test_separation_exact_when_residual_exceeds_counts():

@@ -12,7 +12,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from blockcache.instance import Instance, RequestIndex, gen_random  # noqa: E402
 from blockcache.rounding import structure_stream  # noqa: E402
-from blockcache.submodular import CoverageOracle, PhiView, x_from_phi  # noqa: E402
+from blockcache.submodular import CoverageOracle, PhiView  # noqa: E402
+from reference import x_from_phi  # noqa: E402
 
 X_TOL = 1e-12  # the two evaluators sum the same values in different orders
 
