@@ -23,6 +23,7 @@ from .instance import (
     gen_gap_instance,
     gen_random,
     is_int_in,
+    is_number,
     round12,
 )
 from .oracle import (
@@ -251,15 +252,6 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------- verify
 
 
-def _verify_trace(path: str, inst: Instance, capacity: int) -> list[str]:
-    trace = PolicyTrace.load(path, inst, capacity)
-    try:
-        trace.validate()
-    except ValueError as exc:
-        return [f"trace invalid: {exc}"]
-    return []
-
-
 def cmd_verify(args) -> int:
     if not _at_least_one("capacity", args.capacity):
         return 2
@@ -272,7 +264,11 @@ def cmd_verify(args) -> int:
     failures = []
     if args.trace:
         capacity = inst.k if args.capacity is None else args.capacity
-        failures += _verify_trace(args.trace, inst, capacity)
+        trace = PolicyTrace.load(args.trace, inst, capacity)
+        try:
+            trace.validate()
+        except ValueError as exc:
+            failures.append(f"trace invalid: {exc}")
     if args.increments:
         failures += replay_failures(load_increments(args.increments, inst), inst)
     for msg in failures:
@@ -317,10 +313,12 @@ def _report_row(path: str) -> dict:
     row = {c: "" for c in REPORT_COLUMNS}
     for c in ("instance", "algorithm", "model"):
         row[c] = s.get(c, "")
+        if type(row[c]) is not str:
+            raise ValueError(f"{c} must be a string, got {row[c]!r}")
     for c in ("cost", "oracle", "ratio", "bound"):
         if c in s:
-            if type(s[c]) not in (int, float):
-                raise ValueError(f"{c} must be a number, got {s[c]!r}")
+            if not is_number(s[c]):
+                raise ValueError(f"{c} must be a finite number, got {s[c]!r}")
             row[c] = f"{s[c]:.12g}"
     row["lower_bound"] = _lower_bound(s)
     if "pass" in s:

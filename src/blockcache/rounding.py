@@ -35,10 +35,11 @@ class StructuredStream:
     ``phi`` is the final structured solution (doubled, bucketed, with full
     flushes emitted whenever a half-rounded page value crosses 1/2); like
     ``FractionalSolution.phi`` it lists only flushes after time 0, and every
-    nonzero coordinate is at least 1/(4k^2).  ``x[t][p]`` is the
-    missing-value trajectory of the increments logged up to step t, and
-    ``by_step`` maps each step to its increments summed per flush; the one
-    sweep that emits the increments builds both.
+    nonzero coordinate is at least 1/(4k^2).  It is the ``PhiView`` that
+    ``x`` is read from: ``x[t][p]`` is the missing-value trajectory of the
+    increments logged up to step t, and ``by_step`` maps each step to its
+    increments summed per flush; the one sweep that emits the increments
+    builds all three.
     ``half_increments`` log the pre-doubling half-rounded stage whose page
     values stay in [0,1/2)+{1}; the tests check that invariant on it.
     """
@@ -68,10 +69,8 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
     k = instance.k
     threshold = 1.0 / (4.0 * k * k)
 
-    stream = StructuredStream(instance=instance)
+    stream = StructuredStream(instance=instance, phi=PhiView({}, instance.num_blocks))
     half = PhiView({}, instance.num_blocks)
-    view = PhiView({}, instance.num_blocks)  # the emitted increments, for x
-    bucketed: dict[Flush, float] = {}
     bucket = [0.0] * instance.num_blocks
     pages = range(1, instance.n + 1)
     stream.x.append([None] + [0.0 if p in instance.initial_cache else 1.0 for p in pages])
@@ -80,10 +79,10 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
         # row t sees only the increments emitted up to t: mass a later step
         # adds to an earlier flush is not yet there
         for t in range(len(stream.x), upto + 1):
-            stream.x.append([None] + [view.x(oracle, p, t) for p in pages])
+            stream.x.append([None] + [stream.phi.x(oracle, p, t) for p in pages])
 
     def add_half(tau: int, flush: Flush, delta: float) -> float:
-        eff = min(delta, 1.0 - half.get(flush))
+        eff = min(delta, 1.0 - half.get(flush, 0.0))
         if eff <= 0.0:
             return 0.0
         half.add(flush, eff)
@@ -93,9 +92,8 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
     def emit(tau: int, flush: Flush, value_target: float) -> None:
         delta = value_target - stream.phi.get(flush, 0.0)
         if delta > 0.0:
-            stream.phi[flush] = value_target
             stream.increments.append((tau, flush, delta))
-            view.add(flush, delta)
+            stream.phi.add(flush, delta)
             step = stream.by_step.setdefault(tau, {})
             step[flush] = step.get(flush, 0.0) + delta
 
@@ -108,7 +106,7 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
         b = flush[0]
         eff = add_half(tau, flush, delta)
         if eff > 0.0:
-            if half.get(flush) >= 0.5:
+            if half.get(flush, 0.0) >= 0.5:
                 # coordinate half-rounding: once a flush holds half its mass
                 # it is completed and emitted integrally, so it stays aligned
                 # with the integral part of the doubled output
@@ -116,9 +114,9 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
             else:
                 bucket[b] += eff
                 if bucket[b] >= threshold:
-                    bucketed[b, tau] = bucketed.get((b, tau), 0.0) + bucket[b]
+                    # the flush holds twice its bucketed mass: doubling is exact
+                    value = min(stream.phi.get((b, tau), 0.0) + 2.0 * bucket[b], 1.0)
                     bucket[b] = 0.0
-                    value = min(2.0 * bucketed[b, tau], 1.0)
                     if value == 1.0:
                         complete(tau, (b, tau))
                     else:

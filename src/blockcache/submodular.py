@@ -16,13 +16,18 @@ class FlushSet:
     """A set of flushes with per-block sorted time lists for interval queries.
 
     ``FlushSet(num_blocks)`` holds every block's time-0 flush, the starting
-    state of the online algorithms; ``from_flushes`` builds any other set.
+    state of the online algorithms; ``FlushSet(num_blocks, flushes)`` holds
+    exactly the given flushes.
     """
 
-    def __init__(self, num_blocks: int):
+    def __init__(self, num_blocks: int, flushes=None):
         self.num_blocks = num_blocks
-        self._times: list[list[int]] = [[0] for _ in range(num_blocks)]
-        self._members: set[Flush] = {(b, 0) for b in range(num_blocks)}
+        if flushes is None:
+            flushes = [(b, 0) for b in range(num_blocks)]
+        self._times: list[list[int]] = [[] for _ in range(num_blocks)]
+        self._members: set[Flush] = set()
+        for b, t in flushes:
+            self.add(b, t)
 
     def add(self, block: int, t: int) -> None:
         if (block, t) not in self._members:
@@ -43,15 +48,6 @@ class FlushSet:
         times = self._times[block]
         i = bisect_right(times, lo)
         return i < len(times) and times[i] <= hi
-
-    @classmethod
-    def from_flushes(cls, num_blocks: int, flushes) -> "FlushSet":
-        out = cls(num_blocks)
-        out._members = set()
-        out._times = [[] for _ in range(num_blocks)]
-        for b, t in flushes:
-            out.add(b, t)
-        return out
 
 
 class CoverageOracle:
@@ -244,32 +240,30 @@ def flush_cost(phi: dict[Flush, float], instance: Instance) -> float:
     return sum(instance.costs[b] * v for (b, t), v in phi.items() if t >= 1)
 
 
-class PhiView:
-    """Per-block time-sorted view of a sparse phi for fast window sums."""
+class PhiView(dict):
+    """A sparse phi with a per-block time-sorted index for fast window sums.
+    Raise it only through ``add``, which keeps the index."""
 
     def __init__(self, phi: dict[Flush, float], num_blocks: int):
+        super().__init__(phi)
         self._by_block: list[list[int]] = [[] for _ in range(num_blocks)]
-        self._vals: dict[Flush, float] = dict(phi)
         for (b, t), v in phi.items():
             if v > 0.0:
                 insort(self._by_block[b], t)
 
-    def get(self, flush: Flush) -> float:
-        return self._vals.get(flush, 0.0)
-
     def add(self, flush: Flush, delta: float) -> None:
         """Raises phi at the flush; its time is indexed once it is positive."""
-        cur = self._vals.get(flush, 0.0)
+        cur = self.get(flush, 0.0)
         if cur <= 0.0 < cur + delta:
             insort(self._by_block[flush[0]], flush[1])
-        self._vals[flush] = cur + delta
+        self[flush] = cur + delta
 
     def window_sum(self, block: int, lo: int, hi: int) -> float:
         """Sum of phi over flush times t of the block with lo < t <= hi."""
         times = self._by_block[block]
         i = bisect_right(times, lo)
         j = bisect_right(times, hi)
-        return sum(self._vals[(block, times[m])] for m in range(i, j))
+        return sum(self[(block, times[m])] for m in range(i, j))
 
     def x(self, oracle: CoverageOracle, p: int, t: int) -> float:
         r = oracle.index.last_request(p, t)

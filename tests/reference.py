@@ -114,7 +114,7 @@ def least_slack(
     sets ``base`` plus every subset of ``ground``."""
     best = None
     for combo in _subsets(ground):
-        S = FlushSet.from_flushes(oracle.instance.num_blocks, [*base, *combo])
+        S = FlushSet(oracle.instance.num_blocks, [*base, *combo])
         slack = constraint_slack(phi, S, oracle, tau)
         if best is None or slack < best[0]:
             best = (slack, S)

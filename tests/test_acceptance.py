@@ -13,7 +13,6 @@ from blockcache.instance import (
     Instance,
     RequestIndex,
     gen_beta_off,
-    gen_gap_instance,
     gen_random,
 )
 from blockcache.oracle import naive_lp_check, opt_eviction, opt_fetching
@@ -46,9 +45,9 @@ def test_acceptance_1_coverage_fixture():
     oracle = CoverageOracle(inst, RequestIndex(inst))
     tau = 9
     got = (
-        oracle.f_tau(FlushSet.from_flushes(3, [(0, 4)]), tau),
-        oracle.f_tau(FlushSet.from_flushes(3, [(1, 8)]), tau),
-        oracle.f_tau(FlushSet.from_flushes(3, [(0, 4), (1, 8)]), tau),
+        oracle.f_tau(FlushSet(3, [(0, 4)]), tau),
+        oracle.f_tau(FlushSet(3, [(1, 8)]), tau),
+        oracle.f_tau(FlushSet(3, [(0, 4), (1, 8)]), tau),
     )
     elapsed = time.monotonic() - start
     ok = got == (2, 3, 4) and elapsed < 1.0
@@ -68,10 +67,10 @@ def test_acceptance_2_submodularity_samples():
         ground = [
             (b, t) for b in range(inst.num_blocks) for t in range(inst.T + 1)
         ]
-        S = FlushSet.from_flushes(
+        S = FlushSet(
             inst.num_blocks, rng.sample(ground, rng.randint(0, 6))
         )
-        Sp = FlushSet.from_flushes(S.num_blocks, S)
+        Sp = FlushSet(S.num_blocks, S)
         for _ in range(rng.randint(1, 3)):
             Sp.add(*rng.choice(ground))
         v = rng.choice(ground)
@@ -228,7 +227,7 @@ def test_acceptance_5b_coverage_lemma():
         values = []
         for seed in range(500):
             coin = random.Random(tau * 100003 + seed)
-            R = FlushSet.from_flushes(
+            R = FlushSet(
                 inst.num_blocks,
                 (
                     fl

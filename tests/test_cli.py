@@ -108,6 +108,29 @@ def test_run_frac_round(tmp_path):
     assert summary["cost"] <= summary["bound"] * 1.1
 
 
+def test_run_frac_round_one_seed_has_zero_stderr(tmp_path):
+    inst_path = gen_random_file(tmp_path)
+    assert run_cli(
+        "run", "--instance", str(inst_path), "--alg", "frac-round",
+        "--seeds", "0", "-o", str(tmp_path / "rr"),
+    ) == 0
+    summary = json.loads((tmp_path / "rr.summary.json").read_text())
+    assert summary["stderr"] == 0.0
+
+
+@pytest.mark.parametrize("alg", ["det", "frac"])
+def test_run_out_of_dp_budget_has_no_oracle_columns(tmp_path, alg):
+    # the exact DP is out of budget here: the run passes on its own bound
+    # and writes neither the optimum nor the ratio to it
+    inst_path = gen_random_file(tmp_path, n=16, k=8, beta=4, T=40, seed=9)
+    assert run_cli(
+        "run", "--instance", str(inst_path), "--alg", alg, "-o", str(tmp_path / alg)
+    ) == 0
+    summary = json.loads((tmp_path / f"{alg}.summary.json").read_text())
+    assert "oracle" not in summary and "ratio" not in summary
+    assert summary["pass"] is True
+
+
 def test_run_bicriteria(tmp_path):
     inst_path = gen_random_file(tmp_path)
     inst = Instance.load(str(inst_path))
@@ -394,8 +417,11 @@ def test_option_without_effect_exit_2(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize(
     "text",
-    ['{"cost": 1', '{"cost": "x"}', "[1, 2]", '{"pass": "false"}'],
-    ids=["invalid-json", "non-numeric-cost", "not-an-object", "non-boolean-pass"],
+    ['{"cost": 1', '{"cost": "x"}', "[1, 2]", '{"pass": "false"}',
+     '{"cost": NaN, "pass": true}', '{"cost": 1.0, "ratio": Infinity, "pass": true}',
+     '{"instance": ["x"], "cost": 1.0, "pass": true}'],
+    ids=["invalid-json", "non-numeric-cost", "not-an-object", "non-boolean-pass",
+         "nan-cost", "infinite-ratio", "list-instance"],
 )
 def test_report_malformed_summary_exit_2(tmp_path, capsys, text):
     path = tmp_path / "bad.summary.json"

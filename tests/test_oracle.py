@@ -9,7 +9,6 @@ from blockcache.instance import (
     Instance,
     RequestIndex,
     gen_beta_off,
-    gen_gap_instance,
     gen_random,
 )
 from blockcache.oracle import (
@@ -149,7 +148,7 @@ def test_canonical_flushsets_match_full_enumeration():
             for size in range(len(ground) + 1)
             for chosen in combinations(ground, size)
             if all(
-                oracle.f_tau(FlushSet.from_flushes(2, [(0, 0), (1, 0), *chosen]), tau)
+                oracle.f_tau(FlushSet(2, [(0, 0), (1, 0), *chosen]), tau)
                 == inst.n - inst.k
                 for tau in range(1, inst.T + 1)
             )

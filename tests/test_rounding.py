@@ -108,6 +108,18 @@ def test_bucket_accumulates_small_increments():
     assert sum(d for _fl, d in emitted) >= thr
 
 
+def test_bucket_flush_emitted_twice_holds_twice_its_bucketed_mass():
+    inst = Instance(
+        n=4, k=2, blocks=((1, 2), (3, 4)), costs=(1.0, 1.0), requests=(1, 3, 1, 3)
+    )
+    thr = 1.0 / (4.0 * inst.k**2)
+    # every second increment fills the bucket, and each fill adds 2 * 1.2 thr
+    stream = structure_stream([(1, (0, 1), 0.6 * thr)] * 4, inst)
+    assert [(t, fl) for t, fl, _d in stream.increments] == [(1, (0, 1))] * 2
+    assert [d for _t, _fl, d in stream.increments] == pytest.approx([2.4 * thr] * 2)
+    assert stream.phi == pytest.approx({(0, 1): 0.3})
+
+
 def test_randomized_round_feasible_and_deterministic():
     inst = gen_random(8, 4, 2, 24, seed=7)
     stream = structure_stream(run_fractional(inst).solution.increments, inst)

@@ -40,20 +40,20 @@ def random_flush_set(rng, inst, max_size=6, with_zero=False):
     ground = [(b, t) for b in range(inst.num_blocks) for t in range(inst.T + 1)]
     chosen = rng.sample(ground, rng.randint(0, min(max_size, len(ground))))
     zero = [(b, 0) for b in range(inst.num_blocks)] if with_zero else []
-    return FlushSet.from_flushes(inst.num_blocks, zero + chosen)
+    return FlushSet(inst.num_blocks, zero + chosen)
 
 
 def test_worked_example_values():
     inst, oracle = worked_example()
     tau = 9
-    s1 = FlushSet.from_flushes(3, [(0, 4)])
-    s2 = FlushSet.from_flushes(3, [(1, 8)])
-    s12 = FlushSet.from_flushes(3, [(0, 4), (1, 8)])
+    s1 = FlushSet(3, [(0, 4)])
+    s2 = FlushSet(3, [(1, 8)])
+    s12 = FlushSet(3, [(0, 4), (1, 8)])
     assert oracle.f_tau(s1, tau) == 2
     assert oracle.f_tau(s2, tau) == 3
     assert oracle.f_tau(s12, tau) == 4  # capped at n - k
     assert oracle.marginal(s1, (1, 8), tau, inst.n - inst.k - oracle.f_tau(s1, tau)) == 2
-    empty = FlushSet.from_flushes(3, [])
+    empty = FlushSet(3, [])
     assert oracle.marginal(empty, (1, 8), tau, inst.n - inst.k - oracle.f_tau(empty, tau)) == 3
 
 
@@ -65,7 +65,7 @@ def test_missing_basics():
         assert not oracle.is_missing(S, inst.request(tau), tau)
     # page 8 is unrequested before tau=8 and missing via the time-0 flush
     assert oracle.is_missing(S, 8, 5)
-    empty = FlushSet.from_flushes(3, [])
+    empty = FlushSet(3, [])
     assert not oracle.is_missing(empty, 8, 5)
 
 
@@ -75,8 +75,8 @@ def test_missing_interval_semantics():
     )
     oracle = make_oracle(inst)
     # r(1,5)=4: a flush at t=5 covers, a flush at t<=4 does not
-    hit = FlushSet.from_flushes(2, [(0, 5)])
-    miss = FlushSet.from_flushes(2, [(0, 4)])
+    hit = FlushSet(2, [(0, 5)])
+    miss = FlushSet(2, [(0, 4)])
     assert oracle.is_missing(hit, 1, 5)
     assert not oracle.is_missing(miss, 1, 5)
 
@@ -103,7 +103,7 @@ def test_monotone_and_submodular_samples():
         oracle = make_oracle(inst)
         tau = rng.randint(1, inst.T)
         S = random_flush_set(rng, inst)
-        Sp = FlushSet.from_flushes(S.num_blocks, S)
+        Sp = FlushSet(S.num_blocks, S)
         ground = [(b, t) for b in range(inst.num_blocks) for t in range(inst.T + 1)]
         for _ in range(rng.randint(1, 3)):
             Sp.add(*rng.choice(ground))
@@ -123,7 +123,7 @@ def test_marginal_matches_difference():
         S = random_flush_set(rng, inst, with_zero=rng.random() < 0.5)
         b = rng.randrange(inst.num_blocks)
         t = rng.randint(0, inst.T)
-        Sv = FlushSet.from_flushes(S.num_blocks, S)
+        Sv = FlushSet(S.num_blocks, S)
         Sv.add(b, t)
         residual = inst.n - inst.k - oracle.f_tau(S, tau)
         assert oracle.marginal(S, (b, t), tau, residual) == oracle.f_tau(
@@ -167,7 +167,7 @@ def test_integer_point_characterization():
     ground = [(b, t) for b in range(2) for t in range(inst.T + 1)]
     for size in range(len(ground) + 1):
         for combo in combinations(ground, size):
-            S = FlushSet.from_flushes(2, combo)
+            S = FlushSet(2, combo)
             phi = {fl: 1.0 for fl in combo}
             covers = all(
                 oracle.f_tau(S, tau) == inst.n - inst.k
@@ -302,7 +302,7 @@ def test_reused_oracle_matches_fresh_oracle():
     S.add(*flush)
     assert check(S, tau) != before
     assert check(S, tau - 1) != check(S, tau)
-    C = FlushSet.from_flushes(S.num_blocks, S)
+    C = FlushSet(S.num_blocks, S)
     check(C, tau)
     C.add(*max(index.alive_flushes(tau), key=lambda fl: marginal(oracle, C, fl, tau)))
     S.add(0, tau + 1)  # same size as C again, same count as before
@@ -344,12 +344,12 @@ def test_phi_view_matches_x_from_phi():
 
 
 def test_flush_set_queries():
-    S = FlushSet.from_flushes(2, [(0, 3), (0, 7)])
+    S = FlushSet(2, [(0, 3), (0, 7)])
     assert S.has_flush_in(0, 2, 3)
     assert not S.has_flush_in(0, 3, 6)
     assert S.has_flush_in(0, 3, 7)
     assert not S.has_flush_in(1, 0, 10)
     assert len(S) == 2 and (0, 3) in S
-    C = FlushSet.from_flushes(S.num_blocks, S)
+    C = FlushSet(S.num_blocks, S)
     C.add(1, 1)
     assert (1, 1) not in S and (1, 1) in C
