@@ -112,12 +112,14 @@ def priced_candidates(
     1, in flush order.
 
     Dead flushes are dominated by the latest alive flush at or before them,
-    so restricting to alive ones loses nothing.
+    so restricting to alive ones loses nothing.  An alive flush at or before
+    its block's latest flush in S, a flush of S among them, makes no page
+    missing and is skipped without pricing.
     """
     costs = oracle.instance.costs
     candidates = []
     for flush in sorted(oracle.index.alive_flushes(tau)):
-        if flush in S:
+        if flush[1] <= S.latest_flush(flush[0], tau):
             continue
         m = oracle.marginal(S, flush, tau, residual)
         if m >= 1:

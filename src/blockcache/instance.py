@@ -185,17 +185,34 @@ class Instance:
 
 
 class RequestIndex:
-    """Materialized last-request table r(p,t) plus alive-flush queries.
+    """Materialized last-request table r(p,t), and per block the sorted last
+    requests of its pages after each step that requests one of them.
 
     ``last_request`` returns None as the "never requested" sentinel; it is
     deliberately not a number so nothing can do arithmetic on it.
+    ``block_last_requests`` writes a never-requested page as -1, below every
+    flush time: a flush at t makes a page with last request r missing
+    exactly when r < t, so the coverage queries count pages with a bisect.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self._times: dict[int, list[int]] = {p: [] for p in range(1, instance.n + 1)}
+        # per block: step 0 and each step requesting one of its pages, and
+        # the block's sorted last requests after each of them
+        self._block_steps: list[list[int]] = [[0] for _ in instance.blocks]
+        self._block_rs: list[list[tuple[int, ...]]] = [
+            [(-1,) * len(blk)] for blk in instance.blocks
+        ]
         for t, p in enumerate(instance.requests, start=1):
-            self._times[p].append(t)
+            times = self._times[p]
+            b = instance.block_of(p)
+            rs = list(self._block_rs[b][-1])
+            rs.remove(times[-1] if times else -1)
+            rs.append(t)  # t is the block's latest request: rs stays sorted
+            self._block_steps[b].append(t)
+            self._block_rs[b].append(tuple(rs))
+            times.append(t)
 
     def last_request(self, p: int, t: int) -> int | None:
         """r(p,t): last time <= t at which p was requested, or None."""
@@ -203,19 +220,23 @@ class RequestIndex:
         i = bisect_right(times, t)
         return times[i - 1] if i else None
 
+    def block_last_requests(self, block: int, t: int) -> tuple[int, ...]:
+        """The sorted r(p,t) over the block's pages, -1 for a page not
+        requested by t."""
+        i = bisect_right(self._block_steps[block], t)
+        return self._block_rs[block][i - 1]
+
     def alive_flushes(self, tau: int) -> set[tuple[int, int]]:
         """All flushes (block, t) with t = r(p,tau)+1 <= tau for some page p.
 
         Time-0 flushes are excluded; they are part of the initial flush set.
         """
-        inst = self.instance
-        out: set[tuple[int, int]] = set()
-        for b, blk in enumerate(inst.blocks):
-            for p in blk:
-                r = self.last_request(p, tau)
-                if r is not None and r + 1 <= tau:
-                    out.add((b, r + 1))
-        return out
+        return {
+            (b, r + 1)
+            for b in range(self.instance.num_blocks)
+            for r in self.block_last_requests(b, tau)
+            if 0 <= r < tau
+        }
 
 
 @dataclass

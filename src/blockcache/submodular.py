@@ -10,6 +10,9 @@ from .instance import Instance, RequestIndex
 FEAS_EPS = 1e-9  # covering slack >= -FEAS_EPS holds: integer coefficients, float phi
 
 Flush = tuple[int, int]  # (block id, time), 0 <= time <= T
+# latest flush time of a block without one: below every last request, the
+# never-requested -1 included, so it makes no page missing
+NO_FLUSH = -2
 
 
 class FlushSet:
@@ -43,50 +46,48 @@ class FlushSet:
     def __iter__(self):
         return iter(sorted(self._members))
 
-    def has_flush_in(self, block: int, lo: int, hi: int) -> bool:
-        """True iff some flush time t of the block satisfies lo < t <= hi."""
+    def latest_flush(self, block: int, tau: int) -> int:
+        """The block's latest flush time <= tau, or NO_FLUSH."""
         times = self._times[block]
-        i = bisect_right(times, lo)
-        return i < len(times) and times[i] <= hi
+        i = bisect_right(times, tau)
+        return times[i - 1] if i else NO_FLUSH
 
 
 class CoverageOracle:
     """Evaluates the capped missing-page count and its marginals.
 
     A page p is missing at time tau under S if some flush (B(p), t) in S has
-    r(p,tau) < t <= tau; never-requested pages are missing via time-0
-    flushes.  The value is capped at n - k.
+    r(p,tau) < t <= tau; never-requested pages (r = -1) are missing via
+    time-0 flushes.  With L the block's latest flush <= tau in S, that is
+    r(p,tau) < L, so each query bisects the block's sorted last requests
+    from the index instead of visiting its pages.  The value is capped at
+    n - k.
     """
 
     def __init__(self, instance: Instance, index: RequestIndex):
         self.instance = instance
         self.index = index
 
-    def is_missing(self, S: FlushSet, p: int, tau: int) -> bool:
-        r = self.index.last_request(p, tau)
-        lo = r if r is not None else -1
-        return S.has_flush_in(self.instance.block_of(p), lo, tau)
-
     def f_tau(self, S: FlushSet, tau: int) -> int:
         inst = self.instance
-        count = sum(1 for p in range(1, inst.n + 1) if self.is_missing(S, p, tau))
+        count = sum(
+            bisect_left(self.index.block_last_requests(b, tau), S.latest_flush(b, tau))
+            for b in range(inst.num_blocks)
+        )
         return min(inst.n - inst.k, count)
 
     def marginal(self, S: FlushSet, flush: Flush, tau: int, residual: int) -> int:
         """f_tau(S + flush) - f_tau(S): the pages the flush newly makes
-        missing, capped at ``residual`` = n - k - f_tau(S), which every
-        caller already holds as its constraint's right-hand side."""
-        inst = self.instance
+        missing, those with L <= r(p,tau) < t for the block's latest flush L
+        <= tau in S, capped at ``residual`` = n - k - f_tau(S), which every
+        caller already holds as its constraint's right-hand side.  A flush
+        at or before L, or after tau, makes none."""
         block, t = flush
-        if t > tau or flush in S:
+        latest = S.latest_flush(block, tau)
+        if not latest < t <= tau:
             return 0
-        new = 0
-        for p in inst.blocks[block]:
-            r = self.index.last_request(p, tau)
-            lo = r if r is not None else -1
-            if lo < t <= tau and not S.has_flush_in(block, lo, tau):
-                new += 1
-        return min(new, residual)
+        rs = self.index.block_last_requests(block, tau)
+        return min(bisect_left(rs, t) - bisect_left(rs, latest), residual)
 
 
 def constraint_lhs(
@@ -145,11 +146,7 @@ def most_violated_constraint(
     blocks_data = []
     saturated = 1
     for b in range(num_blocks):
-        rs = []
-        for p in inst.blocks[b]:
-            r = oracle.index.last_request(p, tau)
-            rs.append(-1 if r is None else r)
-        rs.sort()
+        rs = oracle.index.block_last_requests(b, tau)
         lo = t_min[b]
         frac = [(t, v) for t, v in frac_of[b] if t > lo]
         thresholds = sorted({lo} | {r + 1 for r in rs if lo < r + 1 <= tau})

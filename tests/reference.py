@@ -131,6 +131,19 @@ def check_feasible_exhaustive(
     return (True, None) if slack >= -FEAS_EPS else (False, S)
 
 
+def has_flush_in(S: FlushSet, block: int, lo: int, hi: int) -> bool:
+    """True iff some flush time t of the block in S satisfies lo < t <= hi."""
+    return S.latest_flush(block, hi) > lo
+
+
+def is_missing(oracle: CoverageOracle, S: FlushSet, p: int, tau: int) -> bool:
+    """Page p is missing at tau under S: a flush of its block in S falls in
+    (r(p,tau), tau], with r = -1 for a page not yet requested."""
+    r = oracle.index.last_request(p, tau)
+    lo = r if r is not None else -1
+    return has_flush_in(S, oracle.instance.block_of(p), lo, tau)
+
+
 def x_from_phi(
     phi: dict[Flush, float],
     oracle: CoverageOracle,

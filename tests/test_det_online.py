@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from blockcache import det_online, frac_online
 from blockcache.det_online import (
     DUAL_EPS, DualLedger, first_tight, next_tight_increase, priced_candidates, run_deterministic
 )
@@ -146,6 +147,43 @@ def test_priced_candidates_in_flush_order():
             candidates = priced_candidates(DualLedger(), S, oracle, tau, residual)
             flushes = [fl for fl, _m, _A, _c in candidates]
             assert flushes == sorted(flushes), (seed, tau)
+
+
+def test_priced_candidates_match_pricing_every_flush_outside_s(monkeypatch):
+    # priced_candidates skips an alive flush at or before its block's
+    # latest flush in S without pricing it; at every event of det and frac
+    # runs it must return what pricing each alive flush outside S returns
+    def priced_by_marginal(ledger, S, oracle, tau, residual):
+        candidates = []
+        for flush in sorted(oracle.index.alive_flushes(tau)):
+            if flush in S:
+                continue
+            m = oracle.marginal(S, flush, tau, residual)
+            if m >= 1:
+                cost = oracle.instance.costs[flush[0]]
+                candidates.append((flush, m, ledger.mass.get(flush, 0.0), cost))
+        return candidates
+
+    skipped_outside_s = 0
+
+    def checked(ledger, S, oracle, tau, residual):
+        nonlocal skipped_outside_s
+        candidates = priced_candidates(ledger, S, oracle, tau, residual)
+        assert candidates == priced_by_marginal(ledger, S, oracle, tau, residual)
+        skipped_outside_s += sum(
+            1
+            for b, t in oracle.index.alive_flushes(tau)
+            if (b, t) not in S and t <= S.latest_flush(b, tau)
+        )
+        return candidates
+
+    monkeypatch.setattr(det_online, "priced_candidates", checked)
+    monkeypatch.setattr(frac_online, "priced_candidates", checked)
+    for seed in range(3):
+        inst = gen_random(12, 6, 3, 30, seed=seed)
+        run_deterministic(inst)
+        frac_online.run_fractional(inst)
+    assert skipped_outside_s > 0
 
 
 def test_certificate_file(tmp_path):

@@ -1,15 +1,25 @@
 import random
 from itertools import combinations
 
+import pytest
+
 from blockcache.instance import Instance, RequestIndex, gen_random
 from blockcache.submodular import (
     CoverageOracle,
+    NO_FLUSH,
     FlushSet,
     PhiView,
     check_feasible,
     most_violated_constraint,
 )
-from reference import check_feasible_exhaustive, constraint_slack, least_slack, x_from_phi
+from reference import (
+    check_feasible_exhaustive,
+    constraint_slack,
+    has_flush_in,
+    is_missing,
+    least_slack,
+    x_from_phi,
+)
 
 
 def make_oracle(inst):
@@ -62,11 +72,11 @@ def test_missing_basics():
     S = FlushSet(3)  # time-0 flushes only
     # requested page is never missing at its own request time
     for tau in range(1, inst.T + 1):
-        assert not oracle.is_missing(S, inst.request(tau), tau)
+        assert not is_missing(oracle, S, inst.request(tau), tau)
     # page 8 is unrequested before tau=8 and missing via the time-0 flush
-    assert oracle.is_missing(S, 8, 5)
+    assert is_missing(oracle, S, 8, 5)
     empty = FlushSet(3, [])
-    assert not oracle.is_missing(empty, 8, 5)
+    assert not is_missing(oracle, empty, 8, 5)
 
 
 def test_missing_interval_semantics():
@@ -77,8 +87,8 @@ def test_missing_interval_semantics():
     # r(1,5)=4: a flush at t=5 covers, a flush at t<=4 does not
     hit = FlushSet(2, [(0, 5)])
     miss = FlushSet(2, [(0, 4)])
-    assert oracle.is_missing(hit, 1, 5)
-    assert not oracle.is_missing(miss, 1, 5)
+    assert is_missing(oracle, hit, 1, 5)
+    assert not is_missing(oracle, miss, 1, 5)
 
 
 def test_index_matches_naive_recomputation():
@@ -90,9 +100,59 @@ def test_index_matches_naive_recomputation():
         S = random_flush_set(rng, inst, with_zero=rng.random() < 0.5)
         tau = rng.randint(1, inst.T)
         for p in range(1, inst.n + 1):
-            assert oracle.is_missing(S, p, tau) == naive_is_missing(
+            assert is_missing(oracle, S, p, tau) == naive_is_missing(
                 inst, idx, set(S), p, tau
             )
+
+
+def test_block_queries_match_per_page_definitions():
+    # property: the index's per-block sorted last requests, and f_tau,
+    # marginal and alive_flushes computed from them, equal their per-page
+    # definitions; flush sets may lack the time-0 flushes and hold flushes
+    # after tau
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.integers(1, 8), st.data(), st.integers(0, 2**16))
+    def check(n, data, seed):
+        k = data.draw(st.integers(1, n))
+        beta = data.draw(st.integers(1, k))
+        inst = gen_random(n, k, beta, data.draw(st.integers(1, 12)), seed=seed)
+        index = RequestIndex(inst)
+        oracle = CoverageOracle(inst, index)
+        for b, blk in enumerate(inst.blocks):
+            for t in range(inst.T + 2):
+                rs = (index.last_request(p, t) for p in blk)
+                expected = tuple(sorted(-1 if r is None else r for r in rs))
+                assert index.block_last_requests(b, t) == expected
+
+        ground = [(b, t) for b in range(inst.num_blocks) for t in range(inst.T + 1)]
+        flushes = data.draw(st.lists(st.sampled_from(ground), max_size=8))
+        if data.draw(st.booleans()):
+            flushes += [(b, 0) for b in range(inst.num_blocks)]
+        S = FlushSet(inst.num_blocks, flushes)
+        tau = data.draw(st.integers(1, inst.T))
+        cap = inst.n - inst.k
+
+        def missing(flushes):
+            pages = range(1, inst.n + 1)
+            return {p for p in pages if naive_is_missing(inst, index, flushes, p, tau)}
+
+        before = missing(set(S))
+        assert oracle.f_tau(S, tau) == min(cap, len(before))
+        residual = cap - oracle.f_tau(S, tau)
+        for flush in ground:
+            new = missing(set(S) | {flush}) - before
+            assert oracle.marginal(S, flush, tau, residual) == min(len(new), residual)
+        alive = set()
+        for p in range(1, inst.n + 1):
+            r = index.last_request(p, tau)
+            if r is not None and r + 1 <= tau:
+                alive.add((inst.block_of(p), r + 1))
+        assert index.alive_flushes(tau) == alive
+
+    check()
 
 
 def test_monotone_and_submodular_samples():
@@ -345,10 +405,12 @@ def test_phi_view_matches_x_from_phi():
 
 def test_flush_set_queries():
     S = FlushSet(2, [(0, 3), (0, 7)])
-    assert S.has_flush_in(0, 2, 3)
-    assert not S.has_flush_in(0, 3, 6)
-    assert S.has_flush_in(0, 3, 7)
-    assert not S.has_flush_in(1, 0, 10)
+    assert has_flush_in(S, 0, 2, 3)
+    assert not has_flush_in(S, 0, 3, 6)
+    assert has_flush_in(S, 0, 3, 7)
+    assert not has_flush_in(S, 1, 0, 10)
+    assert [S.latest_flush(0, tau) for tau in (2, 3, 6, 7, 9)] == [NO_FLUSH, 3, 3, 7, 7]
+    assert S.latest_flush(1, 10) == NO_FLUSH < -1
     assert len(S) == 2 and (0, 3) in S
     C = FlushSet(S.num_blocks, S)
     C.add(1, 1)
