@@ -41,7 +41,7 @@ from .rounding import (
 )
 
 COST_TOL = 1e-9  # det cost <= k * OPT: sums of block costs, float error only
-DET_DUAL_TOL = 1e-6  # det dual <= OPT: float quotients summed over up to T raises
+DUAL_TOL = 1e-6  # dual <= OPT: det quotients or frac bisection roots summed over T raises
 FRAC_BOUND_TOL = 1e-6  # frac cost <= bound * dual: duals are bisection roots (BISECT_REL)
 # frac-round mean cost <= ROUND_MEAN_SLACK * bound: the bound holds for the
 # expected cost, and the mean over a few seeds may exceed it
@@ -173,7 +173,7 @@ def cmd_run(args) -> int:
         opt = _oracle_columns(summary, inst, res.primal_cost)
         summary["pass"] = opt is None or (
             res.primal_cost <= inst.k * opt + COST_TOL
-            and res.ledger.objective <= opt + DET_DUAL_TOL
+            and res.ledger.objective <= opt + DUAL_TOL
         )
     elif args.alg == "frac":
         res = run_fractional(inst)
@@ -188,8 +188,10 @@ def cmd_run(args) -> int:
             dual_objective=round12(dual),
             bound=round12(bound),
         )
-        summary["pass"] = res.primal_cost <= bound * dual + FRAC_BOUND_TOL
-        _oracle_columns(summary, inst, res.primal_cost)
+        opt = _oracle_columns(summary, inst, res.primal_cost)
+        summary["pass"] = res.primal_cost <= bound * dual + FRAC_BOUND_TOL and (
+            opt is None or dual <= opt + DUAL_TOL
+        )
     elif args.alg == "frac-round":
         frac, stream, traces = _ensemble_traces(inst, seeds)
         for tr in traces:

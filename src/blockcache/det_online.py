@@ -151,7 +151,7 @@ def run_deterministic(instance: Instance) -> DetResult:
     S = FlushSet(instance.num_blocks)
     ledger = DualLedger()
     trace = PolicyTrace(instance=instance, capacity_bound=instance.k)
-    cache: set[int] = set()
+    cache = set(instance.initial_cache)
 
     for tau in range(1, instance.T + 1):
         p = instance.request(tau)

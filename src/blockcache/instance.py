@@ -188,6 +188,8 @@ class RequestIndex:
     """Materialized last-request table r(p,t), and per block the sorted last
     requests of its pages after each step that requests one of them.
 
+    A page of the starting cache counts as requested at time 0: r(p,t) = 0
+    until its first request, so evicting it takes a flush (B, 1) or later.
     ``last_request`` returns None as the "never requested" sentinel; it is
     deliberately not a number so nothing can do arithmetic on it.
     ``block_last_requests`` writes a never-requested page as -1, below every
@@ -198,11 +200,13 @@ class RequestIndex:
     def __init__(self, instance: Instance):
         self.instance = instance
         self._times: dict[int, list[int]] = {p: [] for p in range(1, instance.n + 1)}
+        for p in instance.initial_cache:
+            self._times[p].append(0)
         # per block: step 0 and each step requesting one of its pages, and
         # the block's sorted last requests after each of them
         self._block_steps: list[list[int]] = [[0] for _ in instance.blocks]
         self._block_rs: list[list[tuple[int, ...]]] = [
-            [(-1,) * len(blk)] for blk in instance.blocks
+            [tuple(sorted(0 if self._times[p] else -1 for p in blk))] for blk in instance.blocks
         ]
         for t, p in enumerate(instance.requests, start=1):
             times = self._times[p]
@@ -259,7 +263,6 @@ class PolicyTrace:
 
     instance: Instance
     capacity_bound: int
-    initial_cache: frozenset[int] = frozenset()
     steps: list[TraceStep] = field(default_factory=list)
 
     @property
@@ -271,9 +274,9 @@ class PolicyTrace:
         return self.steps[-1].fetch_cost_cum if self.steps else 0.0
 
     def cache_at(self, t: int) -> frozenset[int]:
-        """Cache contents after step t; t=0 gives the starting cache."""
+        """Cache contents after step t; t=0 gives instance.initial_cache."""
         if t == 0:
-            return self.initial_cache
+            return self.instance.initial_cache
         return self.steps[t - 1].cache
 
     def step_cost(self, flushes, fetched) -> tuple[float, float]:
@@ -302,14 +305,14 @@ class PolicyTrace:
         cumulative cost, or changes the cache other than by its own fetches
         and flushes: a fetched page must have been absent before the step,
         a page that leaves must belong to a block flushed at the step, and a
-        page that enters must have been fetched.  The last check starts at
-        step 2, because a saved trace does not record its starting cache.
+        page that enters must have been fetched.  Step 1 starts from the
+        instance's starting cache.
         """
         inst = self.instance
         if len(self.steps) != inst.T:
             raise ValueError("trace length does not match request sequence")
         evict = fetch = 0.0
-        prev = self.initial_cache
+        prev = inst.initial_cache
         for i, step in enumerate(self.steps, 1):
             if step.t != i:
                 raise ValueError(f"step {i} is labelled t={step.t}")
@@ -332,7 +335,7 @@ class PolicyTrace:
                     " with no flush of its block"
                 )
             unfetched = step.cache - prev - fetched
-            if i >= 2 and unfetched:
+            if unfetched:
                 raise ValueError(
                     f"page {min(unfetched)} enters the cache at step {step.t} unfetched"
                 )

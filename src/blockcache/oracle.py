@@ -45,9 +45,7 @@ def _trace_from_path(
     instance: Instance, h: int, states: list[frozenset[int]]
 ) -> PolicyTrace:
     """Rebuild a step trace from the DP's cache-contents path."""
-    trace = PolicyTrace(
-        instance=instance, capacity_bound=h, initial_cache=states[0]
-    )
+    trace = PolicyTrace(instance=instance, capacity_bound=h)
     for t in range(1, instance.T + 1):
         prev, cur = states[t - 1], states[t]
         evicted = prev - cur

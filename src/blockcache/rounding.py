@@ -73,7 +73,6 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
     half = PhiView({}, instance.num_blocks)
     bucket = [0.0] * instance.num_blocks
     pages = range(1, instance.n + 1)
-    stream.x.append([None] + [0.0 if p in instance.initial_cache else 1.0 for p in pages])
 
     def add_rows(upto: int) -> None:
         # row t sees only the increments emitted up to t: mass a later step
@@ -147,7 +146,7 @@ def randomized_round(stream: StructuredStream, seed: int) -> PolicyTrace:
     rng = random.Random(seed)
     gamma = gamma_for(instance)
     trace = PolicyTrace(instance=instance, capacity_bound=instance.k)
-    cache: set[int] = set()
+    cache = set(instance.initial_cache)
 
     for tau in range(1, instance.T + 1):
         xs = stream.x[tau]
@@ -193,11 +192,8 @@ def _threshold_round(x: list[list], instance: Instance, sigma: int) -> PolicyTra
     bad = naive_lp_check(x, derive_block_rates(x, instance, sigma), sigma, instance)
     if bad is not None:
         raise ValueError(f"fractional input infeasible: {bad}")
-    initial = frozenset(p for p in instance.initial_cache if x[0][p] <= 0.5)
-    trace = PolicyTrace(
-        instance=instance, capacity_bound=2 * instance.k, initial_cache=initial
-    )
-    cache = set(initial)
+    trace = PolicyTrace(instance=instance, capacity_bound=2 * instance.k)
+    cache = set(instance.initial_cache)
     for t in range(1, instance.T + 1):
         evicted = {p for p in cache if x[t][p] > 0.5}
         cache -= evicted

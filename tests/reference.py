@@ -66,17 +66,17 @@ def opt_eviction_flushsets(instance: Instance) -> float:
     """Eviction optimum by enumerating flush sets; independent of the DP.
 
     Only canonical flushes (B(p_r), r+1) with r+1 <= T are enumerated, on
-    top of the time-0 flushes.  That loses nothing: moving a flush (B, t)
-    back to just after the previous request of a page of B keeps its cost
-    and makes a superset of pages missing at every tau >= t, and with no
-    earlier request of B it is dominated by the time-0 flush.  The flush
-    formulation assumes an empty starting cache.
+    top of the time-0 flushes; a page of the starting cache counts as
+    requested at r = 0, so its block adds (B, 1).  That loses nothing:
+    moving a flush (B, t) back to just after the previous request of a page
+    of B keeps its cost and makes a superset of pages missing at every tau
+    >= t, and with no earlier request of B it is dominated by the time-0
+    flush.
     """
-    if instance.initial_cache:
-        raise ValueError("flush-set enumeration requires an empty initial cache")
     oracle = CoverageOracle(instance, RequestIndex(instance))
     ground = sorted(
         {(instance.block_of(instance.request(r)), r + 1) for r in range(1, instance.T)}
+        | {(instance.block_of(p), 1) for p in instance.initial_cache}
     )
     best = None
     for chosen in _subsets(ground):
@@ -170,14 +170,12 @@ def fractional_costs(phi: dict[Flush, float], instance: Instance) -> tuple[float
     """(eviction, fetching) cost of a sparse flush solution.
 
     Eviction is the weighted flush mass after time 0; fetching is derived
-    from the induced missing trajectory, whose row 0 is the starting cache
-    and whose rows t >= 1 come from ``x_from_phi``.
+    from the induced missing trajectory ``x_from_phi``, whose row 0 is the
+    starting cache: its pages count as requested at time 0.
     """
     oracle = CoverageOracle(instance, RequestIndex(instance))
     pages = range(1, instance.n + 1)
-    x = [[None] + [0.0 if p in instance.initial_cache else 1.0 for p in pages]]
-    for t in range(1, instance.T + 1):
-        x.append([None] + [x_from_phi(phi, oracle, p, t) for p in pages])
+    x = [[None] + [x_from_phi(phi, oracle, p, t) for p in pages] for t in range(instance.T + 1)]
     evict = flush_cost(phi, instance)
     _evict_from_x, fetch = fractional_costs_from_x(x, instance)
     assert fetch <= instance.beta * (evict + instance.total_block_cost) + COST_EPS

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from blockcache import cli
 from blockcache.cli import main
 from blockcache.instance import Instance
 
@@ -93,6 +94,32 @@ def test_run_frac_artifacts(tmp_path):
         "verify", "--instance", str(inst_path),
         "--increments", str(tmp_path / "frac.increments.jsonl"),
     ) == 0
+
+
+@pytest.mark.parametrize("direction", ["evict-heavy", "fetch-heavy"])
+def test_run_frac_beta_off_dual_within_oracle(tmp_path, direction):
+    inst_path = tmp_path / "off.json"
+    assert run_cli("gen", "beta-off", "--beta", "2", "--L", "2",
+                   "--direction", direction, "-o", str(inst_path)) == 0
+    assert run_cli(
+        "run", "--instance", str(inst_path), "--alg", "frac", "-o", str(tmp_path / "frac")
+    ) == 0
+    summary = json.loads((tmp_path / "frac.summary.json").read_text())
+    assert summary["pass"] is True
+    assert summary["dual_objective"] <= summary["oracle"]
+
+
+def test_run_frac_fails_when_dual_exceeds_oracle(tmp_path, monkeypatch):
+    # weak duality: a dual above the eviction optimum is a failed run
+    monkeypatch.setattr(cli, "opt_eviction", lambda inst, h: (0.5, None))
+    inst_path = gen_random_file(tmp_path)
+    assert run_cli(
+        "run", "--instance", str(inst_path), "--alg", "frac", "-o", str(tmp_path / "frac")
+    ) == 1
+    summary = json.loads((tmp_path / "frac.summary.json").read_text())
+    assert summary["pass"] is False
+    assert summary["oracle"] == 0.5
+    assert summary["cost"] <= summary["bound"] * summary["dual_objective"] + 1e-6
 
 
 def test_run_frac_round(tmp_path):

@@ -6,7 +6,7 @@ from blockcache import det_online, frac_online
 from blockcache.det_online import (
     DUAL_EPS, DualLedger, first_tight, next_tight_increase, priced_candidates, run_deterministic
 )
-from blockcache.instance import Instance, RequestIndex, gen_random
+from blockcache.instance import Instance, RequestIndex, gen_beta_off, gen_random
 from blockcache.oracle import opt_eviction
 from blockcache.submodular import CoverageOracle, FlushSet
 
@@ -67,6 +67,18 @@ def test_against_oracle_random_sample():
         opt, _ = opt_eviction(inst)
         assert res.primal_cost <= inst.k * opt + 1e-9
         assert res.ledger.objective <= opt + 1e-6
+
+
+@pytest.mark.parametrize("direction", ["evict-heavy", "fetch-heavy"])
+def test_beta_off_pays_to_evict_the_starting_cache(direction):
+    # det starts from the starting cache and pays to evict it, as the
+    # eviction optimum does, so it cannot undercut that optimum
+    inst = gen_beta_off(2, 2, direction)
+    res = run_and_check(inst)
+    assert res.trace.cache_at(0) == inst.initial_cache
+    opt, _ = opt_eviction(inst)
+    assert opt <= res.primal_cost <= inst.k * opt
+    assert res.ledger.objective <= opt + 1e-6
 
 
 def test_weighted_costs():

@@ -87,6 +87,20 @@ def test_last_request():
     assert idx.last_request(3, 3) is None
 
 
+def test_starting_page_counts_as_requested_at_time_0():
+    # pages 1 and 3 start cached; page 1 is requested again at step 2
+    inst = small_instance(requests=(2, 1), initial_cache=frozenset({1, 3}))
+    idx = RequestIndex(inst)
+    assert idx.last_request(1, 0) == idx.last_request(1, 1) == 0
+    assert idx.last_request(1, 2) == 2
+    assert idx.last_request(3, 2) == 0
+    assert idx.last_request(4, 2) is None
+    assert idx.block_last_requests(1, 0) == (-1, 0)
+    # evicting a starting page takes a flush (B, 1), paid like any other
+    assert idx.alive_flushes(1) == {(0, 1), (1, 1)}
+    assert idx.alive_flushes(2) == {(0, 2), (1, 1)}
+
+
 def test_alive_flushes():
     inst = Instance(
         n=2, k=2, blocks=((1, 2),), costs=(1.0,), requests=(1, 2)
@@ -127,6 +141,8 @@ def test_trace_costs_and_validation():
     assert trace.fetching_cost == 1.0 + 1.0 + 2.0 + 2.0
     assert trace.cache_at(0) == frozenset()
     assert trace.cache_at(2) == frozenset({1, 2})
+    started = PolicyTrace(instance=small_instance(initial_cache=frozenset({4})), capacity_bound=2)
+    assert started.cache_at(0) == frozenset({4})
     short = PolicyTrace(instance=inst, capacity_bound=2, steps=trace.steps[:3])
     with pytest.raises(ValueError, match="length"):
         short.validate()
@@ -193,7 +209,7 @@ def test_trace_validate_rejects_teleporting_trace():
     trace.record(3, [], [], {2, 3})
     trace.record(4, [], [], {2, 4})
     assert trace.eviction_cost == trace.fetching_cost == 0.0
-    with pytest.raises(ValueError, match="page 3 enters the cache at step 2 unfetched"):
+    with pytest.raises(ValueError, match="page 1 enters the cache at step 1 unfetched"):
         trace.validate()
 
 

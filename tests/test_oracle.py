@@ -123,23 +123,33 @@ def test_fetching_drops_a_page_to_take_a_batch():
 
 
 def test_dp_matches_flushset_enumeration():
+    # with and without a starting cache, whose pages the flush sets evict
+    # through (B, 1) flushes
     rng = random.Random(5)
-    for trial in range(12):
+    cases = [gen_beta_off(2, 1, d) for d in ("evict-heavy", "fetch-heavy")]
+    for trial in range(20):
         n = rng.randint(3, 5)
         k = rng.randint(1, min(3, n))
         inst = gen_random(n, k, min(2, k), rng.randint(2, 5), seed=900 + trial)
+        if trial >= 12:
+            initial = rng.sample(range(1, n + 1), rng.randint(1, k))
+            inst = dataclasses.replace(inst, initial_cache=frozenset(initial))
+        cases.append(inst)
+    for inst in cases:
         dp_cost, trace = opt_eviction(inst)
         trace.validate()
         assert dp_cost == pytest.approx(opt_eviction_flushsets(inst), abs=1e-9)
 
 
 def test_canonical_flushsets_match_full_enumeration():
-    # every flush (b, t) with 1 <= t <= T, not only the canonical ones
+    # every flush (b, t) with 1 <= t <= T, not only the canonical ones;
+    # the last four instances start with two pages cached
     rng = random.Random(3)
-    for _ in range(4):
+    for trial in range(8):
         inst = Instance(
             n=4, k=2, blocks=((1, 2), (3, 4)), costs=(1.0, 2.5),
             requests=tuple(rng.randint(1, 4) for _ in range(6)),
+            initial_cache=frozenset(rng.sample(range(1, 5), 2) if trial >= 4 else ()),
         )
         oracle = CoverageOracle(inst, RequestIndex(inst))
         ground = [(b, t) for b in range(2) for t in range(1, inst.T + 1)]

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from blockcache.frac_online import replay_failures, run_fractional
-from blockcache.instance import Instance, RequestIndex, gen_random
+from blockcache.instance import Instance, RequestIndex, gen_beta_off, gen_random
 from blockcache.oracle import opt_eviction, trace_to_x_mean
 from blockcache.rounding import (
     AlterationError,
@@ -275,6 +275,17 @@ def test_derandomize_ensemble_bounds():
     assert out.fetching_cost <= 2.0 * mean + 1e-6
     for step in out.steps:
         assert len(step.cache) <= 2 * inst.k
+
+
+@pytest.mark.parametrize("direction", ["evict-heavy", "fetch-heavy"])
+def test_roundings_start_from_the_starting_cache(direction):
+    inst = gen_beta_off(2, 2, direction)
+    stream = structure_stream(run_fractional(inst).solution.increments, inst)
+    traces = [randomized_round(stream, seed=s) for s in range(4)]
+    x = trace_to_x_mean(traces)
+    for trace in [*traces, bicriteria_round_fetch(x, inst), bicriteria_round_evict(x, inst)]:
+        assert trace.cache_at(0) == inst.initial_cache
+        trace.validate()
 
 
 def test_derandomize_rejects_empty():

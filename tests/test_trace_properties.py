@@ -2,8 +2,11 @@
 randomized trace of a small instance passes, and the same trace with one
 planted fault (a relabelled or swapped step, a requested page dropped from
 the cache, a cache over its bound, an understated cumulative cost, a page
-that enters without a fetch at t >= 2, a page that leaves without a flush of
-its block) fails."""
+that enters without a fetch, a page that leaves without a flush of its
+block) fails.  Instances are drawn with or without a starting cache, and
+the last two faults may fall on step 1."""
+
+import dataclasses
 
 import pytest
 
@@ -39,6 +42,8 @@ def traces(draw):
     beta = draw(st.integers(1, k))
     T = draw(st.integers(2, 10))
     inst = gen_random(n, k, beta, T, seed=draw(st.integers(0, 2**16)))
+    cached = draw(st.lists(st.integers(1, n), max_size=k, unique=True))
+    inst = dataclasses.replace(inst, initial_cache=frozenset(cached))
     kind = draw(st.sampled_from(["det", "opt", "randomized"]))
     return _trace(inst, kind, draw(st.integers(0, 2**16)))
 
@@ -80,13 +85,12 @@ def _understate(trace, draw):
 
 
 def _enter_unfetched(trace, draw):
-    # step 1 is exempt: a saved trace does not record its starting cache
     n = trace.instance.n
     spots = [
         (i, q)
-        for i in range(1, len(trace.steps))
+        for i in range(len(trace.steps))
         for q in range(1, n + 1)
-        if q not in trace.steps[i - 1].cache and q not in trace.steps[i].cache
+        if q not in trace.cache_at(i) and q not in trace.steps[i].cache
     ]
     assume(spots)
     i, q = draw(st.sampled_from(spots))
@@ -97,8 +101,8 @@ def _leave_unflushed(trace, draw):
     inst = trace.instance
     spots = [
         (i, q)
-        for i in range(1, len(trace.steps))
-        for q in sorted(trace.steps[i - 1].cache & trace.steps[i].cache)
+        for i in range(len(trace.steps))
+        for q in sorted(trace.cache_at(i) & trace.steps[i].cache)
         if q != inst.request(i + 1)
         and (inst.block_of(q), i + 1) not in trace.steps[i].flushes
     ]

@@ -1,7 +1,10 @@
 """Property tests for the one fast missing-value path: a PhiView grown in
 place and the structured stream's dense trajectory both agree with the
 reference evaluator ``x_from_phi``; row t of the stream's trajectory sees
-only the increments logged up to t."""
+only the increments logged up to t.  Instances are drawn with or without a
+starting cache, whose pages start at x = 0."""
+
+import dataclasses
 
 import pytest
 
@@ -26,7 +29,9 @@ def instances(draw):
     k = draw(st.integers(1, n))
     beta = draw(st.integers(1, k))
     T = draw(st.integers(1, 12))
-    return gen_random(n, k, beta, T, seed=draw(st.integers(0, 2**16)))
+    inst = gen_random(n, k, beta, T, seed=draw(st.integers(0, 2**16)))
+    cached = draw(st.lists(st.integers(1, n), max_size=k, unique=True))
+    return dataclasses.replace(inst, initial_cache=frozenset(cached))
 
 
 @st.composite
