@@ -9,8 +9,9 @@ from math import comb
 
 from .instance import Instance, PolicyTrace
 
-# moves the exact DPs may enumerate: a move takes 2-5 us of pure Python on a
-# 2-core VM, so an oracle call in budget finishes in under a minute
+# moves the exact DPs may enumerate: a state is the int bitmask of its pages
+# and a move takes 1-2 us of pure Python on a 2-core VM, so an oracle call in
+# budget finishes in about 20 s at most
 DP_MOVE_LIMIT = 10**7
 LP_EPS = 1e-9  # x and rates are float means and differences: this close meets a bound
 COST_EPS = 1e-9  # bounds between two float sums of c_B-weighted rates hold up to this
@@ -41,6 +42,26 @@ def _check_dp_budget(instance: Instance, h: int, moves_per_state: int) -> None:
         )
 
 
+def _bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, lowest first."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low)
+        mask ^= low
+    return bits
+
+
+def _pages(mask: int) -> list[int]:
+    """The pages of a state, ascending: bit p of the mask is page p."""
+    return [bit.bit_length() - 1 for bit in _bits(mask)]
+
+
+def _mask(pages) -> int:
+    """The state holding ``pages``."""
+    return sum(1 << p for p in pages)
+
+
 def _trace_from_path(
     instance: Instance, h: int, states: list[frozenset[int]]
 ) -> PolicyTrace:
@@ -57,7 +78,9 @@ def _trace_from_path(
 
 def _run_dp(instance: Instance, h: int, transitions) -> tuple[float, PolicyTrace]:
     """Shortest path over cache-contents states, starting from
-    ``instance.initial_cache``.
+    ``instance.initial_cache``.  A state is the int bitmask of its pages
+    (bit p is page p); among equally cheap end states the one with the
+    smaller sorted page list wins.
 
     ``transitions(prev, t)`` yields (next_state, step_cost).  In the
     eviction model dropping initial pages is paid like any other eviction.
@@ -68,27 +91,30 @@ def _run_dp(instance: Instance, h: int, transitions) -> tuple[float, PolicyTrace
     fetching the rest of ``batch``.  That reaches the same state, and it
     fetches only if the step from S fetches, so it costs no more.
     """
-    best: dict[frozenset[int], tuple[float, tuple]] = {
-        frozenset(instance.initial_cache): (0.0, None)
-    }
+    start = _mask(instance.initial_cache)
+    best = {start: 0.0}
+    links: dict[int, tuple | None] = {start: None}  # state -> (prev, links[prev])
     for t in range(1, instance.T + 1):
-        nxt: dict[frozenset[int], tuple[float, tuple]] = {}
-        for prev, (cost, _) in best.items():
+        nxt: dict[int, float] = {}
+        parent: dict[int, int] = {}
+        for prev, cost in best.items():
             for state, step_cost in transitions(prev, t):
                 total = cost + step_cost
                 cur = nxt.get(state)
-                if cur is None or total < cur[0] - DP_TIE_EPS:
-                    nxt[state] = (total, (prev, best[prev]))
+                if cur is None or total < cur - DP_TIE_EPS:
+                    nxt[state] = total
+                    parent[state] = prev
+        links = {state: (prev, links[prev]) for state, prev in parent.items()}
         best = nxt
-    end_state = min(best, key=lambda s: (best[s][0], sorted(s)))
-    cost = best[end_state][0]
+    end_state = min(best, key=lambda s: (best[s], _pages(s)))
     path = [end_state]
-    link = best[end_state][1]
+    link = links[end_state]
     while link is not None:
         path.append(link[0])
-        link = link[1][1]
+        link = link[1]
     path.reverse()
-    return cost, _trace_from_path(instance, h, path)
+    states = [frozenset(_pages(s)) for s in path]
+    return best[end_state], _trace_from_path(instance, h, states)
 
 
 def opt_eviction(instance: Instance, h: int | None = None) -> tuple[float, PolicyTrace]:
@@ -120,17 +146,20 @@ def opt_eviction(instance: Instance, h: int | None = None) -> tuple[float, Polic
     """
     h = instance.k if h is None else h
     _check_dp_budget(instance, h, 2 ** min(h, instance.num_blocks))
+    block_masks = [_mask(blk) for blk in instance.blocks]
 
-    def transitions(prev: frozenset[int], t: int):
-        p = instance.request(t)
-        held: dict[int, list[int]] = {}
-        for q in sorted(prev - {p}):
-            held.setdefault(instance.block_of(q), []).append(q)
-        start = prev | {p}
-        for evicted in _subsets(sorted(held)):
-            state = start.difference(*(held[b] for b in evicted))
-            if len(state) <= h:
-                yield state, sum(instance.costs[b] for b in evicted)
+    def transitions(prev: int, t: int):
+        pbit = 1 << instance.request(t)
+        rest = prev & ~pbit
+        held = [b for b, m in enumerate(block_masks) if rest & m]
+        start = prev | pbit
+        # both enumerations visit the subsets of ``held`` in one order
+        unions = map(sum, _subsets([rest & block_masks[b] for b in held]))
+        costs = map(sum, _subsets([instance.costs[b] for b in held]))
+        for union, cost in zip(unions, costs):
+            state = start & ~union
+            if state.bit_count() <= h:
+                yield state, cost
 
     return _run_dp(instance, h, transitions)
 
@@ -166,19 +195,22 @@ def opt_fetching(instance: Instance, h: int | None = None) -> tuple[float, Polic
     _check_dp_budget(
         instance, h, sum(comb(beta - 1, j) * comb(h, j + 1) for j in range(min(beta, h)))
     )
+    block_masks = [_mask(blk) for blk in instance.blocks]
 
-    def transitions(prev: frozenset[int], t: int):
+    def transitions(prev: int, t: int):
         p = instance.request(t)
+        pbit = 1 << p
         b = instance.block_of(p)
-        others = sorted(prev - {p})
-        extra = sorted(set(instance.blocks[b]) - prev - {p})
+        others = _bits(prev & ~pbit)
+        extra = _bits(block_masks[b] & ~prev & ~pbit)
         for batch in _subsets(extra):
             room = h - len(batch) - 1
             if room < 0:
                 break  # _subsets yields batches in order of size
-            cost = instance.costs[b] if p not in prev or batch else 0.0
+            cost = instance.costs[b] if not prev & pbit or batch else 0.0
+            fetched = pbit | sum(batch)
             for kept in combinations(others, min(len(others), room)):
-                yield frozenset((p, *kept, *batch)), cost
+                yield fetched | sum(kept), cost
 
     return _run_dp(instance, h, transitions)
 

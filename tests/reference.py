@@ -10,18 +10,37 @@ from fractions import Fraction
 
 from blockcache.instance import Instance, PolicyTrace, RequestIndex, gen_gap_instance
 from blockcache.oracle import (
-    COST_EPS, _run_dp, _subsets, derive_block_rates, fractional_costs_from_x
+    COST_EPS, _subsets, _trace_from_path, derive_block_rates, fractional_costs_from_x
 )
 from blockcache.submodular import (
     FEAS_EPS, CoverageOracle, Flush, FlushSet, constraint_lhs, flush_cost
 )
 
 
+def _shortest_path(
+    instance: Instance, h: int, transitions
+) -> tuple[float, PolicyTrace]:
+    """Cheapest path over frozenset cache states from the starting cache;
+    ``transitions(prev, t)`` yields (next_state, step_cost).  It keeps each
+    state's whole path, a state encoding independent of ``_run_dp``'s."""
+    start = frozenset(instance.initial_cache)
+    best = {start: (0.0, (start,))}
+    for t in range(1, instance.T + 1):
+        nxt: dict[frozenset[int], tuple[float, tuple]] = {}
+        for prev, (cost, path) in best.items():
+            for state, step_cost in transitions(prev, t):
+                if state not in nxt or cost + step_cost < nxt[state][0]:
+                    nxt[state] = (cost + step_cost, (*path, state))
+        best = nxt
+    cost, path = min(best.values(), key=lambda entry: entry[0])
+    return cost, _trace_from_path(instance, h, list(path))
+
+
 def opt_eviction_exhaustive(
     instance: Instance, h: int | None = None
 ) -> tuple[float, PolicyTrace]:
-    """``opt_eviction``'s DP with every subset of the cache as a candidate
-    eviction, not only whole blocks; no budget check."""
+    """``opt_eviction``'s optimum with every subset of the cache as a
+    candidate eviction, not only whole blocks; no budget check."""
     h = instance.k if h is None else h
 
     def transitions(prev: frozenset[int], t: int):
@@ -36,14 +55,14 @@ def opt_eviction_exhaustive(
             )
             yield frozenset(state), cost
 
-    return _run_dp(instance, h, transitions)
+    return _shortest_path(instance, h, transitions)
 
 
 def opt_fetching_exhaustive(
     instance: Instance, h: int | None = None
 ) -> tuple[float, PolicyTrace]:
-    """``opt_fetching``'s DP with every subset of the cache as a candidate
-    kept set, not only maximal ones; no budget check."""
+    """``opt_fetching``'s optimum with every subset of the cache as a
+    candidate kept set, not only maximal ones; no budget check."""
     h = instance.k if h is None else h
 
     def transitions(prev: frozenset[int], t: int):
@@ -59,7 +78,7 @@ def opt_fetching_exhaustive(
                 cost = instance.costs[instance.block_of(p)] if fetched_any else 0.0
                 yield frozenset(state), cost
 
-    return _run_dp(instance, h, transitions)
+    return _shortest_path(instance, h, transitions)
 
 
 def opt_eviction_flushsets(instance: Instance) -> float:

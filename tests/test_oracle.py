@@ -122,6 +122,47 @@ def test_fetching_drops_a_page_to_take_a_batch():
     assert opt_fetching_exhaustive(inst)[0] == 2.0
 
 
+def test_equal_cost_end_caches_break_ties_by_sorted_pages():
+    # a DP state is a page bitmask, yet among equally cheap end caches the
+    # one with the smaller sorted page list wins, not the smaller mask.
+    # Fetching: page 2 alone or its whole block {1, 2} costs c_A once, and
+    # [1, 2] < [2] although {2} is the smaller mask.
+    inst = Instance(n=2, k=2, blocks=((1, 2),), costs=(1.0,), requests=(2,))
+    cost, trace = opt_fetching(inst)
+    trace.validate()
+    assert cost == 1.0
+    assert trace.cache_at(1) == {1, 2}
+    # Eviction, k=3, blocks {1,4}, {3}, {5}, {2}, starting with {3, 4}:
+    # evicting page 4 at t=1 ends in {1, 3, 5}; keeping it until t=2 and
+    # then evicting block {1, 4} ends in {3, 5}.  Both cost 1, and
+    # [1, 3, 5] < [3, 5] although {3, 5} is the smaller mask.
+    inst = Instance(
+        n=5, k=3, blocks=((1, 4), (3,), (5,), (2,)), costs=(1.0,) * 4,
+        requests=(1, 5, 3, 5), initial_cache=frozenset({3, 4}),
+    )
+    cost, trace = opt_eviction(inst)
+    trace.validate()
+    assert cost == 1.0
+    assert trace.cache_at(inst.T) == {1, 3, 5}
+
+
+def test_dp_pages_beyond_64():
+    # page ids past one machine word: bit p of a state is page p
+    inst = Instance(
+        n=70, k=2, blocks=tuple((p,) for p in range(1, 71)),
+        costs=tuple(1.0 + p % 4 for p in range(1, 71)),
+        requests=(70, 65, 3, 70, 64, 65, 1, 70),
+        initial_cache=frozenset({66, 69}),
+    )
+    for fast, exhaustive in [
+        (opt_eviction, opt_eviction_exhaustive),
+        (opt_fetching, opt_fetching_exhaustive),
+    ]:
+        cost, trace = fast(inst)
+        trace.validate()
+        assert cost == pytest.approx(exhaustive(inst)[0], abs=1e-12)
+
+
 def test_dp_matches_flushset_enumeration():
     # with and without a starting cache, whose pages the flush sets evict
     # through (B, 1) flushes

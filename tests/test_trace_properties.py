@@ -2,9 +2,10 @@
 randomized trace of a small instance passes, and the same trace with one
 planted fault (a relabelled or swapped step, a requested page dropped from
 the cache, a cache over its bound, an understated cumulative cost, a page
-that enters without a fetch, a page that leaves without a flush of its
-block) fails.  Instances are drawn with or without a starting cache, and
-the last two faults may fall on step 1."""
+that enters without a fetch, a fetched page left out of the step's fetch
+list with the fetching totals restated, a page that leaves without a flush
+of its block) fails.  Instances are drawn with or without a starting cache,
+and the last three faults may fall on step 1."""
 
 import dataclasses
 
@@ -97,6 +98,19 @@ def _enter_unfetched(trace, draw):
     trace.steps[i].cache = trace.steps[i].cache | {q}
 
 
+def _unrecord_fetch(trace, draw):
+    # the page stays in the cache as before and the fetching totals are
+    # restated without it, so only the entry check can see the fault
+    spots = [(i, q) for i, step in enumerate(trace.steps) for q in step.fetched]
+    assume(spots)
+    i, q = draw(st.sampled_from(spots))
+    trace.steps[i].fetched = [p for p in trace.steps[i].fetched if p != q]
+    fetch = 0.0
+    for step in trace.steps:
+        fetch += trace.step_cost(step.flushes, step.fetched)[1]
+        step.fetch_cost_cum = fetch
+
+
 def _leave_unflushed(trace, draw):
     inst = trace.instance
     spots = [
@@ -118,6 +132,7 @@ FAULTS = [
     _overfill,
     _understate,
     _enter_unfetched,
+    _unrecord_fetch,
     _leave_unflushed,
 ]
 
