@@ -25,6 +25,7 @@ from .instance import (
     is_int_in,
     is_number,
     round12,
+    write_json,
 )
 from .oracle import (
     OracleIntractableError,
@@ -46,12 +47,6 @@ FRAC_BOUND_TOL = 1e-6  # frac cost <= bound * dual: duals are bisection roots (B
 # frac-round mean cost <= ROUND_MEAN_SLACK * bound: the bound holds for the
 # expected cost, and the mean over a few seeds may exceed it
 ROUND_MEAN_SLACK = 1.1
-
-
-def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _mean_stderr(values: list[float]) -> tuple[float, float]:
@@ -246,7 +241,7 @@ def cmd_run(args) -> int:
         summary.update(model=model, cost=round12(cost), oracle=round12(cost))
         summary["pass"] = True
 
-    _write_json(prefix + ".summary.json", summary)
+    write_json(prefix + ".summary.json", summary)
     print(f"{args.alg}: cost={summary['cost']} pass={summary['pass']}")
     return 0 if summary["pass"] else 1
 

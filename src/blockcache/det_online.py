@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
-from .instance import Instance, PolicyTrace, RequestIndex, round12
+from .instance import Instance, PolicyTrace, RequestIndex, round12, write_json
 from .submodular import CoverageOracle, Flush, FlushSet
 
 DUAL_EPS = 1e-9  # dual mass <= c_B up to float error: masses sum rate * dy over raises
@@ -70,9 +69,7 @@ class DualLedger:
         }
 
     def save_certificate(self, path: str, instance: Instance, primal_cost: float):
-        with open(path, "w") as fh:
-            json.dump(self.certificate(instance, primal_cost), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.certificate(instance, primal_cost))
 
 
 @dataclass

@@ -15,6 +15,7 @@ from .submodular import (
     CoverageOracle,
     FEAS_EPS,
     Flush,
+    PhiView,
     check_feasible,
     constraint_lhs,
     flush_cost,
@@ -38,19 +39,22 @@ class FractionalSolution:
     """Sparse flush values plus the ordered increment log.
 
     ``phi`` lists only flushes after time 0; the time-0 flushes are
-    integral and belong to ``FlushSet``.  Values only ever increase; a flush
-    whose dual constraint is tight has value exactly 1 (snapped, because
-    downstream logic branches on it).
+    integral and belong to ``FlushSet``.  Values only increase, by
+    ``apply``, which logs each increment; a flush whose dual constraint is
+    tight has value exactly 1 (snapped, as downstream logic branches on it).
     """
 
     instance: Instance
-    phi: dict[Flush, float] = field(init=False, default_factory=dict)
+    phi: PhiView = field(init=False)
     increments: list[Increment] = field(init=False, default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.phi = PhiView({}, self.instance.num_blocks)
 
     def apply(self, tau: int, flush: Flush, delta: float) -> None:
         if delta <= 0.0:
             raise ValueError("increments must be positive")
-        self.phi[flush] = self.phi.get(flush, 0.0) + delta
+        self.phi.add(flush, delta)
         self.increments.append(Increment(tau, flush, delta))
 
     def snap_to_one(self, tau: int, flush: Flush) -> None:
@@ -107,7 +111,7 @@ def replay_failures(increments, instance: Instance) -> list[str]:
     (``check_feasible``) at every tau on the mass logged up to tau: one line
     per infeasible step, and a last one where the log goes back in time."""
     oracle = CoverageOracle(instance, RequestIndex(instance))
-    phi: dict[Flush, float] = {}
+    sol = FractionalSolution(instance)
     failures = []
     i = 0
     for tau in range(1, instance.T + 1):
@@ -115,9 +119,9 @@ def replay_failures(increments, instance: Instance) -> list[str]:
             inc_tau, flush, delta = increments[i]
             if i and inc_tau < increments[i - 1][0]:
                 return failures + [f"increment {i + 1} goes back in time to tau={inc_tau}"]
-            phi[flush] = phi.get(flush, 0.0) + delta
+            sol.apply(inc_tau, flush, delta)
             i += 1
-        if not check_feasible(phi, oracle, tau)[0]:
+        if not check_feasible(sol.phi, oracle, tau)[0]:
             failures.append(f"increment log infeasible at tau={tau}")
     return failures
 

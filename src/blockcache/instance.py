@@ -56,6 +56,13 @@ def write_jsonl(path: str, records) -> None:
         fh.writelines(json.dumps(rec) + "\n" for rec in records)
 
 
+def write_json(path: str, doc) -> None:
+    """Writes one JSON document on one line."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+        fh.write("\n")
+
+
 @dataclass(frozen=True)
 class Instance:
     """A block-aware caching instance.
@@ -170,9 +177,7 @@ class Instance:
             raise InstanceError(f"malformed instance: {exc!r}") from None
 
     def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-            fh.write("\n")
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path: str) -> "Instance":
@@ -287,13 +292,15 @@ class PolicyTrace:
         return evict, fetch
 
     def record(self, t: int, flushes, fetched, cache) -> None:
+        """Appends a step; an unchanged cache shares the previous frozenset."""
         evict, fetch = self.step_cost(flushes, fetched)
+        prev = self.cache_at(len(self.steps))
         self.steps.append(
             TraceStep(
                 t=t,
                 flushes=sorted(flushes),
                 fetched=sorted(fetched),
-                cache=frozenset(cache),
+                cache=prev if cache == prev else frozenset(cache),
                 evict_cost_cum=self.eviction_cost + evict,
                 fetch_cost_cum=self.fetching_cost + fetch,
             )

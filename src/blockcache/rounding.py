@@ -7,6 +7,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
+from .frac_online import FractionalSolution
 from .instance import Instance, PolicyTrace, RequestIndex
 from .oracle import (
     COST_EPS,
@@ -16,7 +17,7 @@ from .oracle import (
     naive_lp_check,
     trace_to_x_mean,
 )
-from .submodular import CoverageOracle, Flush, PhiView, flush_cost
+from .submodular import CoverageOracle, Flush
 
 FULL_EPS = 1e-12  # a capped window sum this close to 1 is fully missing, not crossing 1/2
 ENSEMBLE_EPS = 1e-6  # rounded <= 2 * mean fetch: float sums over T steps in other orders
@@ -29,31 +30,28 @@ def gamma_for(instance: Instance) -> float:
 
 
 @dataclass
-class StructuredStream:
+class StructuredStream(FractionalSolution):
     """Causal stream of structured increments derived from a raw log.
 
     ``phi`` is the final structured solution (doubled, bucketed, with full
-    flushes emitted whenever a half-rounded page value crosses 1/2); like
-    ``FractionalSolution.phi`` it lists only flushes after time 0, and every
-    nonzero coordinate is at least 1/(4k^2).  It is the ``PhiView`` that
-    ``x`` is read from: ``x[t][p]`` is the missing-value trajectory of the
+    flushes emitted whenever a half-rounded page value crosses 1/2); like a
+    raw solution's it lists only flushes after time 0, and every nonzero
+    coordinate is at least 1/(4k^2).  It is the ``PhiView`` that ``x`` is
+    read from: ``x[t][p]`` is the missing-value trajectory of the
     increments logged up to step t, and ``by_step`` maps each step to its
     increments summed per flush; the one sweep that emits the increments
     builds all three.
-    ``half_increments`` log the pre-doubling half-rounded stage whose page
-    values stay in [0,1/2)+{1}; the tests check that invariant on it.
+    ``half`` is the pre-doubling half-rounded stage, whose page values stay
+    in [0,1/2)+{1}; the tests check that invariant on its increments.
     """
 
-    instance: Instance
-    increments: list[tuple[int, Flush, float]] = field(default_factory=list)
-    half_increments: list[tuple[int, Flush, float]] = field(default_factory=list)
-    phi: dict[Flush, float] = field(default_factory=dict)
     x: list[list] = field(default_factory=list)
     by_step: dict[int, dict[Flush, float]] = field(default_factory=dict)
+    half: FractionalSolution = field(init=False)
 
-    @property
-    def cost(self) -> float:
-        return flush_cost(self.phi, self.instance)
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.half = FractionalSolution(self.instance)
 
 
 def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
@@ -69,8 +67,8 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
     k = instance.k
     threshold = 1.0 / (4.0 * k * k)
 
-    stream = StructuredStream(instance=instance, phi=PhiView({}, instance.num_blocks))
-    half = PhiView({}, instance.num_blocks)
+    stream = StructuredStream(instance)
+    half = stream.half.phi
     bucket = [0.0] * instance.num_blocks
     pages = range(1, instance.n + 1)
 
@@ -84,15 +82,13 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
         eff = min(delta, 1.0 - half.get(flush, 0.0))
         if eff <= 0.0:
             return 0.0
-        half.add(flush, eff)
-        stream.half_increments.append((tau, flush, eff))
+        stream.half.apply(tau, flush, eff)
         return eff
 
     def emit(tau: int, flush: Flush, value_target: float) -> None:
         delta = value_target - stream.phi.get(flush, 0.0)
         if delta > 0.0:
-            stream.increments.append((tau, flush, delta))
-            stream.phi.add(flush, delta)
+            stream.apply(tau, flush, delta)
             step = stream.by_step.setdefault(tau, {})
             step[flush] = step.get(flush, 0.0) + delta
 

@@ -239,7 +239,7 @@ def flush_cost(phi: dict[Flush, float], instance: Instance) -> float:
 
 class PhiView(dict):
     """A sparse phi with a per-block time-sorted index for fast window sums.
-    Raise it only through ``add``, which keeps the index."""
+    Its values are raised through ``FractionalSolution.apply``, via ``add``."""
 
     def __init__(self, phi: dict[Flush, float], num_blocks: int):
         super().__init__(phi)

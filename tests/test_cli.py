@@ -5,6 +5,7 @@ import pytest
 
 from blockcache import cli
 from blockcache.cli import main
+from blockcache.det_online import run_deterministic
 from blockcache.instance import Instance
 
 
@@ -77,6 +78,21 @@ def test_run_det_artifacts(tmp_path):
     assert summary["model"] == "evict"
     assert summary["pass"] is True
     assert summary["cost"] <= summary["bound"] * summary["oracle"] + 1e-9
+
+
+def test_run_det_writes_one_line_json_documents(tmp_path):
+    inst_path = gen_random_file(tmp_path)
+    prefix = tmp_path / "det"
+    assert run_cli(
+        "run", "--instance", str(inst_path), "--alg", "det", "-o", str(prefix)
+    ) == 0
+    summary = (tmp_path / "det.summary.json").read_text()
+    cert = (tmp_path / "det.cert.json").read_text()
+    assert summary.count("\n") == 1 and summary.endswith("\n")
+    assert cert.count("\n") == 1 and cert.endswith("\n")
+    inst = Instance.load(str(inst_path))
+    res = run_deterministic(inst)
+    assert json.loads(cert) == res.ledger.certificate(inst, res.primal_cost)
 
 
 def test_run_frac_artifacts(tmp_path):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from blockcache.det_online import run_deterministic
 from blockcache.instance import (
     Instance,
     InstanceError,
@@ -268,6 +269,26 @@ def test_trace_file_round_trip(tmp_path):
     loaded = PolicyTrace.load(str(path), inst, 2)
     loaded.validate()
     assert loaded.eviction_cost == trace.eviction_cost
+    assert [s.cache for s in loaded.steps] == [s.cache for s in trace.steps]
+
+
+def test_det_trace_steps_share_an_unchanged_cache(tmp_path):
+    inst = gen_random(16, 8, 4, 200, seed=5)
+    trace = run_deterministic(inst).trace
+    shared = 0
+    cache = set(inst.initial_cache)
+    for t, step in enumerate(trace.steps, 1):
+        if step.cache == trace.cache_at(t - 1):
+            assert step.cache is trace.cache_at(t - 1)
+            shared += 1
+        # a det flush evicts its block's pages other than the request
+        flushed = {p for b, _ft in step.flushes for p in inst.blocks[b]}
+        cache = (cache | set(step.fetched)) - (flushed - {inst.request(t)})
+        assert trace.cache_at(t) == cache
+    assert shared > 0
+    path = tmp_path / "det.trace.jsonl"
+    trace.save(str(path))
+    loaded = PolicyTrace.load(str(path), inst, inst.k)
     assert [s.cache for s in loaded.steps] == [s.cache for s in trace.steps]
 
 

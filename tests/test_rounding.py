@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from blockcache.frac_online import replay_failures, run_fractional
+from blockcache.frac_online import FractionalSolution, replay_failures, run_fractional
 from blockcache.instance import Instance, RequestIndex, gen_beta_off, gen_random
 from blockcache.oracle import opt_eviction, trace_to_x_mean
 from blockcache.rounding import (
@@ -17,7 +17,7 @@ from blockcache.rounding import (
     randomized_round,
     structure_stream,
 )
-from blockcache.submodular import CoverageOracle, PhiView
+from blockcache.submodular import CoverageOracle, PhiView, flush_cost
 from reference import gap_fractional_solution
 
 
@@ -50,16 +50,36 @@ def test_structured_half_stage_x_invariant():
         half = {(b, 0): 1.0 for b in range(inst.num_blocks)}
         idx = 0
         for tau in range(1, inst.T + 1):
-            while idx < len(stream.half_increments) and (
-                stream.half_increments[idx][0] <= tau
+            while idx < len(stream.half.increments) and (
+                stream.half.increments[idx][0] <= tau
             ):
-                _t, fl, d = stream.half_increments[idx]
+                _t, fl, d = stream.half.increments[idx]
                 half[fl] = min(1.0, half.get(fl, 0.0) + d)
                 idx += 1
             view = PhiView(half, inst.num_blocks)
             for p in range(1, inst.n + 1):
                 xv = view.x(oracle, p, tau)
                 assert xv < 0.5 or xv >= 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("profile", ["unit", "log-uniform"])
+def test_structured_stages_are_replays_of_their_logs(profile):
+    # each stage's phi is exactly what applying its increment log in order
+    # gives, and by_step is the log summed per flush at each step
+    for seed in range(6):
+        inst = gen_random(8, 4, 2, 24, cost_profile=profile, delta=4.0, seed=120 + seed)
+        stream = structure_stream(run_fractional(inst).solution.increments, inst)
+        for stage in (stream, stream.half):
+            replay = FractionalSolution(inst)
+            for tau, flush, delta in stage.increments:
+                replay.apply(tau, flush, delta)
+            assert replay.phi == stage.phi
+        by_step = {}
+        for tau, flush, delta in stream.increments:
+            step = by_step.setdefault(tau, {})
+            step[flush] = step.get(flush, 0.0) + delta
+        assert by_step == stream.by_step
+        assert stream.cost == flush_cost(stream.phi, inst)
 
 
 def test_structured_cost_bound():
