@@ -28,6 +28,7 @@ from .instance import (
     write_json,
 )
 from .oracle import (
+    COST_EPS,
     OracleIntractableError,
     opt_eviction,
     opt_fetching,
@@ -41,7 +42,6 @@ from .rounding import (
     structure_stream,
 )
 
-COST_TOL = 1e-9  # det cost <= k * OPT: sums of block costs, float error only
 DUAL_TOL = 1e-6  # dual <= OPT: det quotients or frac bisection roots summed over T raises
 FRAC_BOUND_TOL = 1e-6  # frac cost <= bound * dual: duals are bisection roots (BISECT_REL)
 # frac-round mean cost <= ROUND_MEAN_SLACK * bound: the bound holds for the
@@ -167,7 +167,7 @@ def cmd_run(args) -> int:
         )
         opt = _oracle_columns(summary, inst, res.primal_cost)
         summary["pass"] = opt is None or (
-            res.primal_cost <= inst.k * opt + COST_TOL
+            res.primal_cost <= inst.k * opt + COST_EPS
             and res.ledger.objective <= opt + DUAL_TOL
         )
     elif args.alg == "frac":

@@ -4,14 +4,15 @@ the naive LP checker."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 
 from .instance import Instance, PolicyTrace
 
-# moves the exact DPs may enumerate: a state is the int bitmask of its pages
-# and a move takes 1-2 us of pure Python on a 2-core VM, so an oracle call in
-# budget finishes in about 20 s at most
+# moves the exact DPs may enumerate: a state is the int bitmask of its pages,
+# each step's moves are built one block (or one batch page) at a time, and a
+# move takes about 1 us of pure Python on a 2-core VM, so an oracle call in
+# budget finishes in about 10 s at most
 DP_MOVE_LIMIT = 10**7
 LP_EPS = 1e-9  # x and rates are float means and differences: this close meets a bound
 COST_EPS = 1e-9  # bounds between two float sums of c_B-weighted rates hold up to this
@@ -20,13 +21,6 @@ DP_TIE_EPS = 1e-12  # a DP path replaces another only when cheaper beyond float 
 
 class OracleIntractableError(ValueError):
     """State space exceeds the exact-DP budget."""
-
-
-def _subsets(items):
-    items = list(items)
-    return chain.from_iterable(
-        combinations(items, r) for r in range(len(items) + 1)
-    )
 
 
 def _check_dp_budget(instance: Instance, h: int, moves_per_state: int) -> None:
@@ -76,21 +70,25 @@ def _trace_from_path(
     return trace
 
 
-def _run_dp(instance: Instance, h: int, transitions) -> tuple[float, PolicyTrace]:
+def _run_dp(
+    instance: Instance, h: int, moves_per_state: int, transitions
+) -> tuple[float, PolicyTrace]:
     """Shortest path over cache-contents states, starting from
-    ``instance.initial_cache``.  A state is the int bitmask of its pages
-    (bit p is page p); among equally cheap end states the one with the
-    smaller sorted page list wins.
+    ``instance.initial_cache``, after ``_check_dp_budget``.  A state is the
+    int bitmask of its pages (bit p is page p); among equally cheap end
+    states the one with the smaller sorted page list wins.
 
-    ``transitions(prev, t)`` yields (next_state, step_cost).  In the
-    eviction model dropping initial pages is paid like any other eviction.
-    In the fetching model evictions are free, and starting from a subset S
-    of the initial cache I gains nothing: any first step from S, keeping
-    ``kept`` and fetching ``batch``, is matched from I by keeping ``kept``
-    plus the pages of ``batch`` (and the requested page) already in I and
-    fetching the rest of ``batch``.  That reaches the same state, and it
-    fetches only if the step from S fetches, so it costs no more.
+    ``transitions(prev, t)`` returns at most ``moves_per_state``
+    (next_state, step_cost) pairs.  In the eviction model dropping initial
+    pages is paid like any other eviction.  In the fetching model
+    evictions are free, and starting from a subset S of the initial cache
+    I gains nothing: any first step from S, keeping ``kept`` and fetching
+    ``batch``, is matched from I by keeping ``kept`` plus the pages of
+    ``batch`` (and the requested page) already in I and fetching the rest
+    of ``batch``.  That reaches the same state, and it fetches only if the
+    step from S fetches, so it costs no more.
     """
+    _check_dp_budget(instance, h, moves_per_state)
     start = _mask(instance.initial_cache)
     best = {start: 0.0}
     links: dict[int, tuple | None] = {start: None}  # state -> (prev, links[prev])
@@ -145,23 +143,19 @@ def opt_eviction(instance: Instance, h: int | None = None) -> tuple[float, Polic
     2^min(h, #blocks) moves instead of 2^|cache|.
     """
     h = instance.k if h is None else h
-    _check_dp_budget(instance, h, 2 ** min(h, instance.num_blocks))
     block_masks = [_mask(blk) for blk in instance.blocks]
 
     def transitions(prev: int, t: int):
         pbit = 1 << instance.request(t)
         rest = prev & ~pbit
-        held = [b for b, m in enumerate(block_masks) if rest & m]
-        start = prev | pbit
-        # both enumerations visit the subsets of ``held`` in one order
-        unions = map(sum, _subsets([rest & block_masks[b] for b in held]))
-        costs = map(sum, _subsets([instance.costs[b] for b in held]))
-        for union, cost in zip(unions, costs):
-            state = start & ~union
-            if state.bit_count() <= h:
-                yield state, cost
+        moves = [(prev | pbit, 0.0)]
+        for b, m in enumerate(block_masks):
+            if held := rest & m:  # each move so far, and each with b evicted
+                c = instance.costs[b]
+                moves += [(state & ~held, cost + c) for state, cost in moves]
+        return [move for move in moves if move[0].bit_count() <= h]
 
-    return _run_dp(instance, h, transitions)
+    return _run_dp(instance, h, 2 ** min(h, instance.num_blocks), transitions)
 
 
 def opt_fetching(instance: Instance, h: int | None = None) -> tuple[float, PolicyTrace]:
@@ -191,10 +185,6 @@ def opt_fetching(instance: Instance, h: int | None = None) -> tuple[float, Polic
     sets (a cache missing p may hold h pages to choose from).
     """
     h = instance.k if h is None else h
-    beta = instance.beta
-    _check_dp_budget(
-        instance, h, sum(comb(beta - 1, j) * comb(h, j + 1) for j in range(min(beta, h)))
-    )
     block_masks = [_mask(blk) for blk in instance.blocks]
 
     def transitions(prev: int, t: int):
@@ -202,17 +192,20 @@ def opt_fetching(instance: Instance, h: int | None = None) -> tuple[float, Polic
         pbit = 1 << p
         b = instance.block_of(p)
         others = _bits(prev & ~pbit)
-        extra = _bits(block_masks[b] & ~prev & ~pbit)
-        for batch in _subsets(extra):
-            room = h - len(batch) - 1
-            if room < 0:
-                break  # _subsets yields batches in order of size
-            cost = instance.costs[b] if not prev & pbit or batch else 0.0
-            fetched = pbit | sum(batch)
-            for kept in combinations(others, min(len(others), room)):
-                yield fetched | sum(kept), cost
+        batches = [(pbit, 0)]  # (fetched pages, batch size j)
+        for bit in _bits(block_masks[b] & ~prev & ~pbit):
+            batches += [(fetched | bit, j + 1) for fetched, j in batches if j + 2 <= h]
+        cost = instance.costs[b]
+        hit = prev & pbit
+        return [
+            (fetched | sum(kept), cost if j or not hit else 0.0)
+            for fetched, j in batches
+            for kept in combinations(others, min(len(others), h - j - 1))
+        ]
 
-    return _run_dp(instance, h, transitions)
+    beta = instance.beta
+    moves_per_state = sum(comb(beta - 1, j) * comb(h, j + 1) for j in range(min(beta, h)))
+    return _run_dp(instance, h, moves_per_state, transitions)
 
 
 def trace_to_x_mean(traces: list[PolicyTrace]) -> list[list]:

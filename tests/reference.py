@@ -7,14 +7,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations
 
 from blockcache.instance import Instance, PolicyTrace, RequestIndex, gen_gap_instance
 from blockcache.oracle import (
-    COST_EPS, _subsets, _trace_from_path, derive_block_rates, fractional_costs_from_x
+    COST_EPS, _trace_from_path, derive_block_rates, fractional_costs_from_x
 )
 from blockcache.submodular import (
     FEAS_EPS, CoverageOracle, Flush, FlushSet, constraint_lhs, flush_cost
 )
+
+
+def _subsets(items):
+    """Every subset of ``items``, as tuples, smallest first."""
+    items = list(items)
+    return chain.from_iterable(
+        combinations(items, r) for r in range(len(items) + 1)
+    )
 
 
 def _shortest_path(

@@ -211,11 +211,12 @@ def test_run_opt_models(tmp_path):
 
 def test_run_opt_intractable_exit_1(tmp_path):
     inst_path = gen_random_file(tmp_path, n=20, k=10, T=120, name="big.json")
-    code = run_cli(
-        "run", "--instance", str(inst_path), "--alg", "opt",
-        "-o", str(tmp_path / "big-opt"),
-    )
-    assert code == 1
+    for model in ([], ["--model", "fetch"]):
+        code = run_cli(
+            "run", "--instance", str(inst_path), "--alg", "opt", *model,
+            "-o", str(tmp_path / "big-opt"),
+        )
+        assert code == 1, model
 
 
 def test_verify_requires_something(capsys):

@@ -207,10 +207,17 @@ def test_canonical_flushsets_match_full_enumeration():
         assert opt_eviction_flushsets(inst) == pytest.approx(best, abs=1e-12)
 
 
-def test_dp_budget_gate():
+@pytest.mark.parametrize("dp", [opt_eviction, opt_fetching], ids=lambda dp: dp.__name__)
+def test_dp_budget_gate(dp, monkeypatch):
     inst = gen_random(20, 10, 2, 200, seed=1)
+
+    # the DP must raise before it enumerates anything, so before any request
+    def no_request(self, t):
+        raise AssertionError(f"request({t}) read before the budget check")
+
+    monkeypatch.setattr(Instance, "request", no_request)
     with pytest.raises(OracleIntractableError):
-        opt_eviction(inst)
+        dp(inst)
 
 
 def test_h_smaller_than_k():

@@ -3,9 +3,9 @@
 
     python3 tools/artifact_grid.py OUT [--src SRC]
 
-The grid is three seeded ``gen random`` instances (one with log-uniform
-costs at n=32), ``gen gap --beta 3 --rounds 3`` and ``gen beta-off --beta 2
---L 2`` in both directions.  Every ``run --alg`` runs on each of them (``opt``
+The grid is four seeded ``gen random`` instances (two with log-uniform
+costs, at n=12 and n=32), ``gen gap --beta 3 --rounds 3`` and ``gen
+beta-off --beta 2 --L 2`` in both directions.  Every ``run --alg`` runs on each of them (``opt``
 in both cost models; out of the exact DP's budget it exits 1 at once), then
 ``verify`` runs on every trace and increment log.  ``OUT/log.txt`` records
 each command with its output and exit code.  SRC is the ``src`` directory
@@ -25,6 +25,8 @@ from pathlib import Path
 INSTANCES = {
     "r8": ["random", "--n", "8", "--k", "4", "--beta", "2", "--T", "24", "--seed", "1"],
     "r10": ["random", "--n", "10", "--k", "4", "--beta", "3", "--T", "30", "--seed", "2"],
+    "r12log": ["random", "--n", "12", "--k", "6", "--beta", "3", "--T", "30", "--seed", "3",
+               "--cost-profile", "log-uniform", "--delta", "8"],
     "r32log": ["random", "--n", "32", "--k", "16", "--beta", "4", "--T", "100",
                "--seed", "1", "--cost-profile", "log-uniform", "--delta", "8"],
     "gap": ["gap", "--beta", "3", "--rounds", "3"],
