@@ -43,7 +43,9 @@ from .rounding import (
 )
 
 DUAL_TOL = 1e-6  # dual <= OPT: det quotients or frac bisection roots summed over T raises
-FRAC_BOUND_TOL = 1e-6  # frac cost <= bound * dual: duals are bisection roots (BISECT_REL)
+# cost <= bound * dual: det duals are quotients and frac duals bisection roots
+# (BISECT_REL), each rounded, and the bound multiplies their error
+BOUND_TOL = 1e-6
 # frac-round mean cost <= ROUND_MEAN_SLACK * bound: the bound holds for the
 # expected cost, and the mean over a few seeds may exceed it
 ROUND_MEAN_SLACK = 1.1
@@ -104,17 +106,26 @@ def _ensemble_traces(inst: Instance, seeds: list[int]):
     return frac, stream, traces
 
 
-def _oracle_columns(summary: dict, inst: Instance, cost: float):
-    """Writes the exact eviction optimum at h = k and the cost's ratio to it
-    into the summary and returns the optimum; both columns stay blank and
-    None is returned when the DP is out of budget."""
+def _primal_dual_columns(summary: dict, inst: Instance, res, bound: float, prefix: str) -> bool:
+    """Checks an online primal-dual run (det or frac) against its own dual
+    and writes its certificate and summary columns.  Passes when cost <=
+    bound * dual and, where the eviction DP at h = k is in budget, also
+    dual <= OPT (weak duality) and cost <= bound * OPT; the oracle and
+    ratio columns stay blank when the DP is out of budget."""
+    cost, dual = res.primal_cost, res.ledger.objective
+    res.ledger.check_feasible(inst)
+    res.ledger.save_certificate(prefix + ".cert.json", inst, cost)
+    summary.update(
+        model="evict", cost=round12(cost), dual_objective=round12(dual), bound=round12(bound)
+    )
+    ok = cost <= bound * dual + BOUND_TOL
     try:
         opt = opt_eviction(inst, inst.k)[0]
     except OracleIntractableError:
-        return None
+        return ok
     summary["oracle"] = round12(opt)
     summary["ratio"] = round12(cost / opt) if opt > 0 else 0.0
-    return opt
+    return ok and dual <= opt + DUAL_TOL and cost <= bound * opt + COST_EPS
 
 
 def _at_least_one(flag: str, value) -> bool:
@@ -156,36 +167,13 @@ def cmd_run(args) -> int:
     if args.alg == "det":
         res = run_deterministic(inst)
         res.trace.validate()
-        res.ledger.check_feasible(inst)
         res.trace.save(prefix + ".trace.jsonl")
-        res.ledger.save_certificate(prefix + ".cert.json", inst, res.primal_cost)
-        summary.update(
-            model="evict",
-            cost=round12(res.primal_cost),
-            dual_objective=round12(res.ledger.objective),
-            bound=inst.k,
-        )
-        opt = _oracle_columns(summary, inst, res.primal_cost)
-        summary["pass"] = opt is None or (
-            res.primal_cost <= inst.k * opt + COST_EPS
-            and res.ledger.objective <= opt + DUAL_TOL
-        )
+        summary["pass"] = _primal_dual_columns(summary, inst, res, inst.k, prefix)
     elif args.alg == "frac":
         res = run_fractional(inst)
-        res.ledger.check_feasible(inst)
         res.solution.save_increments(prefix + ".increments.jsonl")
-        res.ledger.save_certificate(prefix + ".cert.json", inst, res.primal_cost)
-        dual = res.ledger.objective
-        bound = res.competitive_bound
-        summary.update(
-            model="evict",
-            cost=round12(res.primal_cost),
-            dual_objective=round12(dual),
-            bound=round12(bound),
-        )
-        opt = _oracle_columns(summary, inst, res.primal_cost)
-        summary["pass"] = res.primal_cost <= bound * dual + FRAC_BOUND_TOL and (
-            opt is None or dual <= opt + DUAL_TOL
+        summary["pass"] = _primal_dual_columns(
+            summary, inst, res, res.competitive_bound, prefix
         )
     elif args.alg == "frac-round":
         frac, stream, traces = _ensemble_traces(inst, seeds)

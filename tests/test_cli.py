@@ -5,7 +5,7 @@ import pytest
 
 from blockcache import cli
 from blockcache.cli import main
-from blockcache.det_online import run_deterministic
+from blockcache.det_online import DualLedger, run_deterministic
 from blockcache.instance import Instance
 
 
@@ -125,14 +125,15 @@ def test_run_frac_beta_off_dual_within_oracle(tmp_path, direction):
     assert summary["dual_objective"] <= summary["oracle"]
 
 
-def test_run_frac_fails_when_dual_exceeds_oracle(tmp_path, monkeypatch):
+@pytest.mark.parametrize("alg", ["det", "frac"])
+def test_run_fails_when_dual_exceeds_oracle(tmp_path, monkeypatch, alg):
     # weak duality: a dual above the eviction optimum is a failed run
     monkeypatch.setattr(cli, "opt_eviction", lambda inst, h: (0.5, None))
     inst_path = gen_random_file(tmp_path)
     assert run_cli(
-        "run", "--instance", str(inst_path), "--alg", "frac", "-o", str(tmp_path / "frac")
+        "run", "--instance", str(inst_path), "--alg", alg, "-o", str(tmp_path / alg)
     ) == 1
-    summary = json.loads((tmp_path / "frac.summary.json").read_text())
+    summary = json.loads((tmp_path / f"{alg}.summary.json").read_text())
     assert summary["pass"] is False
     assert summary["oracle"] == 0.5
     assert summary["cost"] <= summary["bound"] * summary["dual_objective"] + 1e-6
@@ -163,8 +164,8 @@ def test_run_frac_round_one_seed_has_zero_stderr(tmp_path):
 
 @pytest.mark.parametrize("alg", ["det", "frac"])
 def test_run_out_of_dp_budget_has_no_oracle_columns(tmp_path, alg):
-    # the exact DP is out of budget here: the run passes on its own bound
-    # and writes neither the optimum nor the ratio to it
+    # the exact DP is out of budget here: the run passes on its own bound,
+    # cost <= bound * dual, and writes neither the optimum nor the ratio to it
     inst_path = gen_random_file(tmp_path, n=16, k=8, beta=4, T=40, seed=9)
     assert run_cli(
         "run", "--instance", str(inst_path), "--alg", alg, "-o", str(tmp_path / alg)
@@ -172,6 +173,22 @@ def test_run_out_of_dp_budget_has_no_oracle_columns(tmp_path, alg):
     summary = json.loads((tmp_path / f"{alg}.summary.json").read_text())
     assert "oracle" not in summary and "ratio" not in summary
     assert summary["pass"] is True
+    assert summary["cost"] <= summary["bound"] * summary["dual_objective"] + 1e-6
+
+
+@pytest.mark.parametrize("alg", ["det", "frac"])
+def test_run_out_of_dp_budget_fails_on_a_zero_dual(tmp_path, monkeypatch, alg):
+    # without the exact optimum the run's dual is its only witness: a zero
+    # dual cannot certify a positive cost, so the run fails
+    monkeypatch.setattr(DualLedger, "objective", 0.0)
+    inst_path = gen_random_file(tmp_path, n=16, k=8, beta=4, T=40, seed=9)
+    assert run_cli(
+        "run", "--instance", str(inst_path), "--alg", alg, "-o", str(tmp_path / alg)
+    ) == 1
+    summary = json.loads((tmp_path / f"{alg}.summary.json").read_text())
+    assert summary["pass"] is False
+    assert summary["dual_objective"] == 0.0 and summary["cost"] > 0
+    assert "oracle" not in summary
 
 
 def test_run_bicriteria(tmp_path):

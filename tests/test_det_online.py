@@ -52,8 +52,20 @@ def test_two_blocks_of_two():
 
 
 def test_primal_at_most_k_times_dual():
-    for seed in range(30):
-        inst = gen_random(7, 3, 2, 14, seed=seed)
+    # unit and log-uniform costs, and both beta-off directions, which start
+    # from a full cache that det pays to evict
+    insts = [gen_random(7, 3, 2, 14, seed=seed) for seed in range(30)]
+    insts += [
+        gen_random(7, 3, 2, 14, cost_profile="log-uniform", delta=8.0, seed=seed)
+        for seed in range(30)
+    ]
+    insts += [
+        gen_beta_off(beta, L, direction)
+        for beta in (2, 3)
+        for L in (1, 2, 3)
+        for direction in ("evict-heavy", "fetch-heavy")
+    ]
+    for inst in insts:
         res = run_and_check(inst)
         assert res.primal_cost <= inst.k * res.ledger.objective + 1e-9
         for rec in res.ledger.records:
