@@ -4,6 +4,7 @@ strengthened LP constraint checks."""
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from math import inf
 
 from .instance import Instance, RequestIndex
 
@@ -122,6 +123,11 @@ def most_violated_constraint(
     residual reaches the largest count, so every residual from there on
     reads its answer off one shared sweep: the states at coverage g do not
     depend on where the sweep is cut.
+
+    Each fractional flush is placed among its block's last requests once
+    per call.  A sweep keeps flat value and back-pointer lists, and at each
+    block visits only the coverages from which the remaining blocks can
+    still reach a coverage the sweep is read at.
     """
     inst = oracle.instance
     cap = inst.n - inst.k
@@ -138,80 +144,89 @@ def most_violated_constraint(
             elif v > 0.0:
                 frac_of[b].append((t, v))
 
-    # per block: its candidate thresholds, each with its coverage and
-    # hs[r - 1] = h(T, r) = sum over fractional flushes of min(count, r) *
-    # mass, where a flush's count is the uncapped number of pages it newly
-    # makes missing; hs stops at the threshold's largest count, above which
-    # h is constant, and no residual from `saturated` on caps any count
+    # per block: its thresholds (T, cover), cover being the pages T makes
+    # missing, and options[r - 1] = [(cover, h(T, r))]: the sum over the
+    # fractional flushes of min(count, r) * mass, where a flush at position
+    # pos in rs newly makes count = pos - cover pages missing (one with no
+    # count under the forced threshold adds 0.0 to every h and is left out).
+    # options stops at the largest count, above which h is constant, and no
+    # residual from `saturated` on caps any count
     blocks_data = []
     saturated = 1
     for b in range(num_blocks):
         rs = oracle.index.block_last_requests(b, tau)
         lo = t_min[b]
-        frac = [(t, v) for t, v in frac_of[b] if t > lo]
-        thresholds = sorted({lo} | {r + 1 for r in rs if lo < r + 1 <= tau})
-        per_thr = []
-        for T in thresholds:
-            cover = bisect_left(rs, T)
-            counts = [(max(0, bisect_left(rs, t) - cover), v) for t, v in frac]
-            top_count = max([1] + [cnt for cnt, _v in counts])
-            hs = [
-                sum(min(cnt, r) * v for cnt, v in counts)
-                for r in range(1, top_count + 1)
-            ]
-            saturated = max(saturated, top_count)
-            per_thr.append((T, cover, hs))
-        blocks_data.append((b, per_thr))
+        c0 = bisect_left(rs, lo)
+        frac = [(pos, v) for t, v in frac_of[b] if (pos := bisect_left(rs, t)) > c0]
+        # threshold r + 1 (lo <= r < tau) covers rs up to r's last copy: j + 1 pages
+        nexts = rs[1:] + (tau,)
+        thresholds = [(lo, c0)] + [(r + 1, j + 1) for j, r in enumerate(rs) if lo <= r < nexts[j]]
+        top_count = max([1] + [pos - c0 for pos, _v in frac])
+        saturated = max(saturated, top_count)
+        options = [
+            [(cover, sum([min(pos - cover, r) * v for pos, v in frac if pos > cover]))
+             for _T, cover in thresholds]
+            for r in range(1, top_count + 1)
+        ]
+        blocks_data.append((thresholds, options))
 
-    def sweep(residual: int, top: int):
-        """dp[g] = (min sum of capped contributions, chosen (block, threshold)
-        pairs as a linked list) over the blocks, for coverage g <= top."""
-        dp: list = [None] * (top + 1)
-        dp[0] = (0.0, None)
-        for b, per_thr in blocks_data:
-            options = [
-                (T, cover, hs[min(residual, len(hs)) - 1]) for T, cover, hs in per_thr
-            ]
-            nxt: list = [None] * (top + 1)
-            for g, state in enumerate(dp):
-                if state is None:
+    def sweep(residual: int, top_lo: int, top: int):
+        """dp[g] = min sum of capped contributions at coverage top_lo <= g <=
+        top (inf if unreached); per block, back[g] = the coverage before it."""
+        least = sum(thresholds[0][1] for thresholds, _options in blocks_data)
+        most = sum(thresholds[-1][1] for thresholds, _options in blocks_data)
+        dp = [0.0] + [inf] * top
+        backs = []
+        g_lo = g_hi = 0
+        for thresholds, options in blocks_data:
+            opts = options[min(residual, len(options)) - 1]
+            least -= thresholds[0][1]
+            most -= thresholds[-1][1]
+            lo2, hi2 = max(0, top_lo - most), top - least
+            nxt = [inf] * (top + 1)
+            back = [0] * (top + 1)
+            for g in range(g_lo, g_hi + 1):
+                base = dp[g]
+                if base == inf:
                     continue
-                base, chain = state
-                for T, cover, h in options:
+                for cover, h in opts:
                     g2 = g + cover
-                    if g2 > top:
+                    if g2 > hi2:
                         break  # covers grow with the threshold
-                    cur = nxt[g2]
                     val = base + h
-                    if cur is None or val < cur[0]:
-                        nxt[g2] = (val, ((b, T), chain))
+                    if g2 >= lo2 and val < nxt[g2]:
+                        nxt[g2] = val
+                        back[g2] = g
             dp = nxt
-        return dp
+            backs.append(back)
+            g_lo, g_hi = lo2, hi2
+        return dp, backs
 
     shared = None
-    best: tuple[float, object] | None = None
+    best = None
     for residual in range(1, cap + 1):
         top = cap - residual
         if residual < saturated:
-            dp = sweep(residual, top)
+            dp, backs = sweep(residual, top, top)
         else:
-            if shared is None:
-                shared = sweep(residual, top)
-            dp = shared
-        state = dp[top]
-        if state is not None:
-            slack = state[0] - residual
+            dp, backs = shared = shared or sweep(residual, 0, top)
+        if dp[top] < inf:
+            slack = dp[top] - residual
             if best is None or slack < best[0]:
-                best = (slack, state[1])
+                best = (slack, backs, top)
 
     # best is None when the integral flushes alone make n - k pages
     # missing: every marginal is then 0, and so is their set's slack
-    slack, chain = (0.0, None) if best is None else best
     S = FlushSet(num_blocks)
-    while chain is not None:
-        (b, T), chain = chain
-        if T >= 1:
-            S.add(b, T)
+    slack = 0.0
+    if best is not None:
+        slack, backs, g = best
+        for b in range(num_blocks - 1, -1, -1):
+            prev = backs[b][g]
+            T = next(T for T, cover in blocks_data[b][0] if cover == g - prev)
+            if T >= 1:
+                S.add(b, T)
+            g = prev
     for (b, t), v in phi.items():
         if v >= 1.0:
             S.add(b, t)

@@ -5,6 +5,7 @@ integrator and an exact-rational LP point that the fast code paths of
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
@@ -281,3 +282,120 @@ def gap_fractional_solution(beta: int, rounds: int) -> GapSolution:
         phi_evict=derive_block_rates(x, instance, +1),
         phi_fetch=derive_block_rates(x, instance, -1),
     )
+
+
+def most_violated_constraint_reference(
+    phi: dict[Flush, float], oracle: CoverageOracle, tau: int
+) -> tuple[float, FlushSet]:
+    """``most_violated_constraint`` as it was before its coverage index,
+    state window and flat arrays, kept verbatim as the bit-identity
+    reference.
+
+    Exact separation over every constraint set containing the integral
+    flushes, in polynomial time.
+
+    The pages a block's flushes can make missing at tau form a chain in the
+    flush time, so any constraint set is equivalent (same slack) to one with
+    a single threshold flush per block.  Thresholds across blocks couple
+    only through the capped residual n - k - |covered|, so for each residual
+    value the best thresholds are found by a small knapsack-style sweep over
+    blocks.
+
+    A flush's capped count min(cnt, residual) stops changing once the
+    residual reaches the largest count, so every residual from there on
+    reads its answer off one shared sweep: the states at coverage g do not
+    depend on where the sweep is cut.
+    """
+    inst = oracle.instance
+    cap = inst.n - inst.k
+    num_blocks = inst.num_blocks
+
+    # one pass over phi: per block, the forced minimum threshold (largest
+    # integral flush time <= tau) and the fractional flushes up to tau
+    t_min = [0] * num_blocks
+    frac_of: list[list[tuple[int, float]]] = [[] for _ in range(num_blocks)]
+    for (b, t), v in phi.items():
+        if t <= tau:
+            if v >= 1.0:
+                t_min[b] = max(t_min[b], t)
+            elif v > 0.0:
+                frac_of[b].append((t, v))
+
+    # per block: its candidate thresholds, each with its coverage and
+    # hs[r - 1] = h(T, r) = sum over fractional flushes of min(count, r) *
+    # mass, where a flush's count is the uncapped number of pages it newly
+    # makes missing; hs stops at the threshold's largest count, above which
+    # h is constant, and no residual from `saturated` on caps any count
+    blocks_data = []
+    saturated = 1
+    for b in range(num_blocks):
+        rs = oracle.index.block_last_requests(b, tau)
+        lo = t_min[b]
+        frac = [(t, v) for t, v in frac_of[b] if t > lo]
+        thresholds = sorted({lo} | {r + 1 for r in rs if lo < r + 1 <= tau})
+        per_thr = []
+        for T in thresholds:
+            cover = bisect_left(rs, T)
+            counts = [(max(0, bisect_left(rs, t) - cover), v) for t, v in frac]
+            top_count = max([1] + [cnt for cnt, _v in counts])
+            hs = [
+                sum(min(cnt, r) * v for cnt, v in counts)
+                for r in range(1, top_count + 1)
+            ]
+            saturated = max(saturated, top_count)
+            per_thr.append((T, cover, hs))
+        blocks_data.append((b, per_thr))
+
+    def sweep(residual: int, top: int):
+        """dp[g] = (min sum of capped contributions, chosen (block, threshold)
+        pairs as a linked list) over the blocks, for coverage g <= top."""
+        dp: list = [None] * (top + 1)
+        dp[0] = (0.0, None)
+        for b, per_thr in blocks_data:
+            options = [
+                (T, cover, hs[min(residual, len(hs)) - 1]) for T, cover, hs in per_thr
+            ]
+            nxt: list = [None] * (top + 1)
+            for g, state in enumerate(dp):
+                if state is None:
+                    continue
+                base, chain = state
+                for T, cover, h in options:
+                    g2 = g + cover
+                    if g2 > top:
+                        break  # covers grow with the threshold
+                    cur = nxt[g2]
+                    val = base + h
+                    if cur is None or val < cur[0]:
+                        nxt[g2] = (val, ((b, T), chain))
+            dp = nxt
+        return dp
+
+    shared = None
+    best: tuple[float, object] | None = None
+    for residual in range(1, cap + 1):
+        top = cap - residual
+        if residual < saturated:
+            dp = sweep(residual, top)
+        else:
+            if shared is None:
+                shared = sweep(residual, top)
+            dp = shared
+        state = dp[top]
+        if state is not None:
+            slack = state[0] - residual
+            if best is None or slack < best[0]:
+                best = (slack, state[1])
+
+    # best is None when the integral flushes alone make n - k pages
+    # missing: every marginal is then 0, and so is their set's slack
+    slack, chain = (0.0, None) if best is None else best
+    S = FlushSet(num_blocks)
+    while chain is not None:
+        (b, T), chain = chain
+        if T >= 1:
+            S.add(b, T)
+    for (b, t), v in phi.items():
+        if v >= 1.0:
+            S.add(b, t)
+    return slack, S

@@ -1,0 +1,42 @@
+"""The summary of tools/bench_pairs.py on fixed numbers: quartiles by
+linear interpolation, pairs won by the change, and ties counted for
+neither side."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def test_quartiles_interpolate_between_runs():
+    assert bench_pairs.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == [2.0, 3.0, 4.0]
+    assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0]) == [1.75, 2.5, 3.25]
+    assert bench_pairs.quartiles([0.6454, 0.6454, 0.6468]) == [0.6454, 0.6454, 0.6461]
+    assert bench_pairs.quartiles([2.5]) == [2.5, 2.5, 2.5]
+
+
+def test_wins_count_strict_improvements_only():
+    parent = [3.0, 3.1, 2.9, 3.0]
+    change = [2.5, 3.1, 3.0, 2.0]  # a win, a tie, a loss, a win
+    lower = bench_pairs.summarize(parent, change, "lower")
+    assert lower["change_wins"] == 2
+    assert lower["parent"] == [2.975, 3.0, 3.025]
+    assert lower["change"] == [2.375, 2.75, 3.025]
+    assert lower["parent_runs"] == parent and lower["change_runs"] == change
+    # the same numbers where higher is better: the loss is the one win
+    assert bench_pairs.summarize(parent, change, "higher")["change_wins"] == 1
+
+
+def test_all_ties_win_nothing():
+    runs = [1.4049, 1.4049, 1.4049]
+    for better in ("lower", "higher"):
+        assert bench_pairs.summarize(runs, list(runs), better)["change_wins"] == 0
+
+
+def test_runs_are_rounded_to_four_digits():
+    summary = bench_pairs.summarize([0.123456], [0.654321], "lower")
+    assert summary["parent_runs"] == [0.1235] and summary["change_runs"] == [0.6543]
+    assert summary["change_wins"] == 0

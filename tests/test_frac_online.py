@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from blockcache import submodular
 from blockcache.frac_online import (
     FractionalSolution,
     load_increments,
@@ -14,7 +15,7 @@ from blockcache.frac_online import (
 from blockcache.instance import Instance, gen_random
 from blockcache.oracle import opt_eviction
 from blockcache.submodular import flush_cost
-from reference import integrate_rate_law
+from reference import integrate_rate_law, most_violated_constraint_reference
 
 
 def run_checked(inst):
@@ -183,3 +184,17 @@ def test_apply_rejects_nonpositive():
     sol = FractionalSolution(inst)
     with pytest.raises(ValueError):
         sol.apply(1, (0, 1), 0.0)
+
+
+@pytest.mark.parametrize("profile", ["unit", "log-uniform"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_run_matches_reference_separation_on_bench_shape(monkeypatch, profile, seed):
+    # the frac-mid instance shape: the separation's coverage index, state
+    # window and flat arrays leave every increment and dual record as the
+    # reference separation makes them, bit for bit
+    inst = gen_random(32, 16, 4, 100, cost_profile=profile, delta=8.0, seed=seed)
+    res = run_fractional(inst)
+    monkeypatch.setattr(submodular, "most_violated_constraint", most_violated_constraint_reference)
+    ref = run_fractional(inst)
+    assert res.solution.increments == ref.solution.increments
+    assert res.ledger.records == ref.ledger.records

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations
 
@@ -18,6 +19,7 @@ from reference import (
     has_flush_in,
     is_missing,
     least_slack,
+    most_violated_constraint_reference,
     x_from_phi,
 )
 
@@ -334,6 +336,67 @@ def test_separation_exact_when_residual_exceeds_counts():
         with_fixed += bool(fixed)
         violated += best < -1e-9
     assert checked >= 100 and with_fixed >= 60 and violated >= 40
+
+
+# n = k: no constraint has a positive right-hand side
+FULL_CACHE = (gen_random(4, 4, 2, 8, seed=0), 5, {(0, 3): 0.5, (1, 5): 1.0})
+# cap 1 against a flush at (0, 5) that newly makes all four pages of block 0
+# missing; integral flushes before, at and after tau that make no page
+# missing; block 1's two starting-cache pages share last request 0; the
+# flushes at (0, 1) and (2, 3) make no page missing
+COUNT_ABOVE_CAP = (
+    Instance(
+        n=9, k=8, blocks=((1, 2, 3, 4), (5, 6), (7,), (8,), (9,)),
+        costs=(1.0, 2.0, 1.0, 0.5, 1.0), requests=(1, 2, 3, 4, 7, 9, 2, 1),
+        initial_cache=frozenset({5, 6, 8}),
+    ),
+    6,
+    {(0, 5): 0.4, (0, 4): 0.3, (0, 1): 0.7, (1, 3): 0.6, (2, 3): 0.2, (3, 2): 0.5,
+     (4, 4): 1.0, (4, 6): 1.0, (3, 8): 1.0},
+)
+
+
+def test_separation_bit_identical_to_reference():
+    # property: the separation returns the slack (==, same type) and the
+    # set that the reference implementation returns, for phi as a plain
+    # dict holding the time-0 flushes and as a PhiView without them
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(1, 16))
+        k = draw(st.one_of(st.integers(1, n), st.integers(max(1, n - 2), n)))
+        beta = draw(st.integers(1, min(4, k)))
+        inst = gen_random(n, k, beta, draw(st.integers(1, 30)), seed=draw(st.integers(0, 2**16)))
+        cached = draw(st.lists(st.integers(1, n), max_size=k, unique=True))
+        inst = dataclasses.replace(inst, initial_cache=frozenset(cached))
+        tau = draw(st.integers(1, inst.T))
+        near_tau = st.sampled_from(sorted({max(1, tau - 1), tau, min(inst.T, tau + 1)}))
+        flush = st.tuples(
+            st.integers(0, inst.num_blocks - 1),
+            st.one_of(st.integers(1, inst.T), near_tau),
+            st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.just(1.0)),
+        )
+        phi = {(b, t): v for b, t, v in draw(st.lists(flush, max_size=3 * inst.num_blocks))}
+        return inst, tau, phi
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(cases())
+    @hypothesis.example(FULL_CACHE)
+    @hypothesis.example(COUNT_ABOVE_CAP)
+    def check(case):
+        inst, tau, drawn = case
+        oracle = make_oracle(inst)
+        plain = {(b, 0): 1.0 for b in range(inst.num_blocks)}
+        plain.update(drawn)
+        for phi in (plain, PhiView(drawn, inst.num_blocks)):
+            slack, S = most_violated_constraint(phi, oracle, tau)
+            want_slack, want_S = most_violated_constraint_reference(phi, oracle, tau)
+            assert slack == want_slack and type(slack) is type(want_slack)
+            assert list(S) == list(want_S)
+
+    check()
 
 
 def test_reused_oracle_matches_fresh_oracle():

@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Compare this checkout with a parent checkout in alternating benchmark pairs.
+
+    python3 tools/bench_pairs.py PARENT_CHECKOUT --workload W --seed S \\
+        --pairs N --seconds X -o BENCH_<PR>.json
+
+Each pair runs ``python3 bench/run.py --workload W --seed S --seconds X
+--trace 0`` once in PARENT_CHECKOUT and once in this checkout, one run at a
+time; the parent runs first in even pairs and the change in odd ones.  Every
+end-to-end metric that BENCHMARK.json names gets each side's [first
+quartile, median, third quartile] and the number of pairs the change won
+(ties count for neither side).  The run entry is written into OUT; an OUT
+that exists keeps its entries for other workloads or seeds, so one file can
+collect several workloads.  Each checkout's ``bench/run.py`` is run as it
+is; this script writes nothing under ``bench/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DIGITS = 4
+
+
+def quartiles(runs: list[float]) -> list[float]:
+    """[first quartile, median, third quartile], linear interpolation
+    between order statistics; one run is all three."""
+    if len(runs) == 1:
+        return [round(runs[0], DIGITS)] * 3
+    return [round(q, DIGITS) for q in statistics.quantiles(runs, n=4, method="inclusive")]
+
+
+def summarize(parent_runs: list[float], change_runs: list[float], better: str) -> dict:
+    """One metric's entry: quartiles per side, pairs won by the change
+    (strictly better; a tie counts for neither), and the runs in pair order."""
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * (c - p) < 0 for p, c in zip(parent_runs, change_runs))
+    return {
+        "parent": quartiles(parent_runs),
+        "change": quartiles(change_runs),
+        "change_wins": wins,
+        "parent_runs": [round(v, DIGITS) for v in parent_runs],
+        "change_runs": [round(v, DIGITS) for v in change_runs],
+    }
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The last stdout line of one ``bench/run.py`` run, as JSON."""
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def commit_of(checkout: Path) -> str:
+    """The checkout's short commit id, or its directory name outside git."""
+    if not (checkout / ".git").exists():
+        return checkout.name
+    done = subprocess.run(
+        ["git", "-C", str(checkout), "rev-parse", "--short", "HEAD"],
+        capture_output=True, text=True,
+    )
+    return done.stdout.strip() if done.returncode == 0 else checkout.name
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("-o", "--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    if not (args.parent / "bench" / "run.py").is_file():
+        parser.error(f"{args.parent} has no bench/run.py")
+
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
+    results: dict[str, list[dict]] = {"parent": [], "change": []}
+    first = []
+    for i in range(args.pairs):
+        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+        first.append(order[0])
+        for side in order:
+            results[side].append(run_bench(sides[side], args.workload, args.seed, args.seconds))
+            print(f"pair {i + 1}/{args.pairs} {side}: "
+                  f"wall_s {results[side][-1]['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
+
+    entry = {
+        "workload": args.workload,
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "pairs": args.pairs,
+        "first": first,
+        "all_correct": all(r["correct"] is True for side in results.values() for r in side),
+        "failed": {side: sum(r["failed"] for r in runs) for side, runs in results.items()},
+    }
+    for metric in metrics:
+        name = metric["name"]
+        entry[name] = summarize(
+            [r["metrics"][name]["value"] for r in results["parent"]],
+            [r["metrics"][name]["value"] for r in results["change"]],
+            metric["better"],
+        )
+
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc["about"] = (
+        "Alternating parent/change pairs of `python3 bench/run.py --workload W --seed S"
+        f" --seconds X --trace 0` (tools/bench_pairs.py), one run at a time; parent ="
+        f" {commit_of(sides['parent'])}. Per metric: [first quartile, median, third quartile]"
+        " of each side, and the number of pairs the change won, in the metric's better"
+        " direction from BENCHMARK.json (ties count for neither)."
+    )
+    doc["host"] = {
+        "name": platform.node(),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+    }
+    runs = [r for r in doc.get("runs", [])
+            if (r["workload"], r["seed"]) != (args.workload, args.seed)]
+    doc["runs"] = runs + [entry]
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
