@@ -42,9 +42,9 @@ from .rounding import (
     structure_stream,
 )
 
-DUAL_TOL = 1e-6  # dual <= OPT: det quotients or frac bisection roots summed over T raises
-# cost <= bound * dual: det duals are quotients and frac duals bisection roots
-# (BISECT_REL), each rounded, and the bound multiplies their error
+DUAL_TOL = 1e-6  # dual <= OPT: det quotients or frac Newton roots summed over T raises
+# cost <= bound * dual: det duals are quotients and frac duals Newton roots
+# (ROOT_REL), each rounded, and the bound multiplies their error
 BOUND_TOL = 1e-6
 # frac-round mean cost <= ROUND_MEAN_SLACK * bound: the bound holds for the
 # expected cost, and the mean over a few seeds may exceed it

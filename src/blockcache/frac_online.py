@@ -22,7 +22,7 @@ from .submodular import (
 )
 
 TARGET_EPS = 1e-12  # contribution this close to the target at the tight point reaches it
-BISECT_REL = 1e-12  # bisection bracket width relative to the root: near double precision
+ROOT_REL = 1e-12  # Newton stops at steps below this times max(1, y): near double precision
 PHI_AFTER_EPS = 1e-9  # saved phi_after vs the running sum: 12-digit deltas summed over one flush
 
 
@@ -152,30 +152,40 @@ def solve_event(
     """Next event while raising the current dual variable.
 
     Candidates are (flush, marginal, accumulated mass, cost) with marginal
-    >= 1.  Either the candidates' combined contribution reaches ``target``
-    (root found by bisection; the contribution is strictly increasing), or
-    some candidate's dual constraint becomes tight first.
+    >= 1.  Either the candidates' combined contribution g reaches ``target``
+    (root found by Newton's method from the right), or some candidate's dual
+    constraint becomes tight first.
     """
     dy_tight, tight_flush = first_tight(candidates)
+    kb = k * beta
+    base, rate = kb + 1.0, math.log(kb + 1.0) / kb
 
-    def g(y: float) -> float:
-        return sum(
-            f * phi_closed_form(A + f * y, c, k, beta)
-            for _fl, f, A, c in candidates
-        )
+    def g_slope(y: float) -> tuple[float, float]:
+        # phi_closed_form inlined; each power serves both g and its slope
+        gy = slope = 0.0
+        for _fl, f, A, c in candidates:
+            power = base ** ((A + f * y) / c)
+            gy += f * ((power - 1.0) / kb)
+            slope += f * f / c * power
+        return gy, rate * slope
 
-    if g(dy_tight) <= target + TARGET_EPS:
+    y, (gy, slope) = dy_tight, g_slope(dy_tight)
+    if gy <= target + TARGET_EPS:
         return EventOutcome(delta_y=dy_tight, kind="flush-tightened", flush=tight_flush)
-    lo, hi = 0.0, dy_tight
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= BISECT_REL * max(1.0, hi):
+    for _ in range(100):  # g is convex and increasing, so each iterate keeps g >= target
+        step = (gy - target) / slope
+        if step <= ROOT_REL * max(1.0, y):
             break
-    return EventOutcome(delta_y=hi, kind="primal-satisfied", flush=None)
+        y_next = y - step
+        g_next, slope_next = g_slope(y_next)
+        if g_next < target:  # rounding put y_next just below the root
+            y_up = y_next + ROOT_REL * max(1.0, y_next)
+            y = y_up if g_slope(y_up)[0] >= target else y
+            break
+        y, gy, slope = y_next, g_next, slope_next
+    else:
+        raise AssertionError(f"Newton root of the dual event (target {target}) did not converge")
+    return EventOutcome(delta_y=y, kind="primal-satisfied", flush=None)
 
 
 @dataclass

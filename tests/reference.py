@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 
+from blockcache.det_online import first_tight
+from blockcache.frac_online import TARGET_EPS, EventOutcome, phi_closed_form
 from blockcache.instance import Instance, PolicyTrace, RequestIndex, gen_gap_instance
 from blockcache.oracle import (
     COST_EPS, _trace_from_path, derive_block_rates, fractional_costs_from_x
@@ -399,3 +401,44 @@ def most_violated_constraint_reference(
         if v >= 1.0:
             S.add(b, t)
     return slack, S
+
+
+BISECT_REL = 1e-12  # bisection bracket width relative to the root: near double precision
+
+
+def solve_event_reference(
+    candidates: list[tuple[Flush, int, float, float]],
+    target: float,
+    k: int,
+    beta: int,
+) -> EventOutcome:
+    """``solve_event`` as it was before its Newton iteration, kept verbatim
+    as the reference for the root it returns.
+
+    Next event while raising the current dual variable.
+
+    Candidates are (flush, marginal, accumulated mass, cost) with marginal
+    >= 1.  Either the candidates' combined contribution reaches ``target``
+    (root found by bisection; the contribution is strictly increasing), or
+    some candidate's dual constraint becomes tight first.
+    """
+    dy_tight, tight_flush = first_tight(candidates)
+
+    def g(y: float) -> float:
+        return sum(
+            f * phi_closed_form(A + f * y, c, k, beta)
+            for _fl, f, A, c in candidates
+        )
+
+    if g(dy_tight) <= target + TARGET_EPS:
+        return EventOutcome(delta_y=dy_tight, kind="flush-tightened", flush=tight_flush)
+    lo, hi = 0.0, dy_tight
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= BISECT_REL * max(1.0, hi):
+            break
+    return EventOutcome(delta_y=hi, kind="primal-satisfied", flush=None)

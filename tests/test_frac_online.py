@@ -4,7 +4,9 @@ import random
 import pytest
 
 from blockcache import submodular
+from blockcache.det_online import first_tight
 from blockcache.frac_online import (
+    ROOT_REL,
     FractionalSolution,
     load_increments,
     phi_closed_form,
@@ -15,7 +17,9 @@ from blockcache.frac_online import (
 from blockcache.instance import Instance, gen_random
 from blockcache.oracle import opt_eviction
 from blockcache.submodular import flush_cost
-from reference import integrate_rate_law, most_violated_constraint_reference
+from reference import (
+    integrate_rate_law, most_violated_constraint_reference, solve_event_reference
+)
 
 
 def run_checked(inst):
@@ -64,7 +68,73 @@ def test_solve_event_primal_satisfied_root():
     cands = [((0, 2), 1, 0.0, 1.0), ((1, 3), 1, 0.0, 1.0)]
     out = solve_event(cands, target=1.0, k=2, beta=1)
     assert out.kind == "primal-satisfied"
-    assert out.delta_y == pytest.approx(math.log(2) / math.log(3), abs=1e-9)
+    assert out.delta_y == pytest.approx(math.log(2) / math.log(3), abs=ROOT_REL)
+
+
+# The first dual event of gen_random(32, 16, 4, 100, cost_profile="log-uniform",
+# delta=8.0, seed=1), at tau=22: Newton's last iterate lands 4e-16 below the
+# target in floats, and the safeguard's iterate one tolerance up is returned
+SAFEGUARD_EVENT = (
+    [(flush, 1, 0.0, c) for flush, c in [
+        ((0, 12), 4.866360545663235), ((2, 13), 6.866238028478127),
+        ((3, 16), 2.376008202560825), ((3, 17), 2.376008202560825),
+        ((3, 19), 2.376008202560825), ((5, 4), 6.804860974987502),
+        ((5, 9), 6.804860974987502), ((8, 3), 4.503095365367147),
+        ((8, 18), 4.503095365367147), ((9, 10), 1.8521117884120137),
+        ((9, 21), 1.8521117884120137), ((10, 22), 4.689519087599668),
+        ((11, 8), 6.43850698958872), ((11, 20), 6.43850698958872),
+        ((12, 2), 7.567185288712953), ((12, 5), 7.567185288712953),
+    ]],
+    1.0, 16, 4,
+)
+
+
+def test_solve_event_newton_matches_bisection_reference():
+    # property: Newton from the right picks the bisection's event, and a
+    # primal-satisfied root has g >= target, lies at or below the tight
+    # point and is within two tolerances of the bisection's root
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def g(cands, y, k, beta):
+        return sum(f * phi_closed_form(A + f * y, c, k, beta) for _fl, f, A, c in cands)
+
+    @st.composite
+    def events(draw):
+        k = draw(st.integers(1, 16))
+        beta = draw(st.integers(1, min(k, 64 // k)))
+        log_uniform = draw(st.booleans())
+        cands = []
+        for i in range(draw(st.integers(1, 25))):
+            c = 8.0 ** draw(st.floats(0.0, 1.0)) if log_uniform else 1.0
+            A = draw(st.floats(0.0, 1.0, exclude_max=True)) * c
+            cands.append(((i, 1), draw(st.integers(1, 8)), A, c))
+        g0 = g(cands, 0.0, k, beta)
+        g_tight = g(cands, first_tight(cands)[0], k, beta)
+        target = g0 + draw(st.floats(0.0, 1.5, exclude_min=True)) * (g_tight - g0)
+        return cands, target, k, beta
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(events())
+    @hypothesis.example(SAFEGUARD_EVENT)
+    def check(event):
+        cands, target, k, beta = event
+        out, ref = solve_event(*event), solve_event_reference(*event)
+        assert (out.kind, out.flush) == (ref.kind, ref.flush)
+        if out.kind == "flush-tightened":
+            assert out.delta_y == ref.delta_y
+            return
+        y = out.delta_y
+        assert g(cands, y, k, beta) >= target
+        assert y <= first_tight(cands)[0]
+        assert abs(y - ref.delta_y) <= 2 * ROOT_REL * max(1.0, ref.delta_y)
+
+    check()
+
+
+def test_solve_event_raises_when_newton_does_not_converge():
+    with pytest.raises(AssertionError, match="did not converge"):
+        solve_event([((0, 1), 1, 0.0, 1.0)], target=math.nan, k=1, beta=1)
 
 
 def test_solve_event_zero_rate_never_tightens():
