@@ -70,13 +70,16 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
     stream = StructuredStream(instance)
     half = stream.half.phi
     bucket = [0.0] * instance.num_blocks
-    pages = range(1, instance.n + 1)
 
     def add_rows(upto: int) -> None:
         # row t sees only the increments emitted up to t: mass a later step
         # adds to an earlier flush is not yet there
         for t in range(len(stream.x), upto + 1):
-            stream.x.append([None] + [stream.phi.x(oracle, p, t) for p in pages])
+            row = [None] * (instance.n + 1)
+            for b, blk in enumerate(instance.blocks):
+                for p, xv in zip(blk, stream.phi.x(oracle, b, t)):
+                    row[p] = xv
+            stream.x.append(row)
 
     def add_half(tau: int, flush: Flush, delta: float) -> float:
         eff = min(delta, 1.0 - half.get(flush, 0.0))
@@ -117,11 +120,8 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
                     else:
                         emit(tau, (b, tau), value)
         # crossing check for the touched block's pages
-        for p in instance.blocks[b]:
-            xv = half.x(oracle, p, tau)
-            if 0.5 <= xv < 1.0 - FULL_EPS:
-                complete(tau, (b, tau))
-                break
+        if any(0.5 <= xv < 1.0 - FULL_EPS for xv in half.x(oracle, b, tau)):
+            complete(tau, (b, tau))
     add_rows(instance.T)
     return stream
 

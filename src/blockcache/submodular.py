@@ -68,6 +68,8 @@ class CoverageOracle:
     def __init__(self, instance: Instance, index: RequestIndex):
         self.instance = instance
         self.index = index
+        # per block, the (key, table) that most_violated_constraint last built
+        self.tables: list[tuple | None] = [None] * instance.num_blocks
 
     def f_tau(self, S: FlushSet, tau: int) -> int:
         inst = self.instance
@@ -124,8 +126,9 @@ def most_violated_constraint(
     reads its answer off one shared sweep: the states at coverage g do not
     depend on where the sweep is cut.
 
-    Each fractional flush is placed among its block's last requests once
-    per call.  A sweep keeps flat value and back-pointer lists, and at each
+    Each block's option table is built once and kept on the oracle until
+    the block's last requests, forced threshold or fractional flushes
+    change.  A sweep keeps flat value and back-pointer lists, and at each
     block visits only the coverages from which the remaining blocks can
     still reach a coverage the sweep is read at.
     """
@@ -150,24 +153,35 @@ def most_violated_constraint(
     # pos in rs newly makes count = pos - cover pages missing (one with no
     # count under the forced threshold adds 0.0 to every h and is left out).
     # options stops at the largest count, above which h is constant, and no
-    # residual from `saturated` on caps any count
+    # residual from `saturated` on caps any count.  A block's table depends
+    # only on its last requests, whether the largest is below tau, its
+    # forced threshold and its fractional flushes in phi's order; it is
+    # rebuilt only when that key differs from the one it was last built at
     blocks_data = []
     saturated = 1
+    tables = oracle.tables
     for b in range(num_blocks):
         rs = oracle.index.block_last_requests(b, tau)
         lo = t_min[b]
-        c0 = bisect_left(rs, lo)
-        frac = [(pos, v) for t, v in frac_of[b] if (pos := bisect_left(rs, t)) > c0]
-        # threshold r + 1 (lo <= r < tau) covers rs up to r's last copy: j + 1 pages
-        nexts = rs[1:] + (tau,)
-        thresholds = [(lo, c0)] + [(r + 1, j + 1) for j, r in enumerate(rs) if lo <= r < nexts[j]]
-        top_count = max([1] + [pos - c0 for pos, _v in frac])
+        key = (rs, rs[-1] < tau, lo, frac_of[b])
+        entry = tables[b]
+        if entry is None or entry[0] != key:
+            c0 = bisect_left(rs, lo)
+            frac = [(pos, v) for t, v in frac_of[b] if (pos := bisect_left(rs, t)) > c0]
+            # threshold r + 1 (lo <= r < tau) covers rs up to r's last copy: j + 1 pages
+            nexts = rs[1:] + (tau,)
+            thresholds = [(lo, c0)] + [
+                (r + 1, j + 1) for j, r in enumerate(rs) if lo <= r < nexts[j]
+            ]
+            top_count = max([1] + [pos - c0 for pos, _v in frac])
+            options = [
+                [(cover, sum([min(pos - cover, r) * v for pos, v in frac if pos > cover]))
+                 for _T, cover in thresholds]
+                for r in range(1, top_count + 1)
+            ]
+            entry = tables[b] = (key, (thresholds, options, top_count))
+        thresholds, options, top_count = entry[1]
         saturated = max(saturated, top_count)
-        options = [
-            [(cover, sum([min(pos - cover, r) * v for pos, v in frac if pos > cover]))
-             for _T, cover in thresholds]
-            for r in range(1, top_count + 1)
-        ]
         blocks_data.append((thresholds, options))
 
     def sweep(residual: int, top_lo: int, top: int):
@@ -270,15 +284,17 @@ class PhiView(dict):
             insort(self._by_block[flush[0]], flush[1])
         self[flush] = cur + delta
 
-    def window_sum(self, block: int, lo: int, hi: int) -> float:
-        """Sum of phi over flush times t of the block with lo < t <= hi."""
+    def x(self, oracle: CoverageOracle, block: int, t: int) -> list[float]:
+        """The block's missing values at t, in block order: 1.0 for a page
+        not requested by t, else phi summed over the block's flush times
+        after the page's last request and up to t, in time order, capped
+        at 1.0."""
         times = self._by_block[block]
-        i = bisect_right(times, lo)
-        j = bisect_right(times, hi)
-        return sum(self[(block, times[m])] for m in range(i, j))
-
-    def x(self, oracle: CoverageOracle, p: int, t: int) -> float:
-        r = oracle.index.last_request(p, t)
-        if r is None:
-            return 1.0
-        return min(1.0, self.window_sum(oracle.instance.block_of(p), r, t))
+        j = bisect_right(times, t)
+        values = [self[(block, s)] for s in times[:j]]
+        last_request = oracle.index.last_request
+        return [
+            1.0 if (r := last_request(p, t)) is None
+            else min(1.0, sum(values[bisect_right(times, r, 0, j):]))
+            for p in oracle.instance.blocks[block]
+        ]

@@ -1,6 +1,6 @@
 """The summary of tools/bench_pairs.py on fixed numbers: quartiles by
-linear interpolation, pairs won by the change, and ties counted for
-neither side."""
+linear interpolation, pairs won by the change, ties counted for neither
+side, and the output digest read off a report."""
 
 import importlib.util
 from pathlib import Path
@@ -40,3 +40,18 @@ def test_runs_are_rounded_to_four_digits():
     summary = bench_pairs.summarize([0.123456], [0.654321], "lower")
     assert summary["parent_runs"] == [0.1235] and summary["change_runs"] == [0.6543]
     assert summary["change_wins"] == 0
+
+
+REPORT = """frac-mid seed=1: 2 untraced and 0 traced passes of 36 jobs
+  wall_s         1.85 s
+  fail_share     0 share
+  digest         2a72cfdd0e4b
+{"correct": true, "attempted": 72, "failed": 0, "metrics": {}}
+"""
+
+
+def test_digest_is_read_off_the_report():
+    assert bench_pairs.digest_of(REPORT) == "2a72cfdd0e4b"
+    # a report without a digest line, and one whose hash is missing
+    assert bench_pairs.digest_of(REPORT.replace("  digest         2a72cfdd0e4b\n", "")) is None
+    assert bench_pairs.digest_of("  digest\n  wall_s 1.0 s\n") is None

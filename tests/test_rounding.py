@@ -57,9 +57,9 @@ def test_structured_half_stage_x_invariant():
                 half[fl] = min(1.0, half.get(fl, 0.0) + d)
                 idx += 1
             view = PhiView(half, inst.num_blocks)
-            for p in range(1, inst.n + 1):
-                xv = view.x(oracle, p, tau)
-                assert xv < 0.5 or xv >= 1.0 - 1e-9
+            for b in range(inst.num_blocks):
+                for xv in view.x(oracle, b, tau):
+                    assert xv < 0.5 or xv >= 1.0 - 1e-9
 
 
 @pytest.mark.parametrize("profile", ["unit", "log-uniform"])
@@ -167,9 +167,10 @@ def test_randomized_round_cache_residency():
         trace = randomized_round(stream, seed=seed)
         for t in range(1, inst.T + 1):
             cache = trace.cache_at(t)
-            for p in range(1, inst.n + 1):
-                if view.x(oracle, p, t) == 0.0:
-                    assert p in cache
+            for b, blk in enumerate(inst.blocks):
+                for p, xv in zip(blk, view.x(oracle, b, t), strict=True):
+                    if xv == 0.0:
+                        assert p in cache
 
 
 def test_randomized_round_alteration_loop():

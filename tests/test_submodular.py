@@ -399,9 +399,92 @@ def test_separation_bit_identical_to_reference():
     check()
 
 
+# block 2 (page 5) is requested last at step 2: advancing tau from 2 to 3
+# adds its threshold 3, which makes page 5 missing at no cost and is part
+# of the least-slack set at tau = 3, while nothing else about block 2 changes
+ADVANCE_PAST_LAST_REQUEST = (
+    Instance(n=6, k=2, blocks=((1, 2), (3, 4), (5,), (6,)), costs=(1.0,) * 4,
+             requests=(3, 5, 3), initial_cache=frozenset({1, 2})),
+    2,
+    [("add", 0, 2, 0.6), ("add", 0, 1, 0.5), ("add", 3, 1, 0.75), ("add", 3, 2, 0.95),
+     ("add", 2, 1, 0.5), ("add", 1, 2, 0.8), ("advance", 0, 1, 0.0)],
+)
+# a new integral flush (0, 2) raises block 0's forced threshold from 0 to 2
+# below its fractional flush at 3, leaving its last requests and fractional
+# flushes as they were
+NEW_INTEGRAL_FLUSH = (
+    Instance(n=6, k=3, blocks=((1, 2, 3), (4, 5, 6)), costs=(1.0, 1.0),
+             requests=(1, 2, 3, 4, 5, 6)),
+    6,
+    [("add", 0, 3, 0.2), ("integral", 0, 2, 0.0)],
+)
+
+
+def test_separation_tables_kept_across_calls_match_fresh_oracle():
+    # property: one oracle answers a sequence of separation calls, between
+    # which phi rises at its flush times, gains a flush, gains an integral
+    # flush, or tau repeats or advances; every call returns the slack (==,
+    # same type) and the set that a fresh oracle and the reference return
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(2, 12))
+        k = draw(st.integers(1, n))
+        beta = draw(st.integers(1, min(4, k)))
+        inst = gen_random(n, k, beta, draw(st.integers(2, 20)), seed=draw(st.integers(0, 2**16)))
+        cached = draw(st.lists(st.integers(1, n), max_size=k, unique=True))
+        inst = dataclasses.replace(inst, initial_cache=frozenset(cached))
+        op = st.tuples(
+            st.sampled_from(["raise", "add", "integral", "repeat", "advance"]),
+            st.integers(0, inst.num_blocks - 1),
+            st.integers(1, inst.T),
+            st.floats(0.0, 1.0, exclude_max=True),
+        )
+        return inst, draw(st.integers(1, inst.T)), draw(st.lists(op, min_size=1, max_size=12))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(cases())
+    @hypothesis.example(ADVANCE_PAST_LAST_REQUEST)
+    @hypothesis.example(NEW_INTEGRAL_FLUSH)
+    def check(case):
+        inst, tau, ops = case
+        oracle = make_oracle(inst)
+        phi = PhiView({}, inst.num_blocks)
+
+        def separate():
+            slack, S = most_violated_constraint(phi, oracle, tau)
+            for want_slack, want_S in (
+                most_violated_constraint(phi, make_oracle(inst), tau),
+                most_violated_constraint_reference(phi, oracle, tau),
+            ):
+                assert slack == want_slack and type(slack) is type(want_slack)
+                assert list(S) == list(want_S)
+
+        separate()
+        for kind, b, t, f in ops:
+            if kind == "raise":  # the block's fractional flushes, times kept
+                for flush, v in list(phi.items()):
+                    if flush[0] == b and v < 1.0:
+                        phi.add(flush, (1.0 - v) * f)
+            elif kind == "add":
+                phi.add((b, t), f)
+            elif kind == "integral":  # at or before tau, as snap_to_one leaves it
+                flush = (b, 1 + (t - 1) % tau)
+                phi.add(flush, 1.0 - phi.get(flush, 0.0))
+                phi[flush] = 1.0
+            elif kind == "advance":
+                tau = min(inst.T, tau + 1)
+            separate()
+
+    check()
+
+
 def test_reused_oracle_matches_fresh_oracle():
-    # an oracle keeps no state between calls: growing the set, moving tau
-    # and changing a copy must each give the values a fresh oracle gives
+    # the coverage queries keep no state between calls: growing the set,
+    # moving tau and changing a copy must each give the values a fresh
+    # oracle gives
     inst = gen_random(10, 4, 3, 16, seed=3)
     index = RequestIndex(inst)
     oracle = CoverageOracle(inst, index)
@@ -459,11 +542,25 @@ def test_phi_view_matches_x_from_phi():
             t = rng.randint(1, inst.T)
             phi[(b, t)] = phi.get((b, t), 0.0) + rng.random() * 0.4
         view = PhiView(phi, inst.num_blocks)
-        for p in range(1, inst.n + 1):
+        for b, blk in enumerate(inst.blocks):
             for t in range(1, inst.T + 1):
-                assert abs(
-                    view.x(oracle, p, t) - x_from_phi(phi, oracle, p, t)
-                ) < 1e-12
+                for p, xv in zip(blk, view.x(oracle, b, t), strict=True):
+                    assert abs(xv - x_from_phi(phi, oracle, p, t)) < 1e-12
+
+
+def test_phi_view_block_row():
+    # x reads a block's row in block order: a page never requested reads
+    # 1.0, and one whose window (r, t] holds no flush reads 0.0, whether the
+    # window is empty (page 1, requested at t) or holds only times without
+    # a flush (page 2, requested at 3, flushes at 2 and 3)
+    inst = Instance(
+        n=5, k=4, blocks=((1, 2, 3, 4), (5,)), costs=(1.0, 1.0), requests=(1, 4, 2, 1, 1)
+    )
+    oracle = make_oracle(inst)
+    view = PhiView({(0, 2): 0.5, (0, 3): 0.25}, inst.num_blocks)
+    assert view.x(oracle, 0, 5) == [0.0, 0.0, 1.0, 0.25]
+    assert view.x(oracle, 0, 2) == [0.5, 1.0, 1.0, 0.0]
+    assert view.x(oracle, 1, 5) == [1.0]
 
 
 def test_flush_set_queries():

@@ -72,9 +72,10 @@ def test_grown_phi_view_matches_reference(case):
         phi[(b, t)] = phi.get((b, t), 0.0) + delta
     oracle = CoverageOracle(inst, RequestIndex(inst))
     for t in range(inst.T + 1):
-        for p in range(1, inst.n + 1):
-            want = x_from_phi(phi, oracle, p, t)
-            assert abs(view.x(oracle, p, t) - want) <= X_TOL
+        for b, blk in enumerate(inst.blocks):
+            for p, xv in zip(blk, view.x(oracle, b, t), strict=True):
+                want = x_from_phi(phi, oracle, p, t)
+                assert abs(xv - want) <= X_TOL
 
 
 # page 1 is requested at steps 1 and 3; mass 0.6 logged at step 3 for the

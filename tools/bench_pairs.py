@@ -9,10 +9,13 @@ Each pair runs ``python3 bench/run.py --workload W --seed S --seconds X
 time; the parent runs first in even pairs and the change in odd ones.  Every
 end-to-end metric that BENCHMARK.json names gets each side's [first
 quartile, median, third quartile] and the number of pairs the change won
-(ties count for neither side).  The run entry is written into OUT; an OUT
-that exists keeps its entries for other workloads or seeds, so one file can
-collect several workloads.  Each checkout's ``bench/run.py`` is run as it
-is; this script writes nothing under ``bench/``.
+(ties count for neither side).  The run entry names its ``parent`` commit
+and says whether every run of both sides printed the same output
+``digest`` (``digests_equal``).  It is written into OUT; an OUT that
+exists keeps its entries for other workloads or seeds, so one file can
+collect several workloads measured against different parents.  Each
+checkout's ``bench/run.py`` is run as it is; this script writes nothing
+under ``bench/``.
 """
 
 from __future__ import annotations
@@ -52,14 +55,26 @@ def summarize(parent_runs: list[float], change_runs: list[float], better: str) -
     }
 
 
+def digest_of(report: str) -> str | None:
+    """The hash on the report's ``digest`` line, or None without one."""
+    for line in report.splitlines():
+        words = line.split()
+        if len(words) == 2 and words[0] == "digest":
+            return words[1]
+    return None
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The last stdout line of one ``bench/run.py`` run, as JSON."""
+    """The last stdout line of one ``bench/run.py`` run, as JSON, with the
+    report's output digest added as ``digest``."""
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    result["digest"] = digest_of(done.stdout)
+    return result
 
 
 def commit_of(checkout: Path) -> str:
@@ -99,14 +114,17 @@ def main(argv=None) -> int:
             print(f"pair {i + 1}/{args.pairs} {side}: "
                   f"wall_s {results[side][-1]['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
 
+    digests = {r["digest"] for side in results.values() for r in side}
     entry = {
         "workload": args.workload,
         "seed": args.seed,
+        "parent": commit_of(sides["parent"]),
         "seconds": args.seconds,
         "pairs": args.pairs,
         "first": first,
         "all_correct": all(r["correct"] is True for side in results.values() for r in side),
         "failed": {side: sum(r["failed"] for r in runs) for side, runs in results.items()},
+        "digests_equal": len(digests) == 1 and None not in digests,
     }
     for metric in metrics:
         name = metric["name"]
@@ -119,8 +137,9 @@ def main(argv=None) -> int:
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["about"] = (
         "Alternating parent/change pairs of `python3 bench/run.py --workload W --seed S"
-        f" --seconds X --trace 0` (tools/bench_pairs.py), one run at a time; parent ="
-        f" {commit_of(sides['parent'])}. Per metric: [first quartile, median, third quartile]"
+        " --seconds X --trace 0` (tools/bench_pairs.py), one run at a time, against each"
+        " run's `parent` commit; `digests_equal` says whether every run of both sides"
+        " printed the same output digest. Per metric: [first quartile, median, third quartile]"
         " of each side, and the number of pairs the change won, in the metric's better"
         " direction from BENCHMARK.json (ties count for neither)."
     )
