@@ -20,20 +20,7 @@ DP_TIE_EPS = 1e-12  # a DP path replaces another only when cheaper beyond float 
 
 
 class OracleIntractableError(ValueError):
-    """State space exceeds the exact-DP budget."""
-
-
-def _check_dp_budget(instance: Instance, h: int, moves_per_state: int) -> None:
-    """Raise unless the DP's moves fit ``DP_MOVE_LIMIT``.  After step 0 a
-    state is a cache of at most h pages, so each of the T steps keeps at
-    most sum_{i<=h} C(n, i) states; each is expanded into at most
-    ``moves_per_state`` moves."""
-    states = sum(comb(instance.n, i) for i in range(min(h, instance.n) + 1))
-    moves = states * max(1, instance.T) * moves_per_state
-    if moves > DP_MOVE_LIMIT:
-        raise OracleIntractableError(
-            f"DP move bound {moves} exceeds limit {DP_MOVE_LIMIT}"
-        )
+    """The DP's projected moves exceed the exact-DP budget."""
 
 
 def _bits(mask: int) -> list[int]:
@@ -74,9 +61,11 @@ def _run_dp(
     instance: Instance, h: int, moves_per_state: int, transitions
 ) -> tuple[float, PolicyTrace]:
     """Shortest path over cache-contents states, starting from
-    ``instance.initial_cache``, after ``_check_dp_budget``.  A state is the
-    int bitmask of its pages (bit p is page p); among equally cheap end
-    states the one with the smaller sorted page list wins.
+    ``instance.initial_cache``.  A state is the int bitmask of its pages
+    (bit p is page p); among equally cheap end states the one with the
+    smaller sorted page list wins.  Before step t it refuses when the moves
+    charged so far plus ``moves_per_state`` per held state for each of steps
+    t..T exceed ``DP_MOVE_LIMIT``; a call that returns made no more moves.
 
     ``transitions(prev, t)`` returns at most ``moves_per_state``
     (next_state, step_cost) pairs.  In the eviction model dropping initial
@@ -88,11 +77,17 @@ def _run_dp(
     of ``batch``.  That reaches the same state, and it fetches only if the
     step from S fetches, so it costs no more.
     """
-    _check_dp_budget(instance, h, moves_per_state)
     start = _mask(instance.initial_cache)
     best = {start: 0.0}
     links: dict[int, tuple | None] = {start: None}  # state -> (prev, links[prev])
+    spent = 0  # moves_per_state for each state expanded so far
     for t in range(1, instance.T + 1):
+        spent += len(best) * moves_per_state
+        projected = spent + len(best) * moves_per_state * (instance.T - t)
+        if projected > DP_MOVE_LIMIT:
+            raise OracleIntractableError(
+                f"DP projects {projected} moves at step {t}, over limit {DP_MOVE_LIMIT}"
+            )
         nxt: dict[int, float] = {}
         parent: dict[int, int] = {}
         for prev, cost in best.items():

@@ -93,6 +93,15 @@ def opt_fetching_exhaustive(
     return _shortest_path(instance, h, transitions)
 
 
+def dp_move_bound_reference(instance: Instance, h: int, moves_per_state: int) -> int:
+    """The exact DPs' former a-priori budget, a reference only: after step 0
+    a state is a cache of at most h pages, so each of the T steps keeps at
+    most sum_{i<=h} C(n, i) states, each expanded into at most
+    ``moves_per_state`` moves."""
+    states = sum(math.comb(instance.n, i) for i in range(min(h, instance.n) + 1))
+    return states * max(1, instance.T) * moves_per_state
+
+
 def opt_eviction_flushsets(instance: Instance) -> float:
     """Eviction optimum by enumerating flush sets; independent of the DP.
 

@@ -1,8 +1,9 @@
 """The summary of tools/bench_pairs.py on fixed numbers: quartiles by
 linear interpolation, pairs won by the change, ties counted for neither
-side, and the output digest read off a report."""
+side, the output digest read off a report, and the change side's commit."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
@@ -55,3 +56,25 @@ def test_digest_is_read_off_the_report():
     # a report without a digest line, and one whose hash is missing
     assert bench_pairs.digest_of(REPORT.replace("  digest         2a72cfdd0e4b\n", "")) is None
     assert bench_pairs.digest_of("  digest\n  wall_s 1.0 s\n") is None
+
+
+def test_change_names_the_commit_and_uncommitted_changes(tmp_path):
+    def git(*argv):
+        return subprocess.run(
+            ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t", *argv],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+
+    # outside git the checkout is named by its directory
+    assert bench_pairs.change_of(tmp_path) == tmp_path.name
+    git("init", "-q")
+    (tmp_path / "a.txt").write_text("a\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "a")
+    commit = git("rev-parse", "--short", "HEAD")
+    assert bench_pairs.change_of(tmp_path) == commit
+    (tmp_path / "a.txt").write_text("b\n")
+    assert bench_pairs.change_of(tmp_path) == commit + "-dirty"
+    git("checkout", "-q", "a.txt")
+    (tmp_path / "new.txt").write_text("untracked\n")
+    assert bench_pairs.change_of(tmp_path) == commit + "-dirty"

@@ -166,7 +166,7 @@ def test_run_frac_round_one_seed_has_zero_stderr(tmp_path):
 def test_run_out_of_dp_budget_has_no_oracle_columns(tmp_path, alg):
     # the exact DP is out of budget here: the run passes on its own bound,
     # cost <= bound * dual, and writes neither the optimum nor the ratio to it
-    inst_path = gen_random_file(tmp_path, n=16, k=8, beta=4, T=40, seed=9)
+    inst_path = gen_random_file(tmp_path, n=32, k=16, beta=4, T=100, seed=1)
     assert run_cli(
         "run", "--instance", str(inst_path), "--alg", alg, "-o", str(tmp_path / alg)
     ) == 0
@@ -181,7 +181,7 @@ def test_run_out_of_dp_budget_fails_on_a_zero_dual(tmp_path, monkeypatch, alg):
     # without the exact optimum the run's dual is its only witness: a zero
     # dual cannot certify a positive cost, so the run fails
     monkeypatch.setattr(DualLedger, "objective", 0.0)
-    inst_path = gen_random_file(tmp_path, n=16, k=8, beta=4, T=40, seed=9)
+    inst_path = gen_random_file(tmp_path, n=32, k=16, beta=4, T=100, seed=1)
     assert run_cli(
         "run", "--instance", str(inst_path), "--alg", alg, "-o", str(tmp_path / alg)
     ) == 1
@@ -189,6 +189,22 @@ def test_run_out_of_dp_budget_fails_on_a_zero_dual(tmp_path, monkeypatch, alg):
     assert summary["pass"] is False
     assert summary["dual_objective"] == 0.0 and summary["cost"] > 0
     assert "oracle" not in summary
+
+
+@pytest.mark.parametrize("alg", ["det", "frac"])
+def test_run_in_dp_budget_by_its_reached_states_has_oracle_columns(tmp_path, alg):
+    # a worst case over all caches of 8 of 16 pages puts this eviction DP
+    # out of budget, but it reaches few enough states to run: the run gets
+    # the optimum and the ratio to it, and passes against both
+    inst_path = gen_random_file(tmp_path, n=16, k=8, beta=4, T=40, seed=9)
+    assert run_cli(
+        "run", "--instance", str(inst_path), "--alg", alg, "-o", str(tmp_path / alg)
+    ) == 0
+    summary = json.loads((tmp_path / f"{alg}.summary.json").read_text())
+    assert summary["oracle"] == 5.0
+    assert summary["ratio"] == pytest.approx(summary["cost"] / summary["oracle"])
+    assert summary["pass"] is True
+    assert summary["dual_objective"] <= summary["oracle"] + 1e-6
 
 
 def test_run_bicriteria(tmp_path):
@@ -234,6 +250,22 @@ def test_run_opt_intractable_exit_1(tmp_path):
             "-o", str(tmp_path / "big-opt"),
         )
         assert code == 1, model
+
+
+def test_run_opt_fetch_on_gap_beta_5(tmp_path):
+    # the fetching DP reaches at most 20 caches per step here, far fewer
+    # than a worst case over all caches of 9 of 10 pages
+    inst = tmp_path / "gap5.json"
+    assert run_cli("gen", "gap", "--beta", "5", "--rounds", "8", "-o", str(inst)) == 0
+    prefix = tmp_path / "gap5-fetch"
+    assert run_cli(
+        "run", "--instance", str(inst), "--alg", "opt", "--model", "fetch", "-o", str(prefix)
+    ) == 0
+    summary = json.loads((tmp_path / "gap5-fetch.summary.json").read_text())
+    assert summary["cost"] == summary["oracle"] == 10.0
+    assert run_cli(
+        "verify", "--instance", str(inst), "--trace", str(tmp_path / "gap5-fetch.trace.jsonl")
+    ) == 0
 
 
 def test_verify_requires_something(capsys):

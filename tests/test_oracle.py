@@ -1,10 +1,13 @@
 import dataclasses
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from blockcache import oracle
 from blockcache.instance import (
     Instance,
     RequestIndex,
@@ -12,6 +15,7 @@ from blockcache.instance import (
     gen_random,
 )
 from blockcache.oracle import (
+    DP_MOVE_LIMIT,
     OracleIntractableError,
     fractional_costs_from_x,
     naive_lp_check,
@@ -22,6 +26,7 @@ from blockcache.oracle import (
 from blockcache.rounding import derive_block_rates
 from blockcache.submodular import CoverageOracle, FlushSet
 from reference import (
+    dp_move_bound_reference,
     fractional_costs,
     gap_fractional_solution,
     opt_eviction_exhaustive,
@@ -207,17 +212,107 @@ def test_canonical_flushsets_match_full_enumeration():
         assert opt_eviction_flushsets(inst) == pytest.approx(best, abs=1e-12)
 
 
+def count_dp_moves(monkeypatch) -> list[dict]:
+    """Patch ``oracle._run_dp`` to wrap each call's ``transitions``; every
+    call appends its ``moves_per_state``, the states it expanded at each
+    step and the moves it made."""
+    calls = []
+    run_dp = oracle._run_dp
+
+    def counted(instance, h, moves_per_state, transitions):
+        record = {"moves_per_state": moves_per_state, "states": Counter(), "moves": 0}
+        calls.append(record)
+
+        def wrapped(prev, t):
+            moves = transitions(prev, t)
+            record["states"][t] += 1
+            record["moves"] += len(moves)
+            return moves
+
+        return run_dp(instance, h, moves_per_state, wrapped)
+
+    monkeypatch.setattr(oracle, "_run_dp", counted)
+    return calls
+
+
+def refusal_step(exc: OracleIntractableError) -> int:
+    return int(re.search(r"at step (\d+),", str(exc)).group(1))
+
+
 @pytest.mark.parametrize("dp", [opt_eviction, opt_fetching], ids=lambda dp: dp.__name__)
 def test_dp_budget_gate(dp, monkeypatch):
+    # the DP refuses at the first step whose states, held to step T, would
+    # overrun the budget: it has read the requests of the steps before that
+    # step only, and made fewer moves than the limit
     inst = gen_random(20, 10, 2, 200, seed=1)
+    read = set()
+    request = Instance.request
 
-    # the DP must raise before it enumerates anything, so before any request
-    def no_request(self, t):
-        raise AssertionError(f"request({t}) read before the budget check")
+    def recorded(self, t):
+        read.add(t)
+        return request(self, t)
 
-    monkeypatch.setattr(Instance, "request", no_request)
-    with pytest.raises(OracleIntractableError):
+    monkeypatch.setattr(Instance, "request", recorded)
+    calls = count_dp_moves(monkeypatch)
+    with pytest.raises(OracleIntractableError) as refused:
         dp(inst)
+    step = refusal_step(refused.value)
+    assert 1 < step < inst.T
+    assert read == set(range(1, step))
+    assert calls[0]["moves"] < DP_MOVE_LIMIT
+
+
+def test_dp_budget_rule(monkeypatch):
+    # property, under a limit of a few thousand moves on tiny instances: a
+    # DP call that returns made at most the limit in moves and gives the
+    # unlimited call's cost; a refused one made no more and refuses at the
+    # first step t where the moves charged so far plus moves_per_state per
+    # held state for each of steps t..T exceed the limit (the states held
+    # are counted in the unlimited call); every instance that the old
+    # worst-case bound admits is admitted
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    calls = count_dp_moves(monkeypatch)
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(4, 10))
+        k = draw(st.integers(1, n))
+        inst = gen_random(
+            n, k, draw(st.integers(1, k)), draw(st.integers(4, 24)),
+            seed=draw(st.integers(0, 2**16)),
+        )
+        h = draw(st.integers(1, k))
+        cached = draw(st.lists(st.integers(1, n), max_size=h, unique=True))
+        inst = dataclasses.replace(inst, initial_cache=frozenset(cached))
+        return inst, h, draw(st.integers(1000, 3000))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(cases(), st.sampled_from([opt_eviction, opt_fetching]))
+    def check(case, dp):
+        inst, h, limit = case
+        monkeypatch.setattr(oracle, "DP_MOVE_LIMIT", 10**9)
+        unlimited_cost, _trace = dp(inst, h)
+        states, moves_per_state = calls[-1]["states"], calls[-1]["moves_per_state"]
+        charged, first_over = 0, None
+        for t in range(1, inst.T + 1):
+            charged += states[t] * moves_per_state
+            if charged + states[t] * moves_per_state * (inst.T - t) > limit:
+                first_over = t
+                break
+        monkeypatch.setattr(oracle, "DP_MOVE_LIMIT", limit)
+        try:
+            cost, _trace = dp(inst, h)
+        except OracleIntractableError as exc:
+            assert refusal_step(exc) == first_over
+            assert calls[-1]["moves"] <= limit
+            assert dp_move_bound_reference(inst, h, moves_per_state) > limit
+            return
+        assert first_over is None
+        assert calls[-1]["moves"] <= limit
+        assert cost == unlimited_cost
+
+    check()
 
 
 def test_h_smaller_than_k():

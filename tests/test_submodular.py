@@ -423,8 +423,10 @@ NEW_INTEGRAL_FLUSH = (
 def test_separation_tables_kept_across_calls_match_fresh_oracle():
     # property: one oracle answers a sequence of separation calls, between
     # which phi rises at its flush times, gains a flush, gains an integral
-    # flush, or tau repeats or advances; every call returns the slack (==,
-    # same type) and the set that a fresh oracle and the reference return
+    # flush, or tau repeats or advances, or the block requested at tau gains
+    # a flush near 1 at tau and tau advances past that request; every call
+    # returns the slack (==, same type) and the set that a fresh oracle and
+    # the reference return, and leaves the tables a fresh oracle builds
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -437,7 +439,7 @@ def test_separation_tables_kept_across_calls_match_fresh_oracle():
         cached = draw(st.lists(st.integers(1, n), max_size=k, unique=True))
         inst = dataclasses.replace(inst, initial_cache=frozenset(cached))
         op = st.tuples(
-            st.sampled_from(["raise", "add", "integral", "repeat", "advance"]),
+            st.sampled_from(["raise", "add", "integral", "repeat", "advance", "late"]),
             st.integers(0, inst.num_blocks - 1),
             st.integers(1, inst.T),
             st.floats(0.0, 1.0, exclude_max=True),
@@ -455,12 +457,14 @@ def test_separation_tables_kept_across_calls_match_fresh_oracle():
 
         def separate():
             slack, S = most_violated_constraint(phi, oracle, tau)
+            fresh = make_oracle(inst)
             for want_slack, want_S in (
-                most_violated_constraint(phi, make_oracle(inst), tau),
+                most_violated_constraint(phi, fresh, tau),
                 most_violated_constraint_reference(phi, oracle, tau),
             ):
                 assert slack == want_slack and type(slack) is type(want_slack)
                 assert list(S) == list(want_S)
+            assert [entry[1] for entry in oracle.tables] == [entry[1] for entry in fresh.tables]
 
         separate()
         for kind, b, t, f in ops:
@@ -475,6 +479,11 @@ def test_separation_tables_kept_across_calls_match_fresh_oracle():
                 phi.add(flush, 1.0 - phi.get(flush, 0.0))
                 phi[flush] = 1.0
             elif kind == "advance":
+                tau = min(inst.T, tau + 1)
+            elif kind == "late":  # its table is kept at tau, then read at tau + 1
+                flush = (inst.block_of(inst.request(tau)), tau)
+                phi.add(flush, (1.0 - phi.get(flush, 0.0)) * (0.9 + 0.1 * f))
+                separate()
                 tau = min(inst.T, tau + 1)
             separate()
 

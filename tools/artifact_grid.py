@@ -6,7 +6,7 @@
 The grid is four seeded ``gen random`` instances (two with log-uniform
 costs, at n=12 and n=32), ``gen gap --beta 3 --rounds 3`` and ``gen
 beta-off --beta 2 --L 2`` in both directions.  Every ``run --alg`` runs on each of them (``opt``
-in both cost models; out of the exact DP's budget it exits 1 at once), then
+in both cost models; out of the exact DP's budget it exits 1), then
 ``verify`` runs on every trace and increment log.  ``OUT/log.txt`` records
 each command with its output and exit code.  SRC is the ``src`` directory
 whose ``blockcache`` is run, by default this checkout's; pointing it at a

@@ -10,12 +10,13 @@ time; the parent runs first in even pairs and the change in odd ones.  Every
 end-to-end metric that BENCHMARK.json names gets each side's [first
 quartile, median, third quartile] and the number of pairs the change won
 (ties count for neither side).  The run entry names its ``parent`` commit
-and says whether every run of both sides printed the same output
-``digest`` (``digests_equal``).  It is written into OUT; an OUT that
-exists keeps its entries for other workloads or seeds, so one file can
-collect several workloads measured against different parents.  Each
-checkout's ``bench/run.py`` is run as it is; this script writes nothing
-under ``bench/``.
+and its ``change``, this checkout's commit with ``-dirty`` when it has
+uncommitted changes, and says whether every run of both sides printed
+the same output ``digest`` (``digests_equal``).  It is written into OUT;
+an OUT that exists keeps its entries for other workloads or seeds, so one
+file can collect several workloads measured against different parents.
+Each checkout's ``bench/run.py`` is run as it is; this script writes
+nothing under ``bench/``.
 """
 
 from __future__ import annotations
@@ -88,6 +89,18 @@ def commit_of(checkout: Path) -> str:
     return done.stdout.strip() if done.returncode == 0 else checkout.name
 
 
+def change_of(checkout: Path) -> str:
+    """``commit_of(checkout)``, with ``-dirty`` appended when ``git status
+    --porcelain`` lists any change."""
+    if not (checkout / ".git").exists():
+        return commit_of(checkout)
+    done = subprocess.run(
+        ["git", "-C", str(checkout), "status", "--porcelain"],
+        capture_output=True, text=True,
+    )
+    return commit_of(checkout) + ("-dirty" if done.stdout.strip() else "")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -119,6 +132,7 @@ def main(argv=None) -> int:
         "workload": args.workload,
         "seed": args.seed,
         "parent": commit_of(sides["parent"]),
+        "change": change_of(ROOT),
         "seconds": args.seconds,
         "pairs": args.pairs,
         "first": first,
@@ -138,7 +152,8 @@ def main(argv=None) -> int:
     doc["about"] = (
         "Alternating parent/change pairs of `python3 bench/run.py --workload W --seed S"
         " --seconds X --trace 0` (tools/bench_pairs.py), one run at a time, against each"
-        " run's `parent` commit; `digests_equal` says whether every run of both sides"
+        " run's `parent` commit; `change` is the measured checkout's commit, `-dirty` when"
+        " it had uncommitted changes; `digests_equal` says whether every run of both sides"
         " printed the same output digest. Per metric: [first quartile, median, third quartile]"
         " of each side, and the number of pairs the change won, in the metric's better"
         " direction from BENCHMARK.json (ties count for neither)."
