@@ -114,7 +114,7 @@ def _primal_dual_columns(summary: dict, inst: Instance, res, bound: float, prefi
     ratio columns stay blank when the DP is out of budget."""
     cost, dual = res.primal_cost, res.ledger.objective
     res.ledger.check_feasible(inst)
-    res.ledger.save_certificate(prefix + ".cert.json", inst, cost)
+    write_json(prefix + ".cert.json", res.ledger.certificate())
     summary.update(
         model="evict", cost=round12(cost), dual_objective=round12(dual), bound=round12(bound)
     )

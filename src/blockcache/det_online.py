@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .instance import Instance, PolicyTrace, RequestIndex, round12, write_json
+from .instance import Instance, PolicyTrace, RequestIndex, round12
 from .submodular import CoverageOracle, Flush, FlushSet
 
 DUAL_EPS = 1e-9  # dual mass <= c_B up to float error: masses sum rate * dy over raises
@@ -37,10 +37,13 @@ class DualLedger:
         return sum(r.coefficient * r.y for r in self.records)
 
     def raise_dual(self, tau: int, coefficient: int, dy: float, rates: dict[Flush, int]):
+        """Record y_tau = dy and add rate * dy to each candidate's mass; a
+        raise by exactly 0 is not part of the dual and leaves no trace."""
+        if dy == 0.0:
+            return
         self.records.append(DualRecord(tau=tau, coefficient=coefficient, y=dy))
         for flush, rate in rates.items():
-            if rate:
-                self.mass[flush] = self.mass.get(flush, 0.0) + rate * dy
+            self.mass[flush] = self.mass.get(flush, 0.0) + rate * dy
 
     def check_feasible(self, instance: Instance) -> None:
         for (b, _t), a in self.mass.items():
@@ -49,27 +52,20 @@ class DualLedger:
                     f"dual constraint of block {b} overshot: {a} > {instance.costs[b]}"
                 )
 
-    def certificate(self, instance: Instance, primal_cost: float) -> dict:
+    def certificate(self) -> dict:
+        """The dual solution: its records, its objective and the mass of
+        each flush that gained any.  The costs c_B are the instance's."""
         return {
             "records": [
                 {"tau": r.tau, "coefficient": r.coefficient, "y": round12(r.y)}
                 for r in self.records
             ],
             "dual_objective": round12(self.objective),
-            "primal_cost": round12(primal_cost),
             "mass": [
-                {
-                    "block": b,
-                    "t": t,
-                    "mass": round12(a),
-                    "cost": instance.costs[b],
-                }
+                {"block": b, "t": t, "mass": round12(a)}
                 for (b, t), a in sorted(self.mass.items())
             ],
         }
-
-    def save_certificate(self, path: str, instance: Instance, primal_cost: float):
-        write_json(path, self.certificate(instance, primal_cost))
 
 
 @dataclass

@@ -198,9 +198,8 @@ def opt_fetching(instance: Instance, h: int | None = None) -> tuple[float, Polic
             for kept in combinations(others, min(len(others), h - j - 1))
         ]
 
-    beta = instance.beta
-    moves_per_state = sum(comb(beta - 1, j) * comb(h, j + 1) for j in range(min(beta, h)))
-    return _run_dp(instance, h, moves_per_state, transitions)
+    # the sum over j of C(beta - 1, j) * C(h, j + 1), by Vandermonde's identity
+    return _run_dp(instance, h, comb(instance.beta + h - 1, h - 1), transitions)
 
 
 def trace_to_x_mean(traces: list[PolicyTrace]) -> list[list]:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 
-from blockcache.det_online import first_tight
+from blockcache.det_online import DualLedger, DualRecord, first_tight
 from blockcache.frac_online import TARGET_EPS, EventOutcome, phi_closed_form
 from blockcache.instance import Instance, PolicyTrace, RequestIndex, gen_gap_instance
 from blockcache.oracle import (
@@ -100,6 +100,23 @@ def dp_move_bound_reference(instance: Instance, h: int, moves_per_state: int) ->
     ``moves_per_state`` moves."""
     states = sum(math.comb(instance.n, i) for i in range(min(h, instance.n) + 1))
     return states * max(1, instance.T) * moves_per_state
+
+
+def fetching_moves_per_state_reference(beta: int, h: int) -> int:
+    """The fetching DP's moves per state as a sum over the batch size j:
+    at most C(beta - 1, j) batches, each with C(h, j + 1) kept sets."""
+    return sum(math.comb(beta - 1, j) * math.comb(h, j + 1) for j in range(min(beta, h)))
+
+
+def raise_dual_keeping_zeros(
+    ledger: DualLedger, tau: int, coefficient: int, dy: float, rates: dict[Flush, int]
+) -> None:
+    """``DualLedger.raise_dual`` without leaving out zero raises: every raise
+    is recorded and every candidate gets a mass entry, 0.0 after a raise by
+    0.  It raises the same positive dual."""
+    ledger.records.append(DualRecord(tau=tau, coefficient=coefficient, y=dy))
+    for flush, rate in rates.items():
+        ledger.mass[flush] = ledger.mass.get(flush, 0.0) + rate * dy
 
 
 def opt_eviction_flushsets(instance: Instance) -> float:

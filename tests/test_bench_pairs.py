@@ -1,8 +1,10 @@
 """The summary of tools/bench_pairs.py on fixed numbers: quartiles by
 linear interpolation, pairs won by the change, ties counted for neither
-side, the output digest read off a report, and the change side's commit."""
+side, the output digest read off a report, the change side's commit, and
+the bytecode settings each run gets."""
 
 import importlib.util
+import os
 import subprocess
 from pathlib import Path
 
@@ -78,3 +80,26 @@ def test_change_names_the_commit_and_uncommitted_changes(tmp_path):
     git("checkout", "-q", "a.txt")
     (tmp_path / "new.txt").write_text("untracked\n")
     assert bench_pairs.change_of(tmp_path) == commit + "-dirty"
+
+
+def test_each_run_compiles_from_source_in_a_fresh_cache(monkeypatch, tmp_path):
+    seen = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((env, prefix.is_dir() and not any(prefix.iterdir())))
+        return subprocess.CompletedProcess(argv, 0, stdout=REPORT, stderr="")
+
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path))
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    for _ in range(2):
+        result = bench_pairs.run_bench(tmp_path, "frac-mid", 1, 0.0)
+        assert result["digest"] == "2a72cfdd0e4b" and result["correct"] is True
+    (env1, empty1), (env2, empty2) = seen
+    assert empty1 and empty2
+    assert env1["PYTHONDONTWRITEBYTECODE"] == env2["PYTHONDONTWRITEBYTECODE"] == "1"
+    prefixes = {env1["PYTHONPYCACHEPREFIX"], env2["PYTHONPYCACHEPREFIX"]}
+    assert len(prefixes) == 2 and str(tmp_path) not in prefixes
+    assert not any(os.path.exists(p) for p in prefixes)  # removed after each run
+    # the rest of the environment is passed on
+    assert env1["PATH"] == os.environ["PATH"]

@@ -92,7 +92,7 @@ def test_run_det_writes_one_line_json_documents(tmp_path):
     assert cert.count("\n") == 1 and cert.endswith("\n")
     inst = Instance.load(str(inst_path))
     res = run_deterministic(inst)
-    assert json.loads(cert) == res.ledger.certificate(inst, res.primal_cost)
+    assert json.loads(cert) == res.ledger.certificate()
 
 
 def test_run_frac_artifacts(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -6,9 +7,11 @@ from blockcache import det_online, frac_online
 from blockcache.det_online import (
     DUAL_EPS, DualLedger, first_tight, next_tight_increase, priced_candidates, run_deterministic
 )
-from blockcache.instance import Instance, RequestIndex, gen_beta_off, gen_random
+from blockcache.instance import Instance, RequestIndex, gen_beta_off, gen_random, write_json
 from blockcache.oracle import opt_eviction
 from blockcache.submodular import CoverageOracle, FlushSet
+
+from reference import raise_dual_keeping_zeros
 
 
 def run_and_check(inst):
@@ -214,12 +217,52 @@ def test_certificate_file(tmp_path):
     inst = gen_random(6, 3, 2, 10, seed=2)
     res = run_and_check(inst)
     path = tmp_path / "cert.json"
-    res.ledger.save_certificate(str(path), inst, res.primal_cost)
+    write_json(str(path), res.ledger.certificate())
     doc = json.loads(path.read_text())
-    assert doc["primal_cost"] == pytest.approx(res.primal_cost)
+    assert "primal_cost" not in doc
     assert doc["dual_objective"] == pytest.approx(res.ledger.objective, abs=1e-9)
     for rec in doc["mass"]:
-        assert rec["mass"] <= rec["cost"] + 1e-9
+        assert rec["mass"] <= inst.costs[rec["block"]] + 1e-9
+
+
+def test_certificate_holds_the_positive_dual_only(monkeypatch):
+    # on tiny det and frac runs, both cost profiles, with and without a
+    # starting cache: no record of a zero raise, no mass entry without mass,
+    # no copy of a cost; keeping the zero raises, as the reference ledger
+    # does, gives the same objective and the same positive masses
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def instances(draw):
+        n = draw(st.integers(3, 9))
+        k = draw(st.integers(1, n - 1))
+        profile = draw(st.sampled_from(["unit", "log-uniform"]))
+        inst = gen_random(
+            n, k, draw(st.integers(1, k)), draw(st.integers(4, 20)), cost_profile=profile,
+            delta=draw(st.sampled_from([1.0, 4.0, 10.0])), seed=draw(st.integers(0, 2**16)),
+        )
+        cached = draw(st.lists(st.integers(1, n), max_size=k, unique=True))
+        return dataclasses.replace(inst, initial_cache=frozenset(cached))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(instances(), st.sampled_from([run_deterministic, frac_online.run_fractional]))
+    def check(inst, run):
+        res = run(inst)
+        doc = res.ledger.certificate()
+        assert set(doc) == {"records", "dual_objective", "mass"}
+        assert all(rec["y"] > 0 for rec in doc["records"])
+        for entry in doc["mass"]:
+            assert set(entry) == {"block", "t", "mass"}
+            assert 0 < entry["mass"] <= inst.costs[entry["block"]] + DUAL_EPS
+        with monkeypatch.context() as m:
+            m.setattr(DualLedger, "raise_dual", raise_dual_keeping_zeros)
+            ref = run(inst)
+        assert res.ledger.objective == ref.ledger.objective
+        assert res.ledger.records == [r for r in ref.ledger.records if r.y != 0.0]
+        assert res.ledger.mass == {fl: a for fl, a in ref.ledger.mass.items() if a > 0.0}
+
+    check()
 
 
 def test_trace_matches_flush_set():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import re
 from collections import Counter
@@ -27,6 +28,7 @@ from blockcache.rounding import derive_block_rates
 from blockcache.submodular import CoverageOracle, FlushSet
 from reference import (
     dp_move_bound_reference,
+    fetching_moves_per_state_reference,
     fractional_costs,
     gap_fractional_solution,
     opt_eviction_exhaustive,
@@ -260,6 +262,19 @@ def test_dp_budget_gate(dp, monkeypatch):
     assert 1 < step < inst.T
     assert read == set(range(1, step))
     assert calls[0]["moves"] < DP_MOVE_LIMIT
+
+
+def test_fetching_moves_per_state_is_the_closed_form(monkeypatch):
+    # Vandermonde's identity turns the sum over batch sizes into one
+    # binomial, and the fetching DP charges it per held state
+    for beta in range(1, 31):
+        for h in range(1, 31):
+            assert math.comb(beta + h - 1, h - 1) == fetching_moves_per_state_reference(beta, h)
+    calls = count_dp_moves(monkeypatch)
+    for seed, h in [(0, 1), (1, 3), (2, 5), (3, 6)]:
+        inst = gen_random(10, 6, 4, 12, seed=seed)
+        opt_fetching(inst, h)
+        assert calls[-1]["moves_per_state"] == fetching_moves_per_state_reference(inst.beta, h)
 
 
 def test_dp_budget_rule(monkeypatch):

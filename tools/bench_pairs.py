@@ -6,7 +6,9 @@
 
 Each pair runs ``python3 bench/run.py --workload W --seed S --seconds X
 --trace 0`` once in PARENT_CHECKOUT and once in this checkout, one run at a
-time; the parent runs first in even pairs and the change in odd ones.  Every
+time; the parent runs first in even pairs and the change in odd ones.
+Every run compiles its Python from source: it writes no bytecode and its
+``PYTHONPYCACHEPREFIX`` is a fresh, empty directory.  Every
 end-to-end metric that BENCHMARK.json names gets each side's [first
 quartile, median, third quartile] and the number of pairs the change won
 (ties count for neither side).  The run entry names its ``parent`` commit
@@ -28,6 +30,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,12 +70,16 @@ def digest_of(report: str) -> str | None:
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """The last stdout line of one ``bench/run.py`` run, as JSON, with the
-    report's output digest added as ``digest``."""
-    done = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True,
-    )
+    report's output digest added as ``digest``.  The run writes no bytecode
+    and looks for it only in a fresh, empty directory, removed afterwards,
+    so no side imports a cache that earlier runs left in its checkout."""
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": pycache}
+        done = subprocess.run(
+            [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=checkout, env=env, capture_output=True, text=True, check=True,
+        )
     result = json.loads(done.stdout.strip().splitlines()[-1])
     result["digest"] = digest_of(done.stdout)
     return result
