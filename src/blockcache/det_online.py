@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .instance import Instance, PolicyTrace, RequestIndex, round12
-from .submodular import CoverageOracle, Flush, FlushSet
+from .submodular import CoverageOracle, Flush
 
 DUAL_EPS = 1e-9  # dual mass <= c_B up to float error: masses sum rate * dy over raises
 # dual increases this close differ only by float error: they tie
@@ -95,14 +95,15 @@ def first_tight(candidates) -> tuple[float, Flush]:
 
 def priced_candidates(
     ledger: DualLedger,
-    S: FlushSet,
+    latest: list[int],
     oracle: CoverageOracle,
     tau: int,
     residual: int,
 ) -> list[tuple[Flush, int, float, float]]:
     """(flush, marginal, mass, cost) of every alive flush outside S whose
     marginal at tau, capped at ``residual`` = n - k - f_tau(S), is at least
-    1, in flush order.
+    1, in flush order; ``latest`` holds S's latest flush time <= tau per
+    block.
 
     Dead flushes are dominated by the latest alive flush at or before them,
     so restricting to alive ones loses nothing.  An alive flush at or before
@@ -112,9 +113,9 @@ def priced_candidates(
     costs = oracle.instance.costs
     candidates = []
     for flush in sorted(oracle.index.alive_flushes(tau)):
-        if flush[1] <= S.latest_flush(flush[0], tau):
+        if flush[1] <= latest[flush[0]]:
             continue
-        m = oracle.marginal(S, flush, tau, residual)
+        m = oracle.marginal(latest, flush, tau, residual)
         if m >= 1:
             candidates.append((flush, m, ledger.mass.get(flush, 0.0), costs[flush[0]]))
     return candidates
@@ -122,7 +123,7 @@ def priced_candidates(
 
 def next_tight_increase(
     ledger: DualLedger,
-    S: FlushSet,
+    latest: list[int],
     oracle: CoverageOracle,
     tau: int,
     residual: int,
@@ -130,7 +131,7 @@ def next_tight_increase(
     """Smallest dual increase that makes some candidate's constraint tight,
     with the candidates' rates.  Ties break lexicographically on (block, t).
     """
-    candidates = priced_candidates(ledger, S, oracle, tau, residual)
+    candidates = priced_candidates(ledger, latest, oracle, tau, residual)
     gap, flush = first_tight(candidates)
     return flush, gap, {fl: m for fl, m, _A, _c in candidates}
 
@@ -138,10 +139,11 @@ def next_tight_increase(
 def run_deterministic(instance: Instance) -> DetResult:
     """Primal-dual deterministic policy: on overflow, raise the current dual
     variable until an alive flush's constraint is tight, then flush that
-    block at the current step."""
+    block at the current step.  Its flush set is held as each block's
+    latest flush time, starting from the time-0 flushes."""
     index = RequestIndex(instance)
     oracle = CoverageOracle(instance, index)
-    S = FlushSet(instance.num_blocks)
+    latest = [0] * instance.num_blocks
     ledger = DualLedger()
     trace = PolicyTrace(instance=instance, capacity_bound=instance.k)
     cache = set(instance.initial_cache)
@@ -152,12 +154,12 @@ def run_deterministic(instance: Instance) -> DetResult:
         cache.add(p)
         step_flushes: list[Flush] = []
         if len(cache) > instance.k:
-            coefficient = instance.n - instance.k - oracle.f_tau(S, tau)
-            (b0, _t0), dy, rates = next_tight_increase(ledger, S, oracle, tau, coefficient)
+            coefficient = instance.n - instance.k - oracle.f_tau(latest, tau)
+            (b0, _t0), dy, rates = next_tight_increase(ledger, latest, oracle, tau, coefficient)
             ledger.raise_dual(tau, coefficient, dy, rates)
             ledger.mass[(b0, _t0)] = instance.costs[b0]  # snap to exactly tight
             cache -= set(instance.blocks[b0]) - {p}
-            S.add(b0, tau)
+            latest[b0] = tau
             step_flushes.append((b0, tau))
         trace.record(tau, step_flushes, fetched, cache)
 

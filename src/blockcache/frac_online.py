@@ -39,7 +39,8 @@ class FractionalSolution:
     """Sparse flush values plus the ordered increment log.
 
     ``phi`` lists only flushes after time 0; the time-0 flushes are
-    integral and belong to ``FlushSet``.  Values only increase, by
+    integral and held by every constraint set, whose latest flush times
+    start at 0.  Values only increase, by
     ``apply``, which logs each increment; a flush whose dual constraint is
     tight has value exactly 1 (snapped, as downstream logic branches on it).
     """
@@ -216,16 +217,16 @@ def run_fractional(instance: Instance) -> FracResult:
 
     for tau in range(1, instance.T + 1):
         for _guard in range(100_000):
-            ok, Sv = check_feasible(sol.phi, oracle, tau)
+            ok, latest = check_feasible(sol.phi, oracle, tau)
             if ok:
                 break
-            target0 = cap - oracle.f_tau(Sv, tau)
-            candidates = priced_candidates(ledger, Sv, oracle, tau, target0)
+            target0 = cap - oracle.f_tau(latest, tau)
+            candidates = priced_candidates(ledger, latest, oracle, tau, target0)
             rates = {fl: f for fl, f, _A, _c in candidates}
             # the constraint's left side from the flushes this event does not raise
             unraised = {fl: v for fl, v in sol.phi.items() if fl not in rates}
-            frozen = constraint_lhs(unraised, Sv, oracle, tau, target0)
-            # rate inequality over the alive flushes outside Sv; those that are
+            frozen = constraint_lhs(unraised, latest, oracle, tau, target0)
+            # rate inequality over the alive flushes outside the set; those that are
             # not candidates have marginal 0
             assert sum(rates.values()) / (k * beta) <= target0 + FEAS_EPS
             outcome = solve_event(candidates, target0 - frozen, k, beta)

@@ -1,5 +1,10 @@
 """Missing-page coverage function over flush sets, its marginals, and the
-strengthened LP constraint checks."""
+strengthened LP constraint checks.
+
+A constraint set enters the constraint at tau only through each block's
+latest flush time <= tau, so it is passed as that list, ``latest``: entry
+b is block b's latest flush time <= tau.  The online sets always hold the
+time-0 flushes, so their entries are >= 0."""
 
 from __future__ import annotations
 
@@ -11,47 +16,6 @@ from .instance import Instance, RequestIndex
 FEAS_EPS = 1e-9  # covering slack >= -FEAS_EPS holds: integer coefficients, float phi
 
 Flush = tuple[int, int]  # (block id, time), 0 <= time <= T
-# latest flush time of a block without one: below every last request, the
-# never-requested -1 included, so it makes no page missing
-NO_FLUSH = -2
-
-
-class FlushSet:
-    """A set of flushes with per-block sorted time lists for interval queries.
-
-    ``FlushSet(num_blocks)`` holds every block's time-0 flush, the starting
-    state of the online algorithms; ``FlushSet(num_blocks, flushes)`` holds
-    exactly the given flushes.
-    """
-
-    def __init__(self, num_blocks: int, flushes=None):
-        self.num_blocks = num_blocks
-        if flushes is None:
-            flushes = [(b, 0) for b in range(num_blocks)]
-        self._times: list[list[int]] = [[] for _ in range(num_blocks)]
-        self._members: set[Flush] = set()
-        for b, t in flushes:
-            self.add(b, t)
-
-    def add(self, block: int, t: int) -> None:
-        if (block, t) not in self._members:
-            self._members.add((block, t))
-            insort(self._times[block], t)
-
-    def __contains__(self, flush: Flush) -> bool:
-        return flush in self._members
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __iter__(self):
-        return iter(sorted(self._members))
-
-    def latest_flush(self, block: int, tau: int) -> int:
-        """The block's latest flush time <= tau, or NO_FLUSH."""
-        times = self._times[block]
-        i = bisect_right(times, tau)
-        return times[i - 1] if i else NO_FLUSH
 
 
 class CoverageOracle:
@@ -59,10 +23,10 @@ class CoverageOracle:
 
     A page p is missing at time tau under S if some flush (B(p), t) in S has
     r(p,tau) < t <= tau; never-requested pages (r = -1) are missing via
-    time-0 flushes.  With L the block's latest flush <= tau in S, that is
-    r(p,tau) < L, so each query bisects the block's sorted last requests
-    from the index instead of visiting its pages.  The value is capped at
-    n - k.
+    time-0 flushes.  With L = latest[b] the block's latest flush <= tau in
+    S, that is r(p,tau) < L, so each query bisects the block's sorted last
+    requests from the index instead of visiting its pages.  The value is
+    capped at n - k.
     """
 
     def __init__(self, instance: Instance, index: RequestIndex):
@@ -71,38 +35,38 @@ class CoverageOracle:
         # per block, the (key, table) that most_violated_constraint last built
         self.tables: list[tuple | None] = [None] * instance.num_blocks
 
-    def f_tau(self, S: FlushSet, tau: int) -> int:
+    def f_tau(self, latest: list[int], tau: int) -> int:
         inst = self.instance
         count = sum(
-            bisect_left(self.index.block_last_requests(b, tau), S.latest_flush(b, tau))
-            for b in range(inst.num_blocks)
+            bisect_left(self.index.block_last_requests(b, tau), L) for b, L in enumerate(latest)
         )
         return min(inst.n - inst.k, count)
 
-    def marginal(self, S: FlushSet, flush: Flush, tau: int, residual: int) -> int:
+    def marginal(self, latest: list[int], flush: Flush, tau: int, residual: int) -> int:
         """f_tau(S + flush) - f_tau(S): the pages the flush newly makes
-        missing, those with L <= r(p,tau) < t for the block's latest flush L
-        <= tau in S, capped at ``residual`` = n - k - f_tau(S), which every
-        caller already holds as its constraint's right-hand side.  A flush
-        at or before L, or after tau, makes none."""
+        missing, those with L <= r(p,tau) < t for L = latest[block], capped
+        at ``residual`` = n - k - f_tau(S), which every caller already holds
+        as its constraint's right-hand side.  A flush at or before L, or
+        after tau, makes none."""
         block, t = flush
-        latest = S.latest_flush(block, tau)
-        if not latest < t <= tau:
+        L = latest[block]
+        if not L < t <= tau:
             return 0
         rs = self.index.block_last_requests(block, tau)
-        return min(bisect_left(rs, t) - bisect_left(rs, latest), residual)
+        return min(bisect_left(rs, t) - bisect_left(rs, L), residual)
 
 
 def constraint_lhs(
-    phi: dict[Flush, float], S: FlushSet, oracle: CoverageOracle, tau: int, residual: int
+    phi: dict[Flush, float], latest: list[int], oracle: CoverageOracle, tau: int, residual: int
 ) -> float:
     """Left-hand side of the covering constraint indexed by (S, tau), whose
     right-hand side is ``residual``: the flush mass outside S, each flush
-    weighted by its marginal."""
+    weighted by its marginal.  A flush at or before its block's latest
+    flush in S makes no page missing and is skipped."""
     lhs = 0.0
     for flush, value in phi.items():
-        if value > 0.0 and flush not in S:
-            m = oracle.marginal(S, flush, tau, residual)
+        if value > 0.0 and flush[1] > latest[flush[0]]:
+            m = oracle.marginal(latest, flush, tau, residual)
             if m:
                 lhs += m * value
     return lhs
@@ -110,9 +74,10 @@ def constraint_lhs(
 
 def most_violated_constraint(
     phi: dict[Flush, float], oracle: CoverageOracle, tau: int
-) -> tuple[float, FlushSet]:
+) -> tuple[float, list[int]]:
     """Exact separation over every constraint set containing the integral
-    flushes, in polynomial time.
+    flushes, in polynomial time: the least slack and, per block, the
+    latest flush time <= tau of a set that reaches it.
 
     The pages a block's flushes can make missing at tau form a chain in the
     flush time, so any constraint set is equivalent (same slack) to one with
@@ -231,31 +196,27 @@ def most_violated_constraint(
 
     # best is None when the integral flushes alone make n - k pages
     # missing: every marginal is then 0, and so is their set's slack
-    S = FlushSet(num_blocks)
-    slack = 0.0
-    if best is not None:
-        slack, backs, g = best
-        for b in range(num_blocks - 1, -1, -1):
-            prev = backs[b][g]
-            T = next(T for T, cover in blocks_data[b][0] if cover == g - prev)
-            if T >= 1:
-                S.add(b, T)
-            g = prev
-    for (b, t), v in phi.items():
-        if v >= 1.0:
-            S.add(b, t)
-    return slack, S
+    if best is None:
+        return 0.0, t_min
+    slack, backs, g = best
+    latest = [0] * num_blocks
+    for b in range(num_blocks - 1, -1, -1):
+        prev = backs[b][g]
+        latest[b] = next(T for T, cover in blocks_data[b][0] if cover == g - prev)
+        g = prev
+    return slack, latest
 
 
 def check_feasible(
     phi: dict[Flush, float], oracle: CoverageOracle, tau: int
-) -> tuple[bool, FlushSet | None]:
+) -> tuple[bool, list[int] | None]:
     """Feasibility at tau against every constraint set, via exact separation.
-    A violated result returns the most violated set as the certificate."""
-    slack, S = most_violated_constraint(phi, oracle, tau)
+    A violated result returns the most violated set's latest flush times as
+    the certificate."""
+    slack, latest = most_violated_constraint(phi, oracle, tau)
     if slack >= -FEAS_EPS:
         return True, None
-    return False, S
+    return False, latest
 
 
 check_feasible_full = check_feasible  # old name, still imported by bench/checks.py

@@ -16,9 +16,27 @@ from blockcache.instance import Instance, PolicyTrace, RequestIndex, gen_gap_ins
 from blockcache.oracle import (
     COST_EPS, _trace_from_path, derive_block_rates, fractional_costs_from_x
 )
-from blockcache.submodular import (
-    FEAS_EPS, CoverageOracle, Flush, FlushSet, constraint_lhs, flush_cost
-)
+from blockcache.submodular import FEAS_EPS, CoverageOracle, Flush, flush_cost
+
+# latest flush time of a block without one: below every last request, the
+# never-requested -1 included, so it makes no page missing
+NO_FLUSH = -2
+
+
+def latest_at(flushes, num_blocks: int, tau: int) -> list[int]:
+    """Each block's latest flush time <= tau in a plain set of flushes, the
+    list the coverage queries take; NO_FLUSH where a block has none."""
+    latest = [NO_FLUSH] * num_blocks
+    for b, t in flushes:
+        if latest[b] < t <= tau:
+            latest[b] = t
+    return latest
+
+
+def as_flushes(latest: list[int]) -> set[Flush]:
+    """The plain flush set with one flush per block at its entry of
+    ``latest``: the same missing pages at tau as any set with that list."""
+    return {(b, t) for b, t in enumerate(latest) if t != NO_FLUSH}
 
 
 def _subsets(items):
@@ -136,12 +154,11 @@ def opt_eviction_flushsets(instance: Instance) -> float:
         | {(instance.block_of(p), 1) for p in instance.initial_cache}
     )
     best = None
+    zero = [(b, 0) for b in range(instance.num_blocks)]
     for chosen in _subsets(ground):
-        S = FlushSet(instance.num_blocks)
-        for b, t in chosen:
-            S.add(b, t)
         if all(
-            oracle.f_tau(S, tau) == instance.n - instance.k
+            oracle.f_tau(latest_at([*zero, *chosen], instance.num_blocks, tau), tau)
+            == instance.n - instance.k
             for tau in range(1, instance.T + 1)
         ):
             cost = sum(instance.costs[b] for b, _t in chosen)
@@ -152,26 +169,39 @@ def opt_eviction_flushsets(instance: Instance) -> float:
 
 
 def constraint_slack(
-    phi: dict[Flush, float], S: FlushSet, oracle: CoverageOracle, tau: int
+    phi: dict[Flush, float], S: set[Flush], oracle: CoverageOracle, tau: int
 ) -> float:
-    """LHS minus RHS of the covering constraint indexed by (S, tau).
+    """LHS minus RHS of the covering constraint indexed by (S, tau), from
+    the pages ``is_missing`` finds under S and under S plus each flush of
+    phi outside S, not through the coverage oracle.
 
     Negative slack means the constraint is violated.  Coefficients are exact
     integers; only phi carries float error.
     """
     inst = oracle.instance
-    target = inst.n - inst.k - oracle.f_tau(S, tau)
-    return constraint_lhs(phi, S, oracle, tau, target) - target
+    before = {p for p in range(1, inst.n + 1) if is_missing(oracle, S, p, tau)}
+    target = max(0, inst.n - inst.k - len(before))
+    lhs = 0.0
+    for flush, value in phi.items():
+        if value > 0.0 and flush not in S:
+            grown = S | {flush}
+            new = sum(
+                1 for p in inst.blocks[flush[0]]
+                if p not in before and is_missing(oracle, grown, p, tau)
+            )
+            if min(new, target):
+                lhs += min(new, target) * value
+    return lhs - target
 
 
 def least_slack(
     phi: dict[Flush, float], oracle: CoverageOracle, tau: int, ground, base=()
-) -> tuple[float, FlushSet]:
+) -> tuple[float, set[Flush]]:
     """The least slack at tau, and a set reaching it, over the constraint
     sets ``base`` plus every subset of ``ground``."""
     best = None
     for combo in _subsets(ground):
-        S = FlushSet(oracle.instance.num_blocks, [*base, *combo])
+        S = {*base, *combo}
         slack = constraint_slack(phi, S, oracle, tau)
         if best is None or slack < best[0]:
             best = (slack, S)
@@ -180,7 +210,7 @@ def least_slack(
 
 def check_feasible_exhaustive(
     phi: dict[Flush, float], oracle: CoverageOracle, tau: int
-) -> tuple[bool, FlushSet | None]:
+) -> tuple[bool, set[Flush] | None]:
     """``check_feasible`` by enumerating every constraint set (S, tau)."""
     inst = oracle.instance
     ground = [(b, t) for b in range(inst.num_blocks) for t in range(inst.T + 1)]
@@ -188,12 +218,12 @@ def check_feasible_exhaustive(
     return (True, None) if slack >= -FEAS_EPS else (False, S)
 
 
-def has_flush_in(S: FlushSet, block: int, lo: int, hi: int) -> bool:
+def has_flush_in(S: set[Flush], block: int, lo: int, hi: int) -> bool:
     """True iff some flush time t of the block in S satisfies lo < t <= hi."""
-    return S.latest_flush(block, hi) > lo
+    return any(b == block and lo < t <= hi for b, t in S)
 
 
-def is_missing(oracle: CoverageOracle, S: FlushSet, p: int, tau: int) -> bool:
+def is_missing(oracle: CoverageOracle, S: set[Flush], p: int, tau: int) -> bool:
     """Page p is missing at tau under S: a flush of its block in S falls in
     (r(p,tau), tau], with r = -1 for a page not yet requested."""
     r = oracle.index.last_request(p, tau)
@@ -314,10 +344,11 @@ def gap_fractional_solution(beta: int, rounds: int) -> GapSolution:
 
 def most_violated_constraint_reference(
     phi: dict[Flush, float], oracle: CoverageOracle, tau: int
-) -> tuple[float, FlushSet]:
+) -> tuple[float, list[int]]:
     """``most_violated_constraint`` as it was before its coverage index,
     state window and flat arrays, kept verbatim as the bit-identity
-    reference.
+    reference, except that its set of the time-0 flushes, the chosen
+    thresholds and every integral flush is returned as ``latest_at`` it.
 
     Exact separation over every constraint set containing the integral
     flushes, in polynomial time.
@@ -418,15 +449,15 @@ def most_violated_constraint_reference(
     # best is None when the integral flushes alone make n - k pages
     # missing: every marginal is then 0, and so is their set's slack
     slack, chain = (0.0, None) if best is None else best
-    S = FlushSet(num_blocks)
+    S = {(b, 0) for b in range(num_blocks)}
     while chain is not None:
         (b, T), chain = chain
         if T >= 1:
-            S.add(b, T)
+            S.add((b, T))
     for (b, t), v in phi.items():
         if v >= 1.0:
-            S.add(b, t)
-    return slack, S
+            S.add((b, t))
+    return slack, latest_at(S, num_blocks, tau)
 
 
 BISECT_REL = 1e-12  # bisection bracket width relative to the root: near double precision

@@ -23,8 +23,8 @@ from blockcache.rounding import (
     randomized_round,
     structure_stream,
 )
-from blockcache.submodular import CoverageOracle, FlushSet
-from reference import fractional_costs, gap_fractional_solution, integrate_rate_law
+from blockcache.submodular import CoverageOracle
+from reference import fractional_costs, gap_fractional_solution, integrate_rate_law, latest_at
 
 
 def _report(num: int, label: str, ok: bool, detail: str, elapsed: float) -> None:
@@ -45,9 +45,9 @@ def test_acceptance_1_coverage_fixture():
     oracle = CoverageOracle(inst, RequestIndex(inst))
     tau = 9
     got = (
-        oracle.f_tau(FlushSet(3, [(0, 4)]), tau),
-        oracle.f_tau(FlushSet(3, [(1, 8)]), tau),
-        oracle.f_tau(FlushSet(3, [(0, 4), (1, 8)]), tau),
+        oracle.f_tau(latest_at([(0, 4)], 3, tau), tau),
+        oracle.f_tau(latest_at([(1, 8)], 3, tau), tau),
+        oracle.f_tau(latest_at([(0, 4), (1, 8)], 3, tau), tau),
     )
     elapsed = time.monotonic() - start
     ok = got == (2, 3, 4) and elapsed < 1.0
@@ -67,18 +67,15 @@ def test_acceptance_2_submodularity_samples():
         ground = [
             (b, t) for b in range(inst.num_blocks) for t in range(inst.T + 1)
         ]
-        S = FlushSet(
-            inst.num_blocks, rng.sample(ground, rng.randint(0, 6))
-        )
-        Sp = FlushSet(S.num_blocks, S)
-        for _ in range(rng.randint(1, 3)):
-            Sp.add(*rng.choice(ground))
+        S = set(rng.sample(ground, rng.randint(0, 6)))
+        Sp = S | {rng.choice(ground) for _ in range(rng.randint(1, 3))}
         v = rng.choice(ground)
-        if oracle.f_tau(S, tau) > oracle.f_tau(Sp, tau):
+        L, Lp = (latest_at(X, inst.num_blocks, tau) for X in (S, Sp))
+        if oracle.f_tau(L, tau) > oracle.f_tau(Lp, tau):
             violations += 1
-        res, res_p = (inst.n - inst.k - oracle.f_tau(X, tau) for X in (S, Sp))
-        if v not in Sp and oracle.marginal(S, v, tau, res) < oracle.marginal(
-            Sp, v, tau, res_p
+        res, res_p = (inst.n - inst.k - oracle.f_tau(X, tau) for X in (L, Lp))
+        if v not in Sp and oracle.marginal(L, v, tau, res) < oracle.marginal(
+            Lp, v, tau, res_p
         ):
             violations += 1
     elapsed = time.monotonic() - start
@@ -227,15 +224,8 @@ def test_acceptance_5b_coverage_lemma():
         values = []
         for seed in range(500):
             coin = random.Random(tau * 100003 + seed)
-            R = FlushSet(
-                inst.num_blocks,
-                (
-                    fl
-                    for fl, v in partial.items()
-                    if coin.random() < min(1.0, gamma * v)
-                ),
-            )
-            values.append(oracle.f_tau(R, tau))
+            R = [fl for fl, v in partial.items() if coin.random() < min(1.0, gamma * v)]
+            values.append(oracle.f_tau(latest_at(R, inst.num_blocks, tau), tau))
         mean = sum(values) / len(values)
         var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
         stderr = math.sqrt(var / len(values))

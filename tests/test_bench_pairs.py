@@ -1,9 +1,10 @@
 """The summary of tools/bench_pairs.py on fixed numbers: quartiles by
 linear interpolation, pairs won by the change, ties counted for neither
-side, the output digest read off a report, the change side's commit, and
-the bytecode settings each run gets."""
+side, the output digest read off a report, each side's set of digests,
+the change side's commit, and the bytecode settings each run gets."""
 
 import importlib.util
+import json
 import os
 import subprocess
 from pathlib import Path
@@ -103,3 +104,38 @@ def test_each_run_compiles_from_source_in_a_fresh_cache(monkeypatch, tmp_path):
     assert not any(os.path.exists(p) for p in prefixes)  # removed after each run
     # the rest of the environment is passed on
     assert env1["PATH"] == os.environ["PATH"]
+
+
+def test_run_entry_lists_each_sides_digests(monkeypatch, tmp_path):
+    parent = tmp_path / "parent"
+    (parent / "bench").mkdir(parents=True)
+    (parent / "bench" / "run.py").write_text("")
+    metrics = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    printed = {}
+
+    def fake_run_bench(checkout, workload, seed, seconds):
+        side = "change" if checkout == bench_pairs.ROOT else "parent"
+        return {"correct": True, "failed": 0, "digest": next(printed[side]),
+                "metrics": {m["name"]: {"value": 1.0} for m in metrics}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run_bench)
+    out = tmp_path / "bench.json"
+
+    def entry(parent_digests, change_digests):
+        printed.update(parent=iter(parent_digests), change=iter(change_digests))
+        argv = [str(parent), "--workload", "frac-mid", "--seed", "1", "--pairs", "3",
+                "--seconds", "0", "-o", str(out)]
+        assert bench_pairs.main(argv) == 0
+        return json.loads(out.read_text())["runs"][0]
+
+    # a change that alters the output on purpose: each side agrees with itself
+    run = entry(["aaa"] * 3, ["bbb"] * 3)
+    assert run["digests"] == {"parent": ["aaa"], "change": ["bbb"]}
+    assert run["digests_equal"] is False
+    # one side whose runs disagree, and a report without a digest
+    run = entry(["aaa", None, "aaa"], ["ccc", "bbb", "ccc"])
+    assert run["digests"] == {"parent": [None, "aaa"], "change": ["bbb", "ccc"]}
+    assert run["digests_equal"] is False
+    run = entry(["aaa"] * 3, ["aaa"] * 3)
+    assert run["digests"] == {"parent": ["aaa"], "change": ["aaa"]}
+    assert run["digests_equal"] is True

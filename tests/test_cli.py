@@ -6,7 +6,8 @@ import pytest
 from blockcache import cli
 from blockcache.cli import main
 from blockcache.det_online import DualLedger, run_deterministic
-from blockcache.instance import Instance
+from blockcache.instance import Instance, PolicyTrace
+from blockcache.rounding import randomized_round
 
 
 def run_cli(*argv):
@@ -160,6 +161,49 @@ def test_run_frac_round_one_seed_has_zero_stderr(tmp_path):
     ) == 0
     summary = json.loads((tmp_path / "rr.summary.json").read_text())
     assert summary["stderr"] == 0.0
+
+
+@pytest.mark.parametrize("shape", [(32, 30, 4, 60), (8, 8, 2, 20)])
+def test_run_frac_round_near_a_full_cache_passes(tmp_path, shape):
+    # the rounding flushes nothing here, and its fetches are compulsory
+    # misses: the eviction-model bound is checked against the eviction cost
+    # and the fetching cost has a column of its own
+    n, k, beta, T = shape
+    inst_path = gen_random_file(tmp_path, n=n, k=k, beta=beta, T=T, seed=0)
+    assert run_cli(
+        "run", "--instance", str(inst_path), "--alg", "frac-round",
+        "--seeds", "0", "1", "2", "3", "-o", str(tmp_path / "rr"),
+    ) == 0
+    summary = json.loads((tmp_path / "rr.summary.json").read_text())
+    assert summary["pass"] is True and summary["cost"] == 0.0
+    assert summary["fetching_cost"] > summary["bound"]
+    if n == 32:
+        assert (summary["fetching_cost"], summary["bound"]) == (28.0, 13.0)
+
+
+def test_run_frac_round_fails_a_rounding_that_flushes_every_step(tmp_path, monkeypatch):
+    # a full cache and unit costs: the bound is sum c_B = 4, and a rounding
+    # that pays for one more block flush at each of the 20 steps exceeds it
+    inst_path = gen_random_file(tmp_path, n=8, k=8, beta=2, T=20, seed=0)
+
+    def over_flushing(stream, seed):
+        honest = randomized_round(stream, seed)
+        inst = stream.instance
+        trace = PolicyTrace(instance=inst, capacity_bound=honest.capacity_bound)
+        for step in honest.steps:
+            extra = (inst.block_of(inst.request(step.t)) + 1) % inst.num_blocks
+            flushes = {*step.flushes, (extra, step.t)}
+            trace.record(step.t, flushes, step.fetched, step.cache)
+        return trace
+
+    monkeypatch.setattr(cli, "randomized_round", over_flushing)
+    assert run_cli(
+        "run", "--instance", str(inst_path), "--alg", "frac-round",
+        "--seeds", "0", "1", "2", "3", "-o", str(tmp_path / "rr"),
+    ) == 1
+    summary = json.loads((tmp_path / "rr.summary.json").read_text())
+    assert summary["pass"] is False
+    assert summary["cost"] == 20.0 > summary["bound"] * cli.ROUND_MEAN_SLACK
 
 
 @pytest.mark.parametrize("alg", ["det", "frac"])

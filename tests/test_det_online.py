@@ -9,7 +9,7 @@ from blockcache.det_online import (
 )
 from blockcache.instance import Instance, RequestIndex, gen_beta_off, gen_random, write_json
 from blockcache.oracle import opt_eviction
-from blockcache.submodular import CoverageOracle, FlushSet
+from blockcache.submodular import CoverageOracle
 
 from reference import raise_dual_keeping_zeros
 
@@ -139,7 +139,7 @@ def test_next_tight_increase_tie_break():
     )
     oracle = CoverageOracle(inst, RequestIndex(inst))
     ledger = DualLedger()
-    S = FlushSet(inst.num_blocks)
+    S = [0] * inst.num_blocks
     tau = 3
     residual = inst.n - inst.k - oracle.f_tau(S, tau)
     # alive: (0,2) covering p1, (0,3) covering p2... marginals computed live;
@@ -168,7 +168,7 @@ def test_priced_candidates_in_flush_order():
     for seed in range(4):
         inst = gen_random(16, 8, 4, 40, seed=seed)
         oracle = CoverageOracle(inst, RequestIndex(inst))
-        S = FlushSet(inst.num_blocks)
+        S = [0] * inst.num_blocks
         for tau in range(1, inst.T + 1):
             residual = inst.n - inst.k - oracle.f_tau(S, tau)
             candidates = priced_candidates(DualLedger(), S, oracle, tau, residual)
@@ -176,32 +176,26 @@ def test_priced_candidates_in_flush_order():
             assert flushes == sorted(flushes), (seed, tau)
 
 
-def test_priced_candidates_match_pricing_every_flush_outside_s(monkeypatch):
+def test_priced_candidates_match_pricing_every_flush(monkeypatch):
     # priced_candidates skips an alive flush at or before its block's
     # latest flush in S without pricing it; at every event of det and frac
-    # runs it must return what pricing each alive flush outside S returns
+    # runs it must return what pricing each alive flush returns
     def priced_by_marginal(ledger, S, oracle, tau, residual):
         candidates = []
         for flush in sorted(oracle.index.alive_flushes(tau)):
-            if flush in S:
-                continue
             m = oracle.marginal(S, flush, tau, residual)
             if m >= 1:
                 cost = oracle.instance.costs[flush[0]]
                 candidates.append((flush, m, ledger.mass.get(flush, 0.0), cost))
         return candidates
 
-    skipped_outside_s = 0
+    skipped_before_latest = 0
 
     def checked(ledger, S, oracle, tau, residual):
-        nonlocal skipped_outside_s
+        nonlocal skipped_before_latest
         candidates = priced_candidates(ledger, S, oracle, tau, residual)
         assert candidates == priced_by_marginal(ledger, S, oracle, tau, residual)
-        skipped_outside_s += sum(
-            1
-            for b, t in oracle.index.alive_flushes(tau)
-            if (b, t) not in S and t <= S.latest_flush(b, tau)
-        )
+        skipped_before_latest += sum(1 for b, t in oracle.index.alive_flushes(tau) if t < S[b])
         return candidates
 
     monkeypatch.setattr(det_online, "priced_candidates", checked)
@@ -210,7 +204,7 @@ def test_priced_candidates_match_pricing_every_flush_outside_s(monkeypatch):
         inst = gen_random(12, 6, 3, 30, seed=seed)
         run_deterministic(inst)
         frac_online.run_fractional(inst)
-    assert skipped_outside_s > 0
+    assert skipped_before_latest > 0
 
 
 def test_certificate_file(tmp_path):

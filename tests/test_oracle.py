@@ -25,12 +25,13 @@ from blockcache.oracle import (
     trace_to_x_mean,
 )
 from blockcache.rounding import derive_block_rates
-from blockcache.submodular import CoverageOracle, FlushSet
+from blockcache.submodular import CoverageOracle
 from reference import (
     dp_move_bound_reference,
     fetching_moves_per_state_reference,
     fractional_costs,
     gap_fractional_solution,
+    latest_at,
     opt_eviction_exhaustive,
     opt_eviction_flushsets,
     opt_fetching_exhaustive,
@@ -206,7 +207,7 @@ def test_canonical_flushsets_match_full_enumeration():
             for size in range(len(ground) + 1)
             for chosen in combinations(ground, size)
             if all(
-                oracle.f_tau(FlushSet(2, [(0, 0), (1, 0), *chosen]), tau)
+                oracle.f_tau(latest_at([(0, 0), (1, 0), *chosen], 2, tau), tau)
                 == inst.n - inst.k
                 for tau in range(1, inst.T + 1)
             )

@@ -1,13 +1,16 @@
 """The package holds only what ``blockcache`` runs: every module-level
 function and class in ``src/blockcache``, and every method of those classes
 other than a dunder, is referenced somewhere in the package beyond its own
-definition.  Test-only references belong in ``tests/reference.py``."""
+definition.  So is every module-level name assignment, where an import by
+the benchmark in ``bench/*.py`` also counts as a use.  Test-only
+references belong in ``tests/reference.py``."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "blockcache"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "blockcache"
 
 
 def references(tree: ast.AST) -> Counter:
@@ -50,3 +53,52 @@ def test_every_method_is_used_in_the_package():
         and everywhere[node.name] == references(node)[node.name]
     ]
     assert unused == []
+
+
+def bench_imports() -> Counter:
+    """How often each name is imported from ``blockcache`` in ``bench/*.py``."""
+    refs = Counter()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("blockcache"):
+                refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def assigned_names(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """Each name a module-level assignment binds, with its statement."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        names += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
+def unused_assignments(sources: list[str], bench: Counter) -> list[str]:
+    trees = [ast.parse(source) for source in sources]
+    everywhere = sum((references(tree) for tree in trees), Counter()) + bench
+    return [
+        name
+        for tree in trees
+        for name, node in assigned_names(tree)
+        if everywhere[name] == references(node)[name]
+    ]
+
+
+def test_every_module_level_assignment_is_used():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert unused_assignments(sources, bench_imports()) == []
+
+
+def test_an_orphaned_constant_is_found():
+    # a constant that nothing reads is reported; one that the benchmark
+    # imports, as it imports check_feasible_full, is not
+    source = "NO_FLUSH = -2\nUSED = 1\nALIAS = len\n\n\ndef f():\n    return USED\n"
+    assert unused_assignments([source], Counter()) == ["NO_FLUSH", "ALIAS"]
+    assert unused_assignments([source], Counter({"ALIAS": 1})) == ["NO_FLUSH"]
+    assert bench_imports()["check_feasible_full"] >= 1

@@ -7,17 +7,17 @@ import pytest
 from blockcache.instance import Instance, RequestIndex, gen_random
 from blockcache.submodular import (
     CoverageOracle,
-    NO_FLUSH,
-    FlushSet,
     PhiView,
     check_feasible,
+    constraint_lhs,
     most_violated_constraint,
 )
 from reference import (
+    as_flushes,
     check_feasible_exhaustive,
     constraint_slack,
-    has_flush_in,
     is_missing,
+    latest_at,
     least_slack,
     most_violated_constraint_reference,
     x_from_phi,
@@ -52,33 +52,32 @@ def random_flush_set(rng, inst, max_size=6, with_zero=False):
     ground = [(b, t) for b in range(inst.num_blocks) for t in range(inst.T + 1)]
     chosen = rng.sample(ground, rng.randint(0, min(max_size, len(ground))))
     zero = [(b, 0) for b in range(inst.num_blocks)] if with_zero else []
-    return FlushSet(inst.num_blocks, zero + chosen)
+    return set(zero + chosen)
 
 
 def test_worked_example_values():
     inst, oracle = worked_example()
     tau = 9
-    s1 = FlushSet(3, [(0, 4)])
-    s2 = FlushSet(3, [(1, 8)])
-    s12 = FlushSet(3, [(0, 4), (1, 8)])
+    s1 = latest_at([(0, 4)], 3, tau)
+    s2 = latest_at([(1, 8)], 3, tau)
+    s12 = latest_at([(0, 4), (1, 8)], 3, tau)
     assert oracle.f_tau(s1, tau) == 2
     assert oracle.f_tau(s2, tau) == 3
     assert oracle.f_tau(s12, tau) == 4  # capped at n - k
     assert oracle.marginal(s1, (1, 8), tau, inst.n - inst.k - oracle.f_tau(s1, tau)) == 2
-    empty = FlushSet(3, [])
+    empty = latest_at([], 3, tau)
     assert oracle.marginal(empty, (1, 8), tau, inst.n - inst.k - oracle.f_tau(empty, tau)) == 3
 
 
 def test_missing_basics():
     inst, oracle = worked_example()
-    S = FlushSet(3)  # time-0 flushes only
+    S = {(b, 0) for b in range(3)}  # time-0 flushes only
     # requested page is never missing at its own request time
     for tau in range(1, inst.T + 1):
         assert not is_missing(oracle, S, inst.request(tau), tau)
     # page 8 is unrequested before tau=8 and missing via the time-0 flush
     assert is_missing(oracle, S, 8, 5)
-    empty = FlushSet(3, [])
-    assert not is_missing(oracle, empty, 8, 5)
+    assert not is_missing(oracle, set(), 8, 5)
 
 
 def test_missing_interval_semantics():
@@ -87,8 +86,8 @@ def test_missing_interval_semantics():
     )
     oracle = make_oracle(inst)
     # r(1,5)=4: a flush at t=5 covers, a flush at t<=4 does not
-    hit = FlushSet(2, [(0, 5)])
-    miss = FlushSet(2, [(0, 4)])
+    hit = {(0, 5)}
+    miss = {(0, 4)}
     assert is_missing(oracle, hit, 1, 5)
     assert not is_missing(oracle, miss, 1, 5)
 
@@ -102,9 +101,7 @@ def test_index_matches_naive_recomputation():
         S = random_flush_set(rng, inst, with_zero=rng.random() < 0.5)
         tau = rng.randint(1, inst.T)
         for p in range(1, inst.n + 1):
-            assert is_missing(oracle, S, p, tau) == naive_is_missing(
-                inst, idx, set(S), p, tau
-            )
+            assert is_missing(oracle, S, p, tau) == naive_is_missing(inst, idx, S, p, tau)
 
 
 def test_block_queries_match_per_page_definitions():
@@ -133,20 +130,21 @@ def test_block_queries_match_per_page_definitions():
         flushes = data.draw(st.lists(st.sampled_from(ground), max_size=8))
         if data.draw(st.booleans()):
             flushes += [(b, 0) for b in range(inst.num_blocks)]
-        S = FlushSet(inst.num_blocks, flushes)
+        S = set(flushes)
         tau = data.draw(st.integers(1, inst.T))
+        latest = latest_at(S, inst.num_blocks, tau)
         cap = inst.n - inst.k
 
         def missing(flushes):
             pages = range(1, inst.n + 1)
             return {p for p in pages if naive_is_missing(inst, index, flushes, p, tau)}
 
-        before = missing(set(S))
-        assert oracle.f_tau(S, tau) == min(cap, len(before))
-        residual = cap - oracle.f_tau(S, tau)
+        before = missing(S)
+        assert oracle.f_tau(latest, tau) == min(cap, len(before))
+        residual = cap - oracle.f_tau(latest, tau)
         for flush in ground:
-            new = missing(set(S) | {flush}) - before
-            assert oracle.marginal(S, flush, tau, residual) == min(len(new), residual)
+            new = missing(S | {flush}) - before
+            assert oracle.marginal(latest, flush, tau, residual) == min(len(new), residual)
         alive = set()
         for p in range(1, inst.n + 1):
             r = index.last_request(p, tau)
@@ -165,15 +163,14 @@ def test_monotone_and_submodular_samples():
         oracle = make_oracle(inst)
         tau = rng.randint(1, inst.T)
         S = random_flush_set(rng, inst)
-        Sp = FlushSet(S.num_blocks, S)
         ground = [(b, t) for b in range(inst.num_blocks) for t in range(inst.T + 1)]
-        for _ in range(rng.randint(1, 3)):
-            Sp.add(*rng.choice(ground))
+        Sp = S | {rng.choice(ground) for _ in range(rng.randint(1, 3))}
         v = rng.choice(ground)
-        assert oracle.f_tau(S, tau) <= oracle.f_tau(Sp, tau)
+        L, Lp = (latest_at(X, inst.num_blocks, tau) for X in (S, Sp))
+        assert oracle.f_tau(L, tau) <= oracle.f_tau(Lp, tau)
         if v not in Sp:
-            res, res_p = (inst.n - inst.k - oracle.f_tau(X, tau) for X in (S, Sp))
-            assert oracle.marginal(S, v, tau, res) >= oracle.marginal(Sp, v, tau, res_p)
+            res, res_p = (inst.n - inst.k - oracle.f_tau(X, tau) for X in (L, Lp))
+            assert oracle.marginal(L, v, tau, res) >= oracle.marginal(Lp, v, tau, res_p)
 
 
 def test_marginal_matches_difference():
@@ -185,12 +182,11 @@ def test_marginal_matches_difference():
         S = random_flush_set(rng, inst, with_zero=rng.random() < 0.5)
         b = rng.randrange(inst.num_blocks)
         t = rng.randint(0, inst.T)
-        Sv = FlushSet(S.num_blocks, S)
-        Sv.add(b, t)
-        residual = inst.n - inst.k - oracle.f_tau(S, tau)
-        assert oracle.marginal(S, (b, t), tau, residual) == oracle.f_tau(
-            Sv, tau
-        ) - oracle.f_tau(S, tau)
+        L, Lv = (latest_at(X, inst.num_blocks, tau) for X in (S, S | {(b, t)}))
+        residual = inst.n - inst.k - oracle.f_tau(L, tau)
+        assert oracle.marginal(L, (b, t), tau, residual) == oracle.f_tau(
+            Lv, tau
+        ) - oracle.f_tau(L, tau)
 
 
 def test_marginal_bounds():
@@ -202,22 +198,20 @@ def test_marginal_bounds():
         S = random_flush_set(rng, inst)
         b = rng.randrange(inst.num_blocks)
         t = rng.randint(0, inst.T)
-        cap = inst.n - inst.k - oracle.f_tau(S, tau)
-        m = oracle.marginal(S, (b, t), tau, cap)
+        L = latest_at(S, inst.num_blocks, tau)
+        cap = inst.n - inst.k - oracle.f_tau(L, tau)
+        m = oracle.marginal(L, (b, t), tau, cap)
         assert 0 <= m <= min(inst.beta, cap)
-        S.add(b, t)
-        assert oracle.marginal(S, (b, t), tau, inst.n - inst.k - oracle.f_tau(S, tau)) == 0
+        L = latest_at(S | {(b, t)}, inst.num_blocks, tau)
+        assert oracle.marginal(L, (b, t), tau, inst.n - inst.k - oracle.f_tau(L, tau)) == 0
 
 
 def test_cap_reached_by_all_flushes():
     inst = gen_random(6, 2, 2, 12, seed=5)
     oracle = make_oracle(inst)
-    S = FlushSet(inst.num_blocks)
-    for b in range(inst.num_blocks):
-        for t in range(1, inst.T + 1):
-            S.add(b, t)
+    S = {(b, t) for b in range(inst.num_blocks) for t in range(inst.T + 1)}
     for tau in range(1, inst.T + 1):
-        assert oracle.f_tau(S, tau) == inst.n - inst.k
+        assert oracle.f_tau(latest_at(S, inst.num_blocks, tau), tau) == inst.n - inst.k
 
 
 def test_integer_point_characterization():
@@ -229,10 +223,9 @@ def test_integer_point_characterization():
     ground = [(b, t) for b in range(2) for t in range(inst.T + 1)]
     for size in range(len(ground) + 1):
         for combo in combinations(ground, size):
-            S = FlushSet(2, combo)
             phi = {fl: 1.0 for fl in combo}
             covers = all(
-                oracle.f_tau(S, tau) == inst.n - inst.k
+                oracle.f_tau(latest_at(combo, 2, tau), tau) == inst.n - inst.k
                 for tau in range(1, inst.T + 1)
             )
             satisfies = all(
@@ -248,7 +241,7 @@ def test_constraint_slack_signs():
     )
     oracle = make_oracle(inst)
     zero = {(b, 0): 1.0 for b in range(3)}
-    S0 = FlushSet(3)
+    S0 = {(b, 0) for b in range(3)}
     # at tau=2 only page 3 is missing under time-0 flushes; need n-k=2
     assert constraint_slack(zero, S0, oracle, 2) < 0
     ok, bad = check_feasible(zero, oracle, 2)
@@ -257,6 +250,60 @@ def test_constraint_slack_signs():
     full[(0, 2)] = 1.0
     ok, _ = check_feasible(full, oracle, 2)
     assert ok
+
+
+def test_constraint_lhs_matches_per_page_reference():
+    # property: constraint_lhs, which skips each flush at or before its
+    # block's latest entry, minus the right-hand side n - k - f_tau equals
+    # the slack that the reference counts page by page over the plain set,
+    # skipping only the set's own flushes; sets may lack the time-0
+    # flushes, and phi holds flushes before, at and after the latest ones
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.integers(1, 8), st.data(), st.integers(0, 2**16))
+    def check(n, data, seed):
+        k = data.draw(st.integers(1, n))
+        beta = data.draw(st.integers(1, k))
+        inst = gen_random(n, k, beta, data.draw(st.integers(1, 10)), seed=seed)
+        oracle = make_oracle(inst)
+        uniform = st.tuples(st.integers(0, inst.num_blocks - 1), st.integers(0, inst.T))
+        # a flush at a request of its block, or just after one: a flush one
+        # step after a latest flush makes the page requested there missing
+        at_request = st.tuples(st.integers(1, inst.T), st.integers(0, 1)).map(
+            lambda rd: (inst.block_of(inst.request(rd[0])), min(rd[0] + rd[1], inst.T))
+        )
+        ground = st.one_of(uniform, at_request)
+        S = set(data.draw(st.lists(ground, max_size=6)))
+        if data.draw(st.booleans()):
+            S |= {(b, 0) for b in range(inst.num_blocks)}
+        values = st.one_of(st.floats(0.0, 1.0), st.just(1.0))
+        phi = data.draw(st.dictionaries(ground, values, max_size=10))
+        tau = data.draw(st.integers(1, inst.T))
+        latest = latest_at(S, inst.num_blocks, tau)
+        residual = inst.n - inst.k - oracle.f_tau(latest, tau)
+        lhs = constraint_lhs(phi, latest, oracle, tau, residual)
+        assert lhs - residual == constraint_slack(phi, S, oracle, tau)
+
+    check()
+
+
+def test_constraint_lhs_prices_the_flush_just_after_the_latest():
+    # block 0's latest flush in S is at 1, where page 1 is requested: the
+    # flush at 1 makes no page missing and is skipped, the one at 2 makes
+    # page 1 missing and is priced
+    inst = Instance(
+        n=4, k=2, blocks=((1, 2), (3,), (4,)), costs=(1.0,) * 3, requests=(1, 2, 3)
+    )
+    oracle = make_oracle(inst)
+    S = {(0, 0), (1, 0), (2, 0), (0, 1)}
+    latest = latest_at(S, inst.num_blocks, 3)
+    phi = {(0, 1): 0.5, (0, 2): 0.25}
+    residual = inst.n - inst.k - oracle.f_tau(latest, 3)  # page 4 is missing
+    assert (latest, residual) == ([1, 0, 0], 1)
+    assert constraint_lhs(phi, latest, oracle, 3, residual) == 0.25
+    assert constraint_slack(phi, S, oracle, 3) == 0.25 - 1
 
 
 def test_separation_matches_exhaustive_enumeration():
@@ -280,7 +327,7 @@ def test_separation_matches_exhaustive_enumeration():
         slack, S_sep = most_violated_constraint(phi, oracle, tau)
         if best < -1e-9:
             assert abs(slack - best) < 1e-9
-            assert abs(constraint_slack(phi, S_sep, oracle, tau) - slack) < 1e-9
+            assert abs(constraint_slack(phi, as_flushes(S_sep), oracle, tau) - slack) < 1e-9
             ok, bad = check_feasible(phi, oracle, tau)
             assert not ok and bad is not None
         else:
@@ -331,7 +378,7 @@ def test_separation_exact_when_residual_exceeds_counts():
         slack, S = most_violated_constraint(phi, oracle, tau)
         best = brute_force_slack(phi, oracle, tau)
         assert abs(min(slack, 0.0) - best) < 1e-9
-        assert abs(constraint_slack(phi, S, oracle, tau) - slack) < 1e-9
+        assert abs(constraint_slack(phi, as_flushes(S), oracle, tau) - slack) < 1e-9
         checked += 1
         with_fixed += bool(fixed)
         violated += best < -1e-9
@@ -358,8 +405,9 @@ COUNT_ABOVE_CAP = (
 
 def test_separation_bit_identical_to_reference():
     # property: the separation returns the slack (==, same type) and the
-    # set that the reference implementation returns, for phi as a plain
-    # dict holding the time-0 flushes and as a PhiView without them
+    # latest flush times of the set that the reference implementation
+    # builds, for phi as a plain dict holding the time-0 flushes and as a
+    # PhiView without them
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -391,10 +439,10 @@ def test_separation_bit_identical_to_reference():
         plain = {(b, 0): 1.0 for b in range(inst.num_blocks)}
         plain.update(drawn)
         for phi in (plain, PhiView(drawn, inst.num_blocks)):
-            slack, S = most_violated_constraint(phi, oracle, tau)
-            want_slack, want_S = most_violated_constraint_reference(phi, oracle, tau)
+            slack, latest = most_violated_constraint(phi, oracle, tau)
+            want_slack, want_latest = most_violated_constraint_reference(phi, oracle, tau)
             assert slack == want_slack and type(slack) is type(want_slack)
-            assert list(S) == list(want_S)
+            assert latest == want_latest
 
     check()
 
@@ -425,8 +473,9 @@ def test_separation_tables_kept_across_calls_match_fresh_oracle():
     # which phi rises at its flush times, gains a flush, gains an integral
     # flush, or tau repeats or advances, or the block requested at tau gains
     # a flush near 1 at tau and tau advances past that request; every call
-    # returns the slack (==, same type) and the set that a fresh oracle and
-    # the reference return, and leaves the tables a fresh oracle builds
+    # returns the slack (==, same type) and the latest flush times that a
+    # fresh oracle and the reference return, and leaves the tables a fresh
+    # oracle builds
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -456,14 +505,14 @@ def test_separation_tables_kept_across_calls_match_fresh_oracle():
         phi = PhiView({}, inst.num_blocks)
 
         def separate():
-            slack, S = most_violated_constraint(phi, oracle, tau)
+            slack, latest = most_violated_constraint(phi, oracle, tau)
             fresh = make_oracle(inst)
-            for want_slack, want_S in (
+            for want_slack, want_latest in (
                 most_violated_constraint(phi, fresh, tau),
                 most_violated_constraint_reference(phi, oracle, tau),
             ):
                 assert slack == want_slack and type(slack) is type(want_slack)
-                assert list(S) == list(want_S)
+                assert latest == want_latest
             assert [entry[1] for entry in oracle.tables] == [entry[1] for entry in fresh.tables]
 
         separate()
@@ -499,28 +548,29 @@ def test_reused_oracle_matches_fresh_oracle():
     oracle = CoverageOracle(inst, index)
 
     def marginal(orc, S, fl, tau):
-        return orc.marginal(S, fl, tau, inst.n - inst.k - orc.f_tau(S, tau))
+        L = latest_at(S, inst.num_blocks, tau)
+        return orc.marginal(L, fl, tau, inst.n - inst.k - orc.f_tau(L, tau))
 
     def values(orc, S, tau):
         flushes = sorted(index.alive_flushes(tau))
-        return orc.f_tau(S, tau), [marginal(orc, S, fl, tau) for fl in flushes]
+        L = latest_at(S, inst.num_blocks, tau)
+        return orc.f_tau(L, tau), [marginal(orc, S, fl, tau) for fl in flushes]
 
     def check(S, tau):
         got = values(oracle, S, tau)
         assert got == values(CoverageOracle(inst, index), S, tau)
         return got
 
-    S = FlushSet(inst.num_blocks)
+    S = {(b, 0) for b in range(inst.num_blocks)}
     tau = 12
     before = check(S, tau)
-    flush = max(index.alive_flushes(tau), key=lambda fl: marginal(oracle, S, fl, tau))
-    S.add(*flush)
+    S.add(max(index.alive_flushes(tau), key=lambda fl: marginal(oracle, S, fl, tau)))
     assert check(S, tau) != before
     assert check(S, tau - 1) != check(S, tau)
-    C = FlushSet(S.num_blocks, S)
+    C = set(S)
     check(C, tau)
-    C.add(*max(index.alive_flushes(tau), key=lambda fl: marginal(oracle, C, fl, tau)))
-    S.add(0, tau + 1)  # same size as C again, same count as before
+    C.add(max(index.alive_flushes(tau), key=lambda fl: marginal(oracle, C, fl, tau)))
+    S.add((0, tau + 1))  # same size as C again, same count as before
     assert check(C, tau) != check(S, tau)
 
 
@@ -570,17 +620,3 @@ def test_phi_view_block_row():
     assert view.x(oracle, 0, 5) == [0.0, 0.0, 1.0, 0.25]
     assert view.x(oracle, 0, 2) == [0.5, 1.0, 1.0, 0.0]
     assert view.x(oracle, 1, 5) == [1.0]
-
-
-def test_flush_set_queries():
-    S = FlushSet(2, [(0, 3), (0, 7)])
-    assert has_flush_in(S, 0, 2, 3)
-    assert not has_flush_in(S, 0, 3, 6)
-    assert has_flush_in(S, 0, 3, 7)
-    assert not has_flush_in(S, 1, 0, 10)
-    assert [S.latest_flush(0, tau) for tau in (2, 3, 6, 7, 9)] == [NO_FLUSH, 3, 3, 7, 7]
-    assert S.latest_flush(1, 10) == NO_FLUSH < -1
-    assert len(S) == 2 and (0, 3) in S
-    C = FlushSet(S.num_blocks, S)
-    C.add(1, 1)
-    assert (1, 1) not in S and (1, 1) in C

@@ -13,8 +13,9 @@ end-to-end metric that BENCHMARK.json names gets each side's [first
 quartile, median, third quartile] and the number of pairs the change won
 (ties count for neither side).  The run entry names its ``parent`` commit
 and its ``change``, this checkout's commit with ``-dirty`` when it has
-uncommitted changes, and says whether every run of both sides printed
-the same output ``digest`` (``digests_equal``).  It is written into OUT;
+uncommitted changes, says whether every run of both sides printed the
+same output ``digest`` (``digests_equal``), and lists each side's
+distinct digests (``digests``).  It is written into OUT;
 an OUT that exists keeps its entries for other workloads or seeds, so one
 file can collect several workloads measured against different parents.
 Each checkout's ``bench/run.py`` is run as it is; this script writes
@@ -134,7 +135,8 @@ def main(argv=None) -> int:
             print(f"pair {i + 1}/{args.pairs} {side}: "
                   f"wall_s {results[side][-1]['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
 
-    digests = {r["digest"] for side in results.values() for r in side}
+    side_digests = {side: {r["digest"] for r in runs} for side, runs in results.items()}
+    digests = side_digests["parent"] | side_digests["change"]
     entry = {
         "workload": args.workload,
         "seed": args.seed,
@@ -146,6 +148,7 @@ def main(argv=None) -> int:
         "all_correct": all(r["correct"] is True for side in results.values() for r in side),
         "failed": {side: sum(r["failed"] for r in runs) for side, runs in results.items()},
         "digests_equal": len(digests) == 1 and None not in digests,
+        "digests": {side: sorted(d, key=str) for side, d in side_digests.items()},
     }
     for metric in metrics:
         name = metric["name"]
@@ -161,9 +164,10 @@ def main(argv=None) -> int:
         " --seconds X --trace 0` (tools/bench_pairs.py), one run at a time, against each"
         " run's `parent` commit; `change` is the measured checkout's commit, `-dirty` when"
         " it had uncommitted changes; `digests_equal` says whether every run of both sides"
-        " printed the same output digest. Per metric: [first quartile, median, third quartile]"
-        " of each side, and the number of pairs the change won, in the metric's better"
-        " direction from BENCHMARK.json (ties count for neither)."
+        " printed the same output digest, and `digests` lists each side's distinct digests"
+        " (null for a run whose report had none). Per metric: [first quartile, median,"
+        " third quartile] of each side, and the number of pairs the change won, in the"
+        " metric's better direction from BENCHMARK.json (ties count for neither)."
     )
     doc["host"] = {
         "name": platform.node(),
