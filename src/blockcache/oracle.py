@@ -62,10 +62,15 @@ def _run_dp(
 ) -> tuple[float, PolicyTrace]:
     """Shortest path over cache-contents states, starting from
     ``instance.initial_cache``.  A state is the int bitmask of its pages
-    (bit p is page p); among equally cheap end states the one with the
-    smaller sorted page list wins.  Before step t it refuses when the moves
-    charged so far plus ``moves_per_state`` per held state for each of steps
-    t..T exceed ``DP_MOVE_LIMIT``; a call that returns made no more moves.
+    (bit p is page p).  Each step expands its states in ascending mask
+    order, and a move replaces a state's path only when it is cheaper by
+    more than ``DP_TIE_EPS``: among equally cheap paths into a state the
+    one through the smallest previous mask wins, whatever order
+    ``transitions`` lists its moves in.  Among equally cheap end states the
+    one with the smaller sorted page list wins.  Before step t it refuses
+    when the moves charged so far plus ``moves_per_state`` per held state
+    for each of steps t..T exceed ``DP_MOVE_LIMIT``; a call that returns
+    made no more moves.
 
     ``transitions(prev, t)`` returns at most ``moves_per_state``
     (next_state, step_cost) pairs.  In the eviction model dropping initial
@@ -90,7 +95,8 @@ def _run_dp(
             )
         nxt: dict[int, float] = {}
         parent: dict[int, int] = {}
-        for prev, cost in best.items():
+        for prev in sorted(best):
+            cost = best[prev]
             for state, step_cost in transitions(prev, t):
                 total = cost + step_cost
                 cur = nxt.get(state)
@@ -118,9 +124,10 @@ def opt_eviction(instance: Instance, h: int | None = None) -> tuple[float, Polic
     with an evicted page costs c_B once per step.  Evicting initially
     cached pages is paid like any other eviction.
 
-    Only whole-block evictions are enumerated: a step evicts, for some set
-    E of blocks, every cached page of E except the requested page.  This
-    loses nothing.
+    Only lazy whole-block steps are enumerated: a step whose cache plus
+    the requested page p fits in h pages evicts nothing, and any other step
+    evicts, for some set E of blocks, every cached page of E except p.
+    This loses nothing.
 
     *A subset state is at least as good.*  Let S' be a subset of S'' at
     step t.  If S'' continues with S''_u for u > t, let S' continue with
@@ -129,11 +136,25 @@ def opt_eviction(instance: Instance, h: int | None = None) -> tuple[float, Polic
     (S'_{u-1} | {p_u}) - S''_u, are a subset of those S'' evicts, so
     every block it pays for S'' pays for too.
 
+    *A lazy step dominates.*  Let A = ``prev`` | {p_t} fit in h pages, and
+    let a step evict the pages E instead, paying c(E), the sum of c_B over
+    the blocks of E, and reaching S_t = A - E.  Keeping A costs nothing.
+    At t = T that is no worse.  Otherwise let S_t continue to S_{t+1},
+    evicting E' at cost c(E').  A can step straight to S_{t+1}, which lies
+    in S_t | {p_{t+1}} and so in A | {p_{t+1}}.  The pages that step
+    evicts, (A | {p_{t+1}}) - S_{t+1}, lie in E | E', so it costs at most
+    c(E) + c(E'), and from then on both paths agree.  So an eviction waits
+    one step at no extra cost; repeated, it waits for the first step where
+    the cache overflows, pays the same c_B there, and in the meantime the
+    lazy path holds a superset of the eager one.
+
     *A whole-block step dominates.*  A step from ``prev`` that evicts pages
     of the blocks E costs the sum of c_B over E.  Evicting every page of E
     in ``prev - {p}`` costs the same and reaches a subset of that state.
-    By induction from the last step, the optimum over whole-block steps
-    from any state then equals the optimum over all steps.  A state holds
+
+    From every state, then, one of the enumerated steps is optimal over all
+    steps, and by induction from the last step the optimum over the
+    enumerated steps equals the optimum over all of them.  A state holds
     pages of at most min(h, #blocks) blocks, so a state has at most
     2^min(h, #blocks) moves instead of 2^|cache|.
     """
@@ -142,6 +163,8 @@ def opt_eviction(instance: Instance, h: int | None = None) -> tuple[float, Polic
 
     def transitions(prev: int, t: int):
         pbit = 1 << instance.request(t)
+        if (prev | pbit).bit_count() <= h:
+            return [(prev | pbit, 0.0)]
         rest = prev & ~pbit
         moves = [(prev | pbit, 0.0)]
         for b, m in enumerate(block_masks):
@@ -161,9 +184,10 @@ def opt_fetching(instance: Instance, h: int | None = None) -> tuple[float, Polic
     block's other missing pages; it costs the block cost once if it
     fetches anything.
 
-    Only kept sets of maximal size are enumerated: for each batch, the
-    step keeps min(|prev - {p}|, h - |batch| - 1) pages of ``prev - {p}``.
-    This loses nothing.
+    Only lazy steps with kept sets of maximal size are enumerated: a hit
+    on a cache of at most h pages keeps the cache as it is, and any other
+    step keeps, for each batch, min(|prev - {p}|, h - |batch| - 1) pages of
+    ``prev - {p}``.  This loses nothing.
 
     *A superset state is at least as good.*  Let S' be a superset of S''
     at step t.  If S'' steps to S''_{t+1}, S' can step there too, evicting
@@ -171,13 +195,30 @@ def opt_fetching(instance: Instance, h: int | None = None) -> tuple[float, Polic
     S'' fetches, all in the requested block, so it pays only if S'' pays;
     from then on both follow the same path.
 
+    *A lazy hit dominates.*  Let p_t, of block B, hit ``prev``, which fits
+    in h pages.  A step that fetches nothing reaches a subset of ``prev``,
+    so keeping ``prev`` is at least as good.  Let a step instead fetch a
+    batch Q of B at cost c_B and go on along S_t, S_{t+1}, ..., fetching
+    F_u at step u.  The lazy path keeps ``prev`` at step t for free, and
+    then holds S_u less M_u, where M_t = S_t - ``prev`` lies in Q and M_u
+    is M_{u-1} less the pages of F_u.  Each of its steps fetches a subset
+    of F_u, so it pays only when the eager path pays, and it holds each
+    requested page until the first step u that requests a page of M_{u-1}.
+    That page is of block B, so the lazy path can fetch M_{u-1} with F_u
+    there, paying c_B once, as the eager path did at step t; from then on
+    both paths agree.  If no such step comes, it saves c_B.  So a prefetch
+    at a hit can wait for that later miss of block B, which pays c_B anyway.
+
     *A maximal kept set dominates.*  For a fixed batch the step's cost does
     not depend on which pages are kept.  Every smaller kept set lies inside
     one of maximal size, which reaches a superset state at the same cost.
-    By induction from the last step, the optimum over maximal kept sets
-    from any state then equals the optimum over all of them.  With |batch|
-    = j there are at most C(beta - 1, j) batches and C(h, h - 1 - j) kept
-    sets (a cache missing p may hold h pages to choose from).
+
+    From every state, then, one of the enumerated steps is optimal over all
+    steps, and by induction from the last step the optimum over the
+    enumerated steps equals the optimum over all of them.  A starting cache
+    above h pages gets every step at step 1.  With |batch| = j there are at
+    most C(beta - 1, j) batches and C(h, h - 1 - j) kept sets (a cache
+    missing p may hold h pages to choose from).
     """
     h = instance.k if h is None else h
     block_masks = [_mask(blk) for blk in instance.blocks]
@@ -185,13 +226,15 @@ def opt_fetching(instance: Instance, h: int | None = None) -> tuple[float, Polic
     def transitions(prev: int, t: int):
         p = instance.request(t)
         pbit = 1 << p
+        hit = prev & pbit
+        if hit and prev.bit_count() <= h:
+            return [(prev, 0.0)]
         b = instance.block_of(p)
         others = _bits(prev & ~pbit)
         batches = [(pbit, 0)]  # (fetched pages, batch size j)
         for bit in _bits(block_masks[b] & ~prev & ~pbit):
             batches += [(fetched | bit, j + 1) for fetched, j in batches if j + 2 <= h]
         cost = instance.costs[b]
-        hit = prev & pbit
         return [
             (fetched | sum(kept), cost if j or not hit else 0.0)
             for fetched, j in batches

@@ -1,13 +1,16 @@
 """The summary of tools/bench_pairs.py on fixed numbers: quartiles by
 linear interpolation, pairs won by the change, ties counted for neither
 side, the output digest read off a report, each side's set of digests,
-the change side's commit, and the bytecode settings each run gets."""
+the commit of each side, the refusal of a parent outside git, and the
+bytecode settings each run gets."""
 
 import importlib.util
 import json
 import os
 import subprocess
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
@@ -61,24 +64,30 @@ def test_digest_is_read_off_the_report():
     assert bench_pairs.digest_of("  digest\n  wall_s 1.0 s\n") is None
 
 
-def test_change_names_the_commit_and_uncommitted_changes(tmp_path):
-    def git(*argv):
-        return subprocess.run(
-            ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t", *argv],
-            capture_output=True, text=True, check=True,
-        ).stdout.strip()
+def git(checkout, *argv):
+    return subprocess.run(
+        ["git", "-C", str(checkout), "-c", "user.name=t", "-c", "user.email=t@t", *argv],
+        capture_output=True, text=True, check=True,
+    ).stdout.strip()
 
+
+def commit_all(checkout) -> str:
+    """Make ``checkout`` a git work tree with one commit of its files."""
+    git(checkout, "init", "-q")
+    git(checkout, "add", "-A")
+    git(checkout, "commit", "-q", "--allow-empty", "-m", "a")
+    return git(checkout, "rev-parse", "--short", "HEAD")
+
+
+def test_change_names_the_commit_and_uncommitted_changes(tmp_path):
     # outside git the checkout is named by its directory
     assert bench_pairs.change_of(tmp_path) == tmp_path.name
-    git("init", "-q")
     (tmp_path / "a.txt").write_text("a\n")
-    git("add", "a.txt")
-    git("commit", "-q", "-m", "a")
-    commit = git("rev-parse", "--short", "HEAD")
+    commit = commit_all(tmp_path)
     assert bench_pairs.change_of(tmp_path) == commit
     (tmp_path / "a.txt").write_text("b\n")
     assert bench_pairs.change_of(tmp_path) == commit + "-dirty"
-    git("checkout", "-q", "a.txt")
+    git(tmp_path, "checkout", "-q", "a.txt")
     (tmp_path / "new.txt").write_text("untracked\n")
     assert bench_pairs.change_of(tmp_path) == commit + "-dirty"
 
@@ -110,6 +119,7 @@ def test_run_entry_lists_each_sides_digests(monkeypatch, tmp_path):
     parent = tmp_path / "parent"
     (parent / "bench").mkdir(parents=True)
     (parent / "bench" / "run.py").write_text("")
+    parent_commit = commit_all(parent)
     metrics = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     printed = {}
 
@@ -139,3 +149,21 @@ def test_run_entry_lists_each_sides_digests(monkeypatch, tmp_path):
     run = entry(["aaa"] * 3, ["aaa"] * 3)
     assert run["digests"] == {"parent": ["aaa"], "change": ["aaa"]}
     assert run["digests_equal"] is True
+    assert run["parent"] == parent_commit
+
+
+def test_a_parent_outside_git_is_refused(monkeypatch, tmp_path, capsys):
+    # a parent without a commit would leave the BENCH file naming no commit
+    parent = tmp_path / "parent"
+    (parent / "bench").mkdir(parents=True)
+    (parent / "bench" / "run.py").write_text("")
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda *args: pytest.fail("ran a benchmark"))
+    out = tmp_path / "bench.json"
+    argv = [str(parent), "--workload", "frac-mid", "--seed", "1", "--pairs", "1",
+            "--seconds", "0", "-o", str(out)]
+    with pytest.raises(SystemExit) as exited:
+        bench_pairs.main(argv)
+    assert exited.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "not a git work tree" in errors[0]
+    assert not out.exists()

@@ -140,18 +140,18 @@ def test_equal_cost_end_caches_break_ties_by_sorted_pages():
     trace.validate()
     assert cost == 1.0
     assert trace.cache_at(1) == {1, 2}
-    # Eviction, k=3, blocks {1,4}, {3}, {5}, {2}, starting with {3, 4}:
-    # evicting page 4 at t=1 ends in {1, 3, 5}; keeping it until t=2 and
-    # then evicting block {1, 4} ends in {3, 5}.  Both cost 1, and
-    # [1, 3, 5] < [3, 5] although {3, 5} is the smaller mask.
+    # Eviction, k=3, blocks {1,4}, {2}, {3}, requests 1 4 2 3: the cache
+    # {1, 2, 4} first overflows at t=4.  Evicting block {1, 4} there ends in
+    # {2, 3}, evicting block {2} ends in {1, 3, 4}.  Both cost 1, and
+    # [1, 3, 4] < [2, 3] although {2, 3} is the smaller mask.
     inst = Instance(
-        n=5, k=3, blocks=((1, 4), (3,), (5,), (2,)), costs=(1.0,) * 4,
-        requests=(1, 5, 3, 5), initial_cache=frozenset({3, 4}),
+        n=4, k=3, blocks=((1, 4), (2,), (3,)), costs=(1.0,) * 3,
+        requests=(1, 4, 2, 3),
     )
     cost, trace = opt_eviction(inst)
     trace.validate()
     assert cost == 1.0
-    assert trace.cache_at(inst.T) == {1, 3, 5}
+    assert trace.cache_at(inst.T) == {1, 3, 4}
 
 
 def test_dp_pages_beyond_64():
@@ -169,6 +169,77 @@ def test_dp_pages_beyond_64():
         cost, trace = fast(inst)
         trace.validate()
         assert cost == pytest.approx(exhaustive(inst)[0], abs=1e-12)
+
+
+def test_lazy_dps_match_exhaustive_search():
+    # property: on tiny instances, with starting caches of up to k pages (so
+    # some start above h), the lazy DPs give the optimum of the exhaustive
+    # search over every step, and their traces validate at h
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # a starting cache above h: a hit at step 1 must still evict
+    above_h = Instance(
+        n=5, k=4, blocks=((1, 2), (3, 4), (5,)), costs=(1.0, 2.0, 1.5),
+        requests=(1, 3, 1, 5, 2), initial_cache=frozenset({1, 2, 3, 4}),
+    )
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(1, 7))
+        k = draw(st.integers(1, n))
+        profile = draw(st.sampled_from([{}, {"cost_profile": "log-uniform", "delta": 8}]))
+        inst = gen_random(
+            n, k, draw(st.integers(1, k)), draw(st.integers(1, 7)),
+            seed=draw(st.integers(0, 2**16)), **profile,
+        )
+        cached = draw(st.lists(st.integers(1, n), max_size=k, unique=True))
+        inst = dataclasses.replace(inst, initial_cache=frozenset(cached))
+        return inst, draw(st.integers(1, k))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(cases())
+    @hypothesis.example((above_h, 2))
+    @hypothesis.example((above_h, 3))
+    def check(case):
+        inst, h = case
+        for fast, exhaustive in [
+            (opt_eviction, opt_eviction_exhaustive),
+            (opt_fetching, opt_fetching_exhaustive),
+        ]:
+            cost, trace = fast(inst, h)
+            trace.validate()
+            assert trace.capacity_bound == h
+            assert cost == pytest.approx(exhaustive(inst, h)[0], abs=1e-12)
+
+    check()
+
+
+def test_dp_paths_do_not_depend_on_move_order(monkeypatch):
+    # the tie rule on paths reads states, not the order the moves come in:
+    # with each step's moves shuffled, both DPs return the same trace
+    cases = [(gen_beta_off(2, 2, d), None) for d in ("evict-heavy", "fetch-heavy")]
+    cases += [(gen_random(8, 4, 2, 16, seed=seed), None) for seed in range(6)]
+    cases += [(gen_random(10, 6, 3, 14, seed=seed), 4) for seed in range(4)]
+    cases.append((dataclasses.replace(cases[-1][0], initial_cache=frozenset({1, 2, 3, 5, 8})), 4))
+    expected = [[dp(inst, h) for dp in (opt_eviction, opt_fetching)] for inst, h in cases]
+    rng = random.Random(23)
+    run_dp = oracle._run_dp
+
+    def shuffled(instance, h, moves_per_state, transitions):
+        def wrapped(prev, t):
+            moves = list(transitions(prev, t))
+            rng.shuffle(moves)
+            return moves
+
+        return run_dp(instance, h, moves_per_state, wrapped)
+
+    monkeypatch.setattr(oracle, "_run_dp", shuffled)
+    for (inst, h), results in zip(cases, expected):
+        for dp, (cost, trace) in zip((opt_eviction, opt_fetching), results):
+            for _ in range(3):
+                again_cost, again = dp(inst, h)
+                assert again_cost == cost
+                assert again.steps == trace.steps
 
 
 def test_dp_matches_flushset_enumeration():
@@ -263,6 +334,19 @@ def test_dp_budget_gate(dp, monkeypatch):
     assert 1 < step < inst.T
     assert read == set(range(1, step))
     assert calls[0]["moves"] < DP_MOVE_LIMIT
+
+
+@pytest.mark.parametrize("dp", [opt_eviction, opt_fetching], ids=lambda dp: dp.__name__)
+def test_frac_mid_shapes_are_refused_after_few_moves(dp, monkeypatch):
+    # every run --alg det|frac calls opt_eviction, and frac-mid's instances
+    # are out of budget: both DPs refuse them after fewer than 10^4 moves
+    calls = count_dp_moves(monkeypatch)
+    for profile in ({}, {"cost_profile": "log-uniform", "delta": 8}):
+        for seed in (0, 1):
+            inst = gen_random(32, 16, 4, 100, seed=seed, **profile)
+            with pytest.raises(OracleIntractableError):
+                dp(inst)
+            assert calls[-1]["moves"] < 10**4
 
 
 def test_fetching_moves_per_state_is_the_closed_form(monkeypatch):

@@ -4,9 +4,12 @@
     python3 tools/bench_pairs.py PARENT_CHECKOUT --workload W --seed S \\
         --pairs N --seconds X -o BENCH_<PR>.json
 
-Each pair runs ``python3 bench/run.py --workload W --seed S --seconds X
---trace 0`` once in PARENT_CHECKOUT and once in this checkout, one run at a
-time; the parent runs first in even pairs and the change in odd ones.
+PARENT_CHECKOUT is a git work tree of the parent commit, e.g. made with
+``git worktree add ../parent HEAD~1``; a directory outside git is refused,
+so that every BENCH file names the commit it measured.  Each pair runs
+``python3 bench/run.py --workload W --seed S --seconds X --trace 0`` once
+in PARENT_CHECKOUT and once in this checkout, one run at a time; the
+parent runs first in even pairs and the change in odd ones.
 Every run compiles its Python from source: it writes no bytecode and its
 ``PYTHONPYCACHEPREFIX`` is a fresh, empty directory.  Every
 end-to-end metric that BENCHMARK.json names gets each side's [first
@@ -86,27 +89,29 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
-def commit_of(checkout: Path) -> str:
-    """The checkout's short commit id, or its directory name outside git."""
+def commit_of(checkout: Path) -> str | None:
+    """The checkout's short commit id, or None when it is not the top of a
+    git work tree."""
     if not (checkout / ".git").exists():
-        return checkout.name
+        return None
     done = subprocess.run(
         ["git", "-C", str(checkout), "rev-parse", "--short", "HEAD"],
         capture_output=True, text=True,
     )
-    return done.stdout.strip() if done.returncode == 0 else checkout.name
+    return done.stdout.strip() if done.returncode == 0 else None
 
 
 def change_of(checkout: Path) -> str:
     """``commit_of(checkout)``, with ``-dirty`` appended when ``git status
-    --porcelain`` lists any change."""
-    if not (checkout / ".git").exists():
-        return commit_of(checkout)
+    --porcelain`` lists any change, or the directory name outside git."""
+    commit = commit_of(checkout)
+    if commit is None:
+        return checkout.name
     done = subprocess.run(
         ["git", "-C", str(checkout), "status", "--porcelain"],
         capture_output=True, text=True,
     )
-    return commit_of(checkout) + ("-dirty" if done.stdout.strip() else "")
+    return commit + ("-dirty" if done.stdout.strip() else "")
 
 
 def main(argv=None) -> int:
@@ -122,6 +127,10 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     if not (args.parent / "bench" / "run.py").is_file():
         parser.error(f"{args.parent} has no bench/run.py")
+    parent_commit = commit_of(args.parent.resolve())
+    if parent_commit is None:
+        parser.error(f"{args.parent} is not a git work tree, so no commit names it;"
+                     " make it with git worktree add")
 
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     sides = {"parent": args.parent.resolve(), "change": ROOT}
@@ -140,7 +149,7 @@ def main(argv=None) -> int:
     entry = {
         "workload": args.workload,
         "seed": args.seed,
-        "parent": commit_of(sides["parent"]),
+        "parent": parent_commit,
         "change": change_of(ROOT),
         "seconds": args.seconds,
         "pairs": args.pairs,
