@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 from .det_online import DualLedger, first_tight, priced_candidates
 from .instance import (
-    Instance, InstanceError, RequestIndex, is_int_in, is_number, read_jsonl, round12, write_jsonl
+    Instance, InstanceError, RequestIndex, is_int_in, is_number, read_jsonl, write_jsonl
 )
 from .submodular import (
     CoverageOracle,
@@ -23,7 +23,6 @@ from .submodular import (
 
 TARGET_EPS = 1e-12  # contribution this close to the target at the tight point reaches it
 ROOT_REL = 1e-12  # Newton stops at steps below this times max(1, y): near double precision
-PHI_AFTER_EPS = 1e-9  # saved phi_after vs the running sum: 12-digit deltas summed over one flush
 
 
 class Increment(NamedTuple):
@@ -69,13 +68,14 @@ class FractionalSolution:
         return flush_cost(self.phi, self.instance)
 
     def save_increments(self, path: str) -> None:
-        """One line per increment; ``phi_after`` is the flush's running sum."""
+        """One line per increment; ``phi_after`` is the flush's running sum.
+        Both numbers are written exactly, so a loaded log is this log."""
         records = []
         running: dict[Flush, float] = {}
         for tau, (b, t), delta in self.increments:
             v = running[b, t] = running.get((b, t), 0.0) + delta
             records.append(
-                {"tau": tau, "block": b, "t": t, "delta": round12(delta), "phi_after": round12(v)}
+                {"tau": tau, "block": b, "t": t, "delta": delta, "phi_after": v}
             )
         write_jsonl(path, records)
 
@@ -83,9 +83,10 @@ class FractionalSolution:
 def load_increments(path: str, instance: Instance) -> list[Increment]:
     """Reads a saved increment log.  InstanceError names a line that is not an
     increment of this instance (1 <= t <= tau, positive finite delta, finite
-    phi_after) or whose phi_after is off its flush's running sum by more than
-    PHI_AFTER_EPS; the sums run in (tau, phi_after) order, the order a
-    monotone log is written in, so a reordered log loads and
+    phi_after) or whose phi_after is not exactly its flush's running sum;
+    the sums run in (tau, phi_after) order, the order a monotone log is
+    written in, so they add each flush's deltas in the order
+    ``save_increments`` did, and a reordered log loads and
     ``replay_failures`` reports it."""
 
     def parse(rec: dict) -> tuple[Increment, float] | None:
@@ -100,7 +101,7 @@ def load_increments(path: str, instance: Instance) -> list[Increment]:
     for i in sorted(range(len(records)), key=lambda i: (records[i][0].tau, records[i][1])):
         (_tau, flush, delta), phi_after = records[i]
         phi = running[flush] = running.get(flush, 0.0) + delta
-        if not abs(phi_after - phi) <= PHI_AFTER_EPS:
+        if phi_after != phi:
             raise InstanceError(
                 f"{path} line {i + 1}: phi_after {phi_after} is not the running sum {phi}"
             )

@@ -20,6 +20,9 @@ from .oracle import (
 from .submodular import CoverageOracle, Flush
 
 FULL_EPS = 1e-12  # a capped window sum this close to 1 is fully missing, not crossing 1/2
+# a block's bound on its open values and a page's window sum add the same
+# increments in different orders, so the sum may exceed the bound by rounding
+CROSSING_SLACK = 1e-9
 ENSEMBLE_EPS = 1e-6  # rounded <= 2 * mean fetch: float sums over T steps in other orders
 
 
@@ -62,6 +65,35 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
     time), full block flushes whenever a page's half-rounded missing value
     reaches 1/2, per-block bucketing of small mass with threshold 1/(4k^2),
     and a final doubling capped at 1 on emission.
+
+    The sweep reads a block's values only where they can have changed.
+
+    *Crossing checks.*  Each block keeps ``open_bound``, an upper bound on
+    its half-rounded values that are still below 1 - FULL_EPS.  Every
+    half-rounded increment ``eff`` raises its block's bound by ``eff``, and
+    the check after a raw increment reads the block only when the bound is
+    at least 1/2 - CROSSING_SLACK.  A read sets the bound to the largest
+    value below 1 - FULL_EPS, or 0.0 if there is none.  The bound holds at
+    every later step tau: take a page of the block at the last read, at
+    tau' <= tau.  If it was requested since, its last request r is after
+    tau', and its window (r, tau] holds only flush times after tau', whose
+    mass all came after the read.  A request only lowers a value, to 0.
+    If it was not requested since and its value was at least 1 - FULL_EPS
+    (1.0 when never requested), its window only gained times on the right,
+    so its value stays there and it cannot cross.  Otherwise its window
+    lost nothing: it gained the flush times in (tau', tau], whose mass, and
+    any mass added since to the times it had, all came after the read.  A
+    window holds each flush once, so the page gained at most the sum of
+    the ``eff`` since the read, and its value is at most the bound.
+    CROSSING_SLACK covers the one gap between the two: the page's sum and
+    the bound add the same increments in different orders.
+
+    *Row reuse.*  Row t of ``x`` is built once the sweep has passed step t,
+    so it sees the emissions of steps up to t; row t - 1 saw those up to
+    t - 1.  A block with no emission at step t (``by_step[t]``) has the
+    same flush values, and no mass at time t, so its window sums at t are
+    those at t - 1 unless one of its pages is requested at t.  Row t is row
+    t - 1 with those two kinds of blocks read again; row 0 is read whole.
     """
     oracle = CoverageOracle(instance, RequestIndex(instance))
     k = instance.k
@@ -70,14 +102,21 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
     stream = StructuredStream(instance)
     half = stream.half.phi
     bucket = [0.0] * instance.num_blocks
+    open_bound = [0.0] * instance.num_blocks
 
     def add_rows(upto: int) -> None:
         # row t sees only the increments emitted up to t: mass a later step
         # adds to an earlier flush is not yet there
         for t in range(len(stream.x), upto + 1):
-            row = [None] * (instance.n + 1)
-            for b, blk in enumerate(instance.blocks):
-                for p, xv in zip(blk, stream.phi.x(oracle, b, t)):
+            if t == 0:
+                row = [None] * (instance.n + 1)
+                changed = range(instance.num_blocks)
+            else:
+                row = stream.x[t - 1].copy()
+                changed = {instance.block_of(instance.request(t))}
+                changed.update(b for b, _s in stream.by_step.get(t, ()))
+            for b in changed:
+                for p, xv in zip(instance.blocks[b], stream.phi.x(oracle, b, t)):
                     row[p] = xv
             stream.x.append(row)
 
@@ -86,6 +125,7 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
         if eff <= 0.0:
             return 0.0
         stream.half.apply(tau, flush, eff)
+        open_bound[flush[0]] += eff
         return eff
 
     def emit(tau: int, flush: Flush, value_target: float) -> None:
@@ -119,9 +159,13 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
                         complete(tau, (b, tau))
                     else:
                         emit(tau, (b, tau), value)
-        # crossing check for the touched block's pages
-        if any(0.5 <= xv < 1.0 - FULL_EPS for xv in half.x(oracle, b, tau)):
-            complete(tau, (b, tau))
+        # crossing check for the touched block's pages, when one can cross
+        if open_bound[b] >= 0.5 - CROSSING_SLACK:
+            open_bound[b] = max(
+                (xv for xv in half.x(oracle, b, tau) if xv < 1.0 - FULL_EPS), default=0.0
+            )
+            if open_bound[b] >= 0.5:
+                complete(tau, (b, tau))
     add_rows(instance.T)
     return stream
 

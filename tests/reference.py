@@ -16,6 +16,7 @@ from blockcache.instance import Instance, PolicyTrace, RequestIndex, gen_gap_ins
 from blockcache.oracle import (
     COST_EPS, _trace_from_path, derive_block_rates, fractional_costs_from_x
 )
+from blockcache.rounding import FULL_EPS, StructuredStream
 from blockcache.submodular import FEAS_EPS, CoverageOracle, Flush, flush_cost
 
 # latest flush time of a block without one: below every last request, the
@@ -499,3 +500,79 @@ def solve_event_reference(
         if hi - lo <= BISECT_REL * max(1.0, hi):
             break
     return EventOutcome(delta_y=hi, kind="primal-satisfied", flush=None)
+
+
+def structure_stream_reference(raw_increments, instance: Instance) -> StructuredStream:
+    """``structure_stream`` as it was before it skipped reads, kept verbatim
+    as the bit-identity reference: it reads every block for every row of
+    x, and the touched block after every raw increment.
+
+    Turn a raw monotone-incremental log into a structured one.
+
+    One causal sweep over the log combines: completion of any flush that
+    has accumulated half its mass (emitted integrally at its original
+    time), full block flushes whenever a page's half-rounded missing value
+    reaches 1/2, per-block bucketing of small mass with threshold 1/(4k^2),
+    and a final doubling capped at 1 on emission.
+    """
+    oracle = CoverageOracle(instance, RequestIndex(instance))
+    k = instance.k
+    threshold = 1.0 / (4.0 * k * k)
+
+    stream = StructuredStream(instance)
+    half = stream.half.phi
+    bucket = [0.0] * instance.num_blocks
+
+    def add_rows(upto: int) -> None:
+        # row t sees only the increments emitted up to t: mass a later step
+        # adds to an earlier flush is not yet there
+        for t in range(len(stream.x), upto + 1):
+            row = [None] * (instance.n + 1)
+            for b, blk in enumerate(instance.blocks):
+                for p, xv in zip(blk, stream.phi.x(oracle, b, t)):
+                    row[p] = xv
+            stream.x.append(row)
+
+    def add_half(tau: int, flush: Flush, delta: float) -> float:
+        eff = min(delta, 1.0 - half.get(flush, 0.0))
+        if eff <= 0.0:
+            return 0.0
+        stream.half.apply(tau, flush, eff)
+        return eff
+
+    def emit(tau: int, flush: Flush, value_target: float) -> None:
+        delta = value_target - stream.phi.get(flush, 0.0)
+        if delta > 0.0:
+            stream.apply(tau, flush, delta)
+            step = stream.by_step.setdefault(tau, {})
+            step[flush] = step.get(flush, 0.0) + delta
+
+    def complete(tau: int, flush: Flush) -> None:
+        add_half(tau, flush, 1.0)
+        emit(tau, flush, 1.0)
+
+    for tau, flush, delta in raw_increments:
+        add_rows(tau - 1)
+        b = flush[0]
+        eff = add_half(tau, flush, delta)
+        if eff > 0.0:
+            if half.get(flush, 0.0) >= 0.5:
+                # coordinate half-rounding: once a flush holds half its mass
+                # it is completed and emitted integrally, so it stays aligned
+                # with the integral part of the doubled output
+                complete(tau, flush)
+            else:
+                bucket[b] += eff
+                if bucket[b] >= threshold:
+                    # the flush holds twice its bucketed mass: doubling is exact
+                    value = min(stream.phi.get((b, tau), 0.0) + 2.0 * bucket[b], 1.0)
+                    bucket[b] = 0.0
+                    if value == 1.0:
+                        complete(tau, (b, tau))
+                    else:
+                        emit(tau, (b, tau), value)
+        # crossing check for the touched block's pages
+        if any(0.5 <= xv < 1.0 - FULL_EPS for xv in half.x(oracle, b, tau)):
+            complete(tau, (b, tau))
+    add_rows(instance.T)
+    return stream

@@ -1,8 +1,8 @@
 """The summary of tools/bench_pairs.py on fixed numbers: quartiles by
 linear interpolation, pairs won by the change, ties counted for neither
-side, the output digest read off a report, each side's set of digests,
-the commit of each side, the refusal of a parent outside git, and the
-bytecode settings each run gets."""
+side, each metric's verdict, the output digest read off a report, each
+side's set of digests, the commit of each side, the refusal of a parent
+outside git, and the bytecode settings each run gets."""
 
 import importlib.util
 import json
@@ -47,6 +47,26 @@ def test_runs_are_rounded_to_four_digits():
     summary = bench_pairs.summarize([0.123456], [0.654321], "lower")
     assert summary["parent_runs"] == [0.1235] and summary["change_runs"] == [0.6543]
     assert summary["change_wins"] == 0
+
+
+def test_verdict_reads_wins_medians_spread_and_bound():
+    parent = [1.78, 1.80, 1.79, 1.81, 1.77, 1.80, 1.78, 1.79, 1.82, 1.80]
+    faster = [v - 0.15 for v in parent]
+    assert bench_pairs.verdict(parent, faster, "lower", 0.25) == "gain"
+    # 8 of 10 wins is not a gain, however large
+    assert bench_pairs.verdict(parent, faster[:8] + parent[8:], "lower", 0.25) == "same"
+    # 10 wins by less than the parent's interquartile range
+    assert bench_pairs.verdict(parent, [v - 0.001 for v in parent], "lower", 0.25) == "same"
+    # the same runs where higher is better: slower by 8%, within a 10% bound
+    assert bench_pairs.verdict(parent, faster, "higher", 0.1) == "same"
+    assert bench_pairs.verdict(parent, faster, "higher", 0.05) == "regression"
+    assert bench_pairs.verdict(faster, parent, "lower", 0.05) == "regression"
+    wide = [1.0, 1.5, 2.0, 1.0, 1.5, 2.0]
+    assert bench_pairs.verdict(wide, list(wide), "lower", 0.25) == "unresolved"
+    assert bench_pairs.verdict(wide, list(wide), "lower", 0.75) == "same"
+    ties = [1.4049] * 5
+    assert bench_pairs.verdict(ties, list(ties), "lower", 0.2) == "same"
+    assert bench_pairs.verdict([2.0], [1.0], "lower", 0.25) == "gain"
 
 
 REPORT = """frac-mid seed=1: 2 untraced and 0 traced passes of 36 jobs
@@ -150,6 +170,10 @@ def test_run_entry_lists_each_sides_digests(monkeypatch, tmp_path):
     assert run["digests"] == {"parent": ["aaa"], "change": ["aaa"]}
     assert run["digests_equal"] is True
     assert run["parent"] == parent_commit
+    # equal runs on both sides: every metric reads the same
+    assert all(run[m["name"]]["verdict"] == "same" for m in metrics)
+    about = json.loads(out.read_text())["about"]
+    assert all(word in about for word in ("gain", "regression", "unresolved", "same"))
 
 
 def test_a_parent_outside_git_is_refused(monkeypatch, tmp_path, capsys):

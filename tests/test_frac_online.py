@@ -16,6 +16,7 @@ from blockcache.frac_online import (
 )
 from blockcache.instance import Instance, gen_random
 from blockcache.oracle import opt_eviction
+from blockcache.rounding import structure_stream
 from blockcache.submodular import flush_cost
 from reference import (
     integrate_rate_law, most_violated_constraint_reference, solve_event_reference
@@ -247,6 +248,19 @@ def test_increment_file_round_trip(tmp_path):
     for _tau, fl, delta in load_increments(str(path), inst):
         replayed[fl] = replayed.get(fl, 0.0) + delta
     assert flush_cost(replayed, inst) == pytest.approx(res.primal_cost, abs=1e-6)
+
+
+def test_saved_increment_log_loads_as_the_run_made_it(tmp_path):
+    # a frac-mid shape: every delta and phi_after is written exactly, so the
+    # loaded log is the in-memory one, and so is anything built from it
+    inst = gen_random(32, 16, 4, 100, cost_profile="log-uniform", delta=8, seed=0)
+    sol = run_fractional(inst).solution
+    path = tmp_path / "inc.jsonl"
+    sol.save_increments(str(path))
+    loaded = load_increments(str(path), inst)
+    assert len(loaded) > 1000
+    assert loaded == sol.increments
+    assert structure_stream(loaded, inst).x == structure_stream(sol.increments, inst).x
 
 
 def test_apply_rejects_nonpositive():

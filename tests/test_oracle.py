@@ -225,13 +225,13 @@ def test_dp_paths_do_not_depend_on_move_order(monkeypatch):
     rng = random.Random(23)
     run_dp = oracle._run_dp
 
-    def shuffled(instance, h, moves_per_state, transitions):
+    def shuffled(instance, h, moves_per_state, transitions, start_moves):
         def wrapped(prev, t):
             moves = list(transitions(prev, t))
             rng.shuffle(moves)
             return moves
 
-        return run_dp(instance, h, moves_per_state, wrapped)
+        return run_dp(instance, h, moves_per_state, wrapped, start_moves)
 
     monkeypatch.setattr(oracle, "_run_dp", shuffled)
     for (inst, h), results in zip(cases, expected):
@@ -288,13 +288,16 @@ def test_canonical_flushsets_match_full_enumeration():
 
 def count_dp_moves(monkeypatch) -> list[dict]:
     """Patch ``oracle._run_dp`` to wrap each call's ``transitions``; every
-    call appends its ``moves_per_state``, the states it expanded at each
-    step and the moves it made."""
+    call appends its ``moves_per_state`` and ``start_moves``, the states it
+    expanded at each step and the moves it made."""
     calls = []
     run_dp = oracle._run_dp
 
-    def counted(instance, h, moves_per_state, transitions):
-        record = {"moves_per_state": moves_per_state, "states": Counter(), "moves": 0}
+    def counted(instance, h, moves_per_state, transitions, start_moves):
+        record = {
+            "moves_per_state": moves_per_state, "start_moves": start_moves,
+            "states": Counter(), "moves": 0,
+        }
         calls.append(record)
 
         def wrapped(prev, t):
@@ -303,7 +306,7 @@ def count_dp_moves(monkeypatch) -> list[dict]:
             record["moves"] += len(moves)
             return moves
 
-        return run_dp(instance, h, moves_per_state, wrapped)
+        return run_dp(instance, h, moves_per_state, wrapped, start_moves)
 
     monkeypatch.setattr(oracle, "_run_dp", counted)
     return calls
@@ -413,6 +416,32 @@ def test_dp_budget_rule(monkeypatch):
         assert cost == unlimited_cost
 
     check()
+
+
+@pytest.mark.parametrize("dp", [opt_eviction, opt_fetching], ids=lambda dp: dp.__name__)
+@pytest.mark.parametrize("h", [3, 5])
+def test_an_over_full_start_is_charged_all_its_moves(dp, h, monkeypatch):
+    # a starting cache above h has more step-1 moves than a state of h
+    # pages (at h = 3, 36 fetching and 18 eviction moves against 10 and 8);
+    # under every limit, a call that returns made at most the limit, and
+    # under its own step-1 charge it returns the unlimited optimum
+    inst = gen_random(12, 10, 3, 6, seed=0)
+    inst = dataclasses.replace(
+        inst, requests=inst.requests[:1], initial_cache=frozenset(range(1, 11))
+    )
+    calls = count_dp_moves(monkeypatch)
+    unlimited_cost, _trace = dp(inst, h)
+    moves, start_moves = calls[-1]["moves"], calls[-1]["start_moves"]
+    assert calls[-1]["moves_per_state"] < moves <= start_moves
+    for limit in range(calls[-1]["moves_per_state"], start_moves + 1):
+        monkeypatch.setattr(oracle, "DP_MOVE_LIMIT", limit)
+        try:
+            cost, _trace = dp(inst, h)
+        except OracleIntractableError:
+            assert limit < start_moves
+            continue
+        assert calls[-1]["moves"] <= limit
+        assert cost == unlimited_cost
 
 
 def test_h_smaller_than_k():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -18,7 +19,7 @@ from blockcache.rounding import (
     structure_stream,
 )
 from blockcache.submodular import CoverageOracle, PhiView, flush_cost
-from reference import gap_fractional_solution
+from reference import gap_fractional_solution, structure_stream_reference
 
 
 def test_gamma_value():
@@ -367,3 +368,84 @@ def test_threshold_roundings_on_fractional_x():
                     assert set(step.fetched) <= {inst.request(step.t)}
 
     check()
+
+
+def assert_same_stream(raw, inst):
+    stream, reference = structure_stream(raw, inst), structure_stream_reference(raw, inst)
+    assert stream.x == reference.x
+    assert stream.increments == reference.increments
+    assert stream.by_step == reference.by_step
+    assert stream.half.increments == reference.half.increments
+    return stream
+
+
+def test_structuring_matches_the_sweep_that_reads_everything():
+    # property: skipping the reads whose answer is known keeps every output
+    # bit for bit, on the fractional run's log or on a drawn monotone raw
+    # log of up to three increments a step, each to a flush at or before
+    # its step, with deltas large enough that blocks often cross 1/2
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(2, 10))
+        k = draw(st.integers(1, n))
+        profile = draw(st.sampled_from(["unit", "log-uniform"]))
+        inst = gen_random(
+            n, k, draw(st.integers(1, k)), draw(st.integers(1, 16)), profile,
+            draw(st.floats(1.0, 100.0)), seed=draw(st.integers(0, 2**16)),
+        )
+        cached = draw(st.lists(st.integers(1, n), max_size=k, unique=True))
+        inst = dataclasses.replace(inst, initial_cache=frozenset(cached))
+        if not draw(st.booleans()):
+            return inst, run_fractional(inst).solution.increments
+        raw = []
+        for tau in range(1, inst.T + 1):
+            for _ in range(draw(st.integers(0, 3))):
+                flush = (draw(st.integers(0, inst.num_blocks - 1)), draw(st.integers(1, tau)))
+                raw.append((tau, flush, draw(st.floats(0.01, 0.6))))
+        return inst, raw
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(cases())
+    def check(case):
+        inst, raw = case
+        assert_same_stream(raw, inst)
+
+    check()
+
+
+ONE_BLOCK_PAIR = dict(n=4, k=2, blocks=((1, 2), (3, 4)), costs=(1.0, 1.0))
+
+
+def test_a_page_requested_between_two_reads_of_its_block():
+    # the read at tau 2 finds page 1 at 0.25; page 1 is requested at 4, and
+    # the read at 5 finds page 2 at 0.3, which 0.25 more at 6 takes to 1/2
+    inst = Instance(**ONE_BLOCK_PAIR, requests=(1, 2, 3, 1, 4, 3))
+    raw = [
+        (2, (0, 1), 0.3), (2, (0, 2), 0.25), (4, (0, 3), 0.2), (5, (0, 5), 0.1),
+        (6, (0, 6), 0.25),
+    ]
+    stream = assert_same_stream(raw, inst)
+    assert stream.half.phi[(0, 6)] == 1.0
+
+
+def test_a_block_that_went_full_crosses_again_after_a_request():
+    # both pages go full at 3; page 1, requested at 5, climbs to 0.55 by 7
+    inst = Instance(**ONE_BLOCK_PAIR, requests=(1, 2, 3, 4, 1, 3, 4))
+    raw = [(3, (0, 3), 0.6), (6, (0, 6), 0.3), (7, (0, 7), 0.25)]
+    stream = assert_same_stream(raw, inst)
+    assert stream.half.phi[(0, 3)] == 1.0 and stream.half.phi[(0, 7)] == 1.0
+
+
+def test_a_flush_after_the_last_read_gains_mass_later():
+    # the read at tau 3 finds page 1 at 0.2; flush time 4, after that read,
+    # gains 0.1 at 4 and 0.15 at 6, and page 1 reaches 0.55 at 6
+    inst = Instance(**ONE_BLOCK_PAIR, requests=(1, 2, 3, 4, 3, 4))
+    raw = [
+        (2, (0, 2), 0.2), (3, (0, 1), 0.35), (4, (0, 4), 0.1), (6, (0, 4), 0.15),
+        (6, (0, 5), 0.1),
+    ]
+    stream = assert_same_stream(raw, inst)
+    assert stream.half.phi[(0, 6)] == 1.0

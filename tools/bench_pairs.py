@@ -13,8 +13,8 @@ parent runs first in even pairs and the change in odd ones.
 Every run compiles its Python from source: it writes no bytecode and its
 ``PYTHONPYCACHEPREFIX`` is a fresh, empty directory.  Every
 end-to-end metric that BENCHMARK.json names gets each side's [first
-quartile, median, third quartile] and the number of pairs the change won
-(ties count for neither side).  The run entry names its ``parent`` commit
+quartile, median, third quartile], the number of pairs the change won
+(ties count for neither side) and a ``verdict`` (see ``verdict``).  The run entry names its ``parent`` commit
 and its ``change``, this checkout's commit with ``-dirty`` when it has
 uncommitted changes, says whether every run of both sides printed the
 same output ``digest`` (``digests_equal``), and lists each side's
@@ -49,18 +49,48 @@ def quartiles(runs: list[float]) -> list[float]:
     return [round(q, DIGITS) for q in statistics.quantiles(runs, n=4, method="inclusive")]
 
 
+def pairs_won(parent_runs: list[float], change_runs: list[float], better: str) -> int:
+    """The pairs in which the change is strictly better; a tie counts for
+    neither side."""
+    sign = 1 if better == "lower" else -1
+    return sum(sign * (c - p) < 0 for p, c in zip(parent_runs, change_runs))
+
+
 def summarize(parent_runs: list[float], change_runs: list[float], better: str) -> dict:
     """One metric's entry: quartiles per side, pairs won by the change
     (strictly better; a tie counts for neither), and the runs in pair order."""
-    sign = 1 if better == "lower" else -1
-    wins = sum(sign * (c - p) < 0 for p, c in zip(parent_runs, change_runs))
     return {
         "parent": quartiles(parent_runs),
         "change": quartiles(change_runs),
-        "change_wins": wins,
+        "change_wins": pairs_won(parent_runs, change_runs, better),
         "parent_runs": [round(v, DIGITS) for v in parent_runs],
         "change_runs": [round(v, DIGITS) for v in change_runs],
     }
+
+
+def verdict(parent_runs: list[float], change_runs: list[float], better: str, bound: float) -> str:
+    """What one metric's pairs show, checked in this order: ``gain`` when
+    the change won at least 9 of 10 pairs and its median is better than
+    the parent's by more than the parent's interquartile range;
+    ``regression`` when its median is worse than the parent's by more than
+    ``bound`` times the parent's median; ``unresolved`` when the parent's
+    interquartile range is wider than ``bound`` times its median; ``same``
+    otherwise.  ``bound`` is the metric's bound in BENCHMARK.json."""
+    wins = pairs_won(parent_runs, change_runs, better)
+    if len(parent_runs) == 1:
+        q1 = median = q3 = parent_runs[0]
+    else:
+        q1, median, q3 = statistics.quantiles(parent_runs, n=4, method="inclusive")
+    gain = median - statistics.median(change_runs)  # > 0: the change is better
+    if better != "lower":
+        gain = -gain
+    if 10 * wins >= 9 * len(parent_runs) and gain > q3 - q1:
+        return "gain"
+    if -gain > bound * abs(median):
+        return "regression"
+    if q3 - q1 > bound * abs(median):
+        return "unresolved"
+    return "same"
 
 
 def digest_of(report: str) -> str | None:
@@ -161,11 +191,10 @@ def main(argv=None) -> int:
     }
     for metric in metrics:
         name = metric["name"]
-        entry[name] = summarize(
-            [r["metrics"][name]["value"] for r in results["parent"]],
-            [r["metrics"][name]["value"] for r in results["change"]],
-            metric["better"],
-        )
+        runs = [[r["metrics"][name]["value"] for r in results[side]]
+                for side in ("parent", "change")]
+        entry[name] = summarize(*runs, metric["better"])
+        entry[name]["verdict"] = verdict(*runs, metric["better"], metric["bound"])
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["about"] = (
@@ -177,6 +206,12 @@ def main(argv=None) -> int:
         " (null for a run whose report had none). Per metric: [first quartile, median,"
         " third quartile] of each side, and the number of pairs the change won, in the"
         " metric's better direction from BENCHMARK.json (ties count for neither)."
+        " `verdict` is the first that holds of: `gain`, the change won at least 9 of 10"
+        " pairs and its median is better than the parent's by more than the parent's"
+        " interquartile range; `regression`, its median is worse than the parent's by"
+        " more than the metric's BENCHMARK.json `bound` times the parent's median;"
+        " `unresolved`, the parent's interquartile range is wider than `bound` times its"
+        " median; `same`."
     )
     doc["host"] = {
         "name": platform.node(),
