@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -337,7 +338,11 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on the first call, not at import (which every process pays),
+    and shared by every later call: parsing leaves it unchanged, since
+    each ``parse_args`` fills a new namespace."""
     parser = argparse.ArgumentParser(
         prog="blockcache", description="block-aware caching laboratory"
     )

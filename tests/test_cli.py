@@ -1,5 +1,10 @@
+import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -619,3 +624,75 @@ def test_report_lower_bound_column(tmp_path):
     # (k + (beta-1)(h-1)) / (k-h+1) = (4 + 2) / 2
     assert rows[0]["lower_bound"] == "3"
     assert rows[1]["lower_bound"] == ""
+
+
+# ------------------------------------------- many calls in one process
+
+
+@pytest.fixture
+def fresh_parser():
+    """A process whose ``main`` has not yet built its parser, and that
+    leaves none behind for the tests after it."""
+    cli.build_parser.cache_clear()
+    yield
+    cli.build_parser.cache_clear()
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch, capsys, fresh_parser):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    inst_path = gen_random_file(tmp_path)
+    first = len(built)
+    assert first > 0 and built[0] == "blockcache"
+    assert run_cli("run", "--instance", str(inst_path), "--alg", "det",
+                   "-o", str(tmp_path / "det")) == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--instance", str(inst_path), "--alg", "no-such-alg")
+    assert exc.value.code == 2
+    assert run_cli("verify", "--instance", str(inst_path),
+                   "--trace", str(tmp_path / "det.trace.jsonl")) == 0
+    assert len(built) == first
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_option_values_do_not_leak_between_calls(tmp_path):
+    inst_path = gen_random_file(tmp_path)
+    assert run_cli("run", "--instance", str(inst_path), "--alg", "frac-round",
+                   "--seeds", "3", "4", "-o", str(tmp_path / "two")) == 0
+    assert run_cli("run", "--instance", str(inst_path), "--alg", "frac-round",
+                   "-o", str(tmp_path / "default")) == 0
+    assert json.loads((tmp_path / "two.summary.json").read_text())["seeds"] == [3, 4]
+    assert json.loads((tmp_path / "default.summary.json").read_text())["seeds"] == [0]
+
+
+def test_calls_after_errors_write_what_a_fresh_process_writes(tmp_path, capsys):
+    inst_path = gen_random_file(tmp_path)
+    assert run_cli("run", "--instance", str(inst_path), "--alg", "det",
+                   "-o", str(tmp_path / "det")) == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--instance", str(inst_path), "--alg", "opt", "--model", "both")
+    assert exc.value.code == 2
+    assert run_cli("run", "--instance", str(inst_path), "--alg", "det",
+                   "--h", "2", "-o", str(tmp_path / "det-h")) == 2
+    argv = ["run", "--instance", str(inst_path), "--alg", "frac-round", "--seeds", "0", "1"]
+    (tmp_path / "in-process").mkdir()
+    (tmp_path / "subprocess").mkdir()
+    assert run_cli(*argv, "-o", str(tmp_path / "in-process" / "out")) == 0
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "blockcache.cli", *argv, "-o", str(tmp_path / "subprocess" / "out")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    names = sorted(p.name for p in (tmp_path / "in-process").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "subprocess").iterdir())
+    assert "out.summary.json" in names and "out.trace.jsonl" in names
+    for name in names:
+        assert ((tmp_path / "in-process" / name).read_bytes()
+                == (tmp_path / "subprocess" / name).read_bytes()), name
