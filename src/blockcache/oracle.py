@@ -58,7 +58,7 @@ def _trace_from_path(
 
 
 def _run_dp(
-    instance: Instance, h: int, moves_per_state: int, transitions, start_moves: int
+    instance: Instance, h: int, transitions, moves_for
 ) -> tuple[float, PolicyTrace]:
     """Shortest path over cache-contents states, starting from
     ``instance.initial_cache``.  A state is the int bitmask of its pages
@@ -67,32 +67,24 @@ def _run_dp(
     more than ``DP_TIE_EPS``: among equally cheap paths into a state the
     one through the smallest previous mask wins, whatever order
     ``transitions`` lists its moves in.  Among equally cheap end states the
-    one with the smaller sorted page list wins.  Step 1 is charged
-    ``start_moves`` and every later step ``moves_per_state`` per held state.
-    Before step t it refuses when the moves charged for steps 1..t plus
-    ``moves_per_state`` per state held before step t for each of steps
-    t+1..T exceed ``DP_MOVE_LIMIT``; a call that returns made no more
-    moves.
+    one with the smaller sorted page list wins.
 
-    ``transitions(prev, t)`` returns at most ``moves_per_state``
-    (next_state, step_cost) pairs for a state of at most h pages, and at
-    most ``start_moves`` for the starting cache, which may hold more (with
-    at most h pages, ``start_moves`` is ``moves_per_state``).  In the
-    eviction model dropping initial
-    pages is paid like any other eviction.  In the fetching model
-    evictions are free, and starting from a subset S of the initial cache
-    I gains nothing: any first step from S, keeping ``kept`` and fetching
-    ``batch``, is matched from I by keeping ``kept`` plus the pages of
-    ``batch`` (and the requested page) already in I and fetching the rest
-    of ``batch``.  That reaches the same state, and it fetches only if the
-    step from S fetches, so it costs no more.
+    ``transitions(prev, t)`` returns at most ``moves_for(max(h, m))``
+    (next_state, step_cost) pairs for a state ``prev`` of m pages.  Every
+    state after the start holds at most h pages, so step 1 is charged
+    ``moves_for(max(h, |initial_cache|))`` and every later step
+    ``moves_for(h)`` per held state.  Before step t it refuses when the
+    moves charged for steps 1..t plus ``moves_for(h)`` per state held
+    before step t for each of steps t+1..T exceed ``DP_MOVE_LIMIT``; a
+    call that returns made no more moves.
     """
     start = _mask(instance.initial_cache)
     best = {start: 0.0}
     links: dict[int, tuple | None] = {start: None}  # state -> (prev, links[prev])
+    moves_per_state = moves_for(h)
     spent = 0  # the moves charged for the steps expanded so far
     for t in range(1, instance.T + 1):
-        spent += start_moves if t == 1 else len(best) * moves_per_state
+        spent += moves_for(max(h, start.bit_count())) if t == 1 else len(best) * moves_per_state
         projected = spent + len(best) * moves_per_state * (instance.T - t)
         if projected > DP_MOVE_LIMIT:
             raise OracleIntractableError(
@@ -160,9 +152,8 @@ def opt_eviction(instance: Instance, h: int | None = None) -> tuple[float, Polic
     From every state, then, one of the enumerated steps is optimal over all
     steps, and by induction from the last step the optimum over the
     enumerated steps equals the optimum over all of them.  A state holds
-    pages of at most min(h, #blocks) blocks, so a state has at most
-    2^min(h, #blocks) moves instead of 2^|cache|; a starting cache of m > h
-    pages has at most 2^min(m, #blocks).
+    pages of at most min(m, #blocks) blocks, so a state of m pages has at
+    most 2^min(m, #blocks) moves instead of 2^m.
     """
     h = instance.k if h is None else h
     block_masks = [_mask(blk) for blk in instance.blocks]
@@ -179,10 +170,8 @@ def opt_eviction(instance: Instance, h: int | None = None) -> tuple[float, Polic
                 moves += [(state & ~held, cost + c) for state, cost in moves]
         return [move for move in moves if move[0].bit_count() <= h]
 
-    start_pages = max(h, len(instance.initial_cache))
     return _run_dp(
-        instance, h, 2 ** min(h, instance.num_blocks), transitions,
-        start_moves=2 ** min(start_pages, instance.num_blocks),
+        instance, h, transitions, lambda m: 2 ** min(m, instance.num_blocks)
     )
 
 
@@ -226,10 +215,19 @@ def opt_fetching(instance: Instance, h: int | None = None) -> tuple[float, Polic
     From every state, then, one of the enumerated steps is optimal over all
     steps, and by induction from the last step the optimum over the
     enumerated steps equals the optimum over all of them.  A starting cache
-    above h pages gets every step at step 1.  With |batch| = j there are at
-    most C(beta - 1, j) batches and C(h, h - 1 - j) kept sets (a cache
-    missing p may hold h pages to choose from); a starting cache of m > h
-    pages has at most C(m, h - 1 - j).
+    above h pages gets every step at step 1.
+
+    *The whole initial cache is the best start.*  Starting from a subset S
+    of the initial cache I gains nothing: any first step from S, keeping
+    ``kept`` and fetching ``batch``, is matched from I by keeping ``kept``
+    plus the pages of ``batch`` (and the requested page) already in I and
+    fetching the rest of ``batch``.  That reaches the same state, and it
+    fetches only if the step from S fetches, so it costs no more.
+
+    With |batch| = j a state of m pages has at most C(beta - 1, j) batches
+    and C(m, h - 1 - j) kept sets (a cache missing p may hold m pages to
+    choose from); summed over j, by Vandermonde's identity, that is
+    C(beta + m - 1, h - 1) moves.
     """
     h = instance.k if h is None else h
     block_masks = [_mask(blk) for blk in instance.blocks]
@@ -252,12 +250,8 @@ def opt_fetching(instance: Instance, h: int | None = None) -> tuple[float, Polic
             for kept in combinations(others, min(len(others), h - j - 1))
         ]
 
-    # the sum over j of C(beta - 1, j) * C(m, h - 1 - j), by Vandermonde's
-    # identity, for a state of m = h pages or for the starting cache
-    start_pages = max(h, len(instance.initial_cache))
     return _run_dp(
-        instance, h, comb(instance.beta + h - 1, h - 1), transitions,
-        start_moves=comb(instance.beta + start_pages - 1, h - 1),
+        instance, h, transitions, lambda m: comb(instance.beta + m - 1, h - 1)
     )
 
 

@@ -121,10 +121,12 @@ def dp_move_bound_reference(instance: Instance, h: int, moves_per_state: int) ->
     return states * max(1, instance.T) * moves_per_state
 
 
-def fetching_moves_per_state_reference(beta: int, h: int) -> int:
-    """The fetching DP's moves per state as a sum over the batch size j:
-    at most C(beta - 1, j) batches, each with C(h, j + 1) kept sets."""
-    return sum(math.comb(beta - 1, j) * math.comb(h, j + 1) for j in range(min(beta, h)))
+def fetching_moves_per_state_reference(beta: int, h: int, m: int | None = None) -> int:
+    """The fetching DP's moves for a state of m >= h pages (by default h)
+    as a sum over the batch size j: at most C(beta - 1, j) batches, each
+    with C(m, h - 1 - j) kept sets."""
+    m = h if m is None else m
+    return sum(math.comb(beta - 1, j) * math.comb(m, h - 1 - j) for j in range(min(beta, h)))
 
 
 def raise_dual_keeping_zeros(

@@ -225,13 +225,13 @@ def test_dp_paths_do_not_depend_on_move_order(monkeypatch):
     rng = random.Random(23)
     run_dp = oracle._run_dp
 
-    def shuffled(instance, h, moves_per_state, transitions, start_moves):
+    def shuffled(instance, h, transitions, moves_for):
         def wrapped(prev, t):
             moves = list(transitions(prev, t))
             rng.shuffle(moves)
             return moves
 
-        return run_dp(instance, h, moves_per_state, wrapped, start_moves)
+        return run_dp(instance, h, wrapped, moves_for)
 
     monkeypatch.setattr(oracle, "_run_dp", shuffled)
     for (inst, h), results in zip(cases, expected):
@@ -288,25 +288,30 @@ def test_canonical_flushsets_match_full_enumeration():
 
 def count_dp_moves(monkeypatch) -> list[dict]:
     """Patch ``oracle._run_dp`` to wrap each call's ``transitions``; every
-    call appends its ``moves_per_state`` and ``start_moves``, the states it
-    expanded at each step and the moves it made."""
+    call appends its bound for a state of h pages (``moves_per_state``) and
+    for the starting cache (``start_moves``), the states it expanded at each
+    step and the moves it made.  Every expansion of a state of m pages
+    asserts that it made at most ``moves_for(max(h, m))`` moves, the
+    per-state bound the DP's budget rests on."""
     calls = []
     run_dp = oracle._run_dp
 
-    def counted(instance, h, moves_per_state, transitions, start_moves):
+    def counted(instance, h, transitions, moves_for):
         record = {
-            "moves_per_state": moves_per_state, "start_moves": start_moves,
+            "moves_per_state": moves_for(h),
+            "start_moves": moves_for(max(h, len(instance.initial_cache))),
             "states": Counter(), "moves": 0,
         }
         calls.append(record)
 
         def wrapped(prev, t):
             moves = transitions(prev, t)
+            assert len(moves) <= moves_for(max(h, prev.bit_count()))
             record["states"][t] += 1
             record["moves"] += len(moves)
             return moves
 
-        return run_dp(instance, h, moves_per_state, wrapped, start_moves)
+        return run_dp(instance, h, wrapped, moves_for)
 
     monkeypatch.setattr(oracle, "_run_dp", counted)
     return calls
@@ -354,15 +359,25 @@ def test_frac_mid_shapes_are_refused_after_few_moves(dp, monkeypatch):
 
 def test_fetching_moves_per_state_is_the_closed_form(monkeypatch):
     # Vandermonde's identity turns the sum over batch sizes into one
-    # binomial, and the fetching DP charges it per held state
+    # binomial for a state of m >= h pages, and the fetching DP charges it
+    # per held state (m = h) and for an over-full starting cache (m > h)
     for beta in range(1, 31):
         for h in range(1, 31):
-            assert math.comb(beta + h - 1, h - 1) == fetching_moves_per_state_reference(beta, h)
+            for m in range(h, 31):
+                assert math.comb(beta + m - 1, h - 1) == fetching_moves_per_state_reference(
+                    beta, h, m
+                )
     calls = count_dp_moves(monkeypatch)
     for seed, h in [(0, 1), (1, 3), (2, 5), (3, 6)]:
         inst = gen_random(10, 6, 4, 12, seed=seed)
         opt_fetching(inst, h)
         assert calls[-1]["moves_per_state"] == fetching_moves_per_state_reference(inst.beta, h)
+        if h < inst.k:
+            full = dataclasses.replace(inst, initial_cache=frozenset(range(1, inst.k + 1)))
+            opt_fetching(full, h)
+            assert calls[-1]["start_moves"] == fetching_moves_per_state_reference(
+                inst.beta, h, inst.k
+            )
 
 
 def test_dp_budget_rule(monkeypatch):
@@ -371,8 +386,10 @@ def test_dp_budget_rule(monkeypatch):
     # unlimited call's cost; a refused one made no more and refuses at the
     # first step t where the moves charged so far plus moves_per_state per
     # held state for each of steps t..T exceed the limit (the states held
-    # are counted in the unlimited call); every instance that the old
-    # worst-case bound admits is admitted
+    # are counted in the unlimited call, and step 1 is charged the starting
+    # cache's own bound, which may hold up to k > h pages); every instance
+    # that the old worst-case bound, with step 1 charged the start's bound,
+    # admits is admitted
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     calls = count_dp_moves(monkeypatch)
@@ -386,20 +403,32 @@ def test_dp_budget_rule(monkeypatch):
             seed=draw(st.integers(0, 2**16)),
         )
         h = draw(st.integers(1, k))
-        cached = draw(st.lists(st.integers(1, n), max_size=h, unique=True))
+        cached = draw(st.lists(st.integers(1, n), max_size=k, unique=True))
         inst = dataclasses.replace(inst, initial_cache=frozenset(cached))
         return inst, h, draw(st.integers(1000, 3000))
 
+    # a full start of 10 pages is charged 2^10 = 1024 eviction moves at h = 1
+    # and C(14, 4) = 1001 fetching moves at h = 5: over the limit at step 1
+    full = [
+        dataclasses.replace(
+            gen_random(10, 10, beta, 4, seed=0), initial_cache=frozenset(range(1, 11))
+        )
+        for beta in (1, 5)
+    ]
+
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(cases(), st.sampled_from([opt_eviction, opt_fetching]))
+    @hypothesis.example((full[0], 1, 1000), opt_eviction)
+    @hypothesis.example((full[1], 5, 1000), opt_fetching)
     def check(case, dp):
         inst, h, limit = case
         monkeypatch.setattr(oracle, "DP_MOVE_LIMIT", 10**9)
         unlimited_cost, _trace = dp(inst, h)
         states, moves_per_state = calls[-1]["states"], calls[-1]["moves_per_state"]
+        start_moves = calls[-1]["start_moves"]
         charged, first_over = 0, None
         for t in range(1, inst.T + 1):
-            charged += states[t] * moves_per_state
+            charged += start_moves if t == 1 else states[t] * moves_per_state
             if charged + states[t] * moves_per_state * (inst.T - t) > limit:
                 first_over = t
                 break
@@ -409,7 +438,8 @@ def test_dp_budget_rule(monkeypatch):
         except OracleIntractableError as exc:
             assert refusal_step(exc) == first_over
             assert calls[-1]["moves"] <= limit
-            assert dp_move_bound_reference(inst, h, moves_per_state) > limit
+            old_bound = dp_move_bound_reference(inst, h, moves_per_state)
+            assert old_bound - moves_per_state + start_moves > limit
             return
         assert first_over is None
         assert calls[-1]["moves"] <= limit

@@ -5,9 +5,11 @@
 
 The grid is four seeded ``gen random`` instances (two with log-uniform
 costs, at n=12 and n=32), ``gen gap --beta 3 --rounds 3`` and ``gen
-beta-off --beta 2 --L 2`` in both directions.  Every ``run --alg`` runs on each of them (``opt``
-in both cost models; out of the exact DP's budget it exits 1), then
-``verify`` runs on every trace and increment log.  ``OUT/log.txt`` records
+beta-off --beta 2 --L 2`` in both directions.  Every ``run --alg`` runs on
+each of them (``opt`` in both cost models, at h = k and at h = k // 2,
+below a ``beta-off`` instance's starting cache; out of the exact DP's
+budget it exits 1), then ``verify`` runs on every trace at its h and on
+every increment log.  ``OUT/log.txt`` records
 each command with its output and exit code.  SRC is the ``src`` directory
 whose ``blockcache`` is run, by default this checkout's; pointing it at a
 second checkout makes a refactor check one ``diff -r`` of the two OUTs.
@@ -42,6 +44,8 @@ RUNS = {
     "bicriteria-evict": ["--alg", "bicriteria-evict", *SEEDS],
     "opt-evict": ["--alg", "opt", "--model", "evict"],
     "opt-fetch": ["--alg", "opt", "--model", "fetch"],
+    "opt-evict-half": ["--alg", "opt", "--model", "evict", "--h", "HALF"],
+    "opt-fetch-half": ["--alg", "opt", "--model", "fetch", "--h", "HALF"],
 }
 
 
@@ -68,9 +72,13 @@ def main() -> int:
             blockcache("gen", *gen, "-o", inst)
             k = json.loads((out / inst).read_text())["k"]
             for run, argv in RUNS.items():
+                argv = [str(k // 2) if a == "HALF" else a for a in argv]
                 blockcache("run", "--instance", inst, *argv, "-o", f"{name}.{run}")
             for run in RUNS:
-                capacity = 2 * k if run.startswith("bicriteria") else k
+                if run.startswith("bicriteria"):
+                    capacity = 2 * k
+                else:
+                    capacity = k // 2 if run.endswith("-half") else k
                 if (out / f"{name}.{run}.trace.jsonl").exists():
                     blockcache("verify", "--instance", inst, "--capacity", str(capacity),
                                "--trace", f"{name}.{run}.trace.jsonl")
