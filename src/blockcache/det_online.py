@@ -150,9 +150,8 @@ def run_deterministic(instance: Instance) -> DetResult:
 
     for tau in range(1, instance.T + 1):
         p = instance.request(tau)
-        fetched = [] if p in cache else [p]
         cache.add(p)
-        step_flushes: list[Flush] = []
+        flushed: tuple[int, ...] = ()
         if len(cache) > instance.k:
             coefficient = instance.n - instance.k - oracle.f_tau(latest, tau)
             (b0, _t0), dy, rates = next_tight_increase(ledger, latest, oracle, tau, coefficient)
@@ -160,7 +159,7 @@ def run_deterministic(instance: Instance) -> DetResult:
             ledger.mass[(b0, _t0)] = instance.costs[b0]  # snap to exactly tight
             cache -= set(instance.blocks[b0]) - {p}
             latest[b0] = tau
-            step_flushes.append((b0, tau))
-        trace.record(tau, step_flushes, fetched, cache)
+            flushed = (b0,)
+        trace.record(flushed, cache)
 
     return DetResult(trace=trace, ledger=ledger, primal_cost=trace.eviction_cost)

@@ -291,15 +291,21 @@ class PolicyTrace:
         fetch = sum(inst.costs[b] for b in {inst.block_of(p) for p in fetched})
         return evict, fetch
 
-    def record(self, t: int, flushes, fetched, cache) -> None:
-        """Appends a step; an unchanged cache shares the previous frozenset."""
+    def record(self, flushed, cache) -> None:
+        """Appends the next step from the blocks flushed at it and the cache
+        after it.  The step is one past the last, every flushed block is
+        flushed at it, and its fetched pages are those that entered the
+        cache; an unchanged cache shares the previous frozenset."""
+        t = len(self.steps) + 1
+        prev = self.cache_at(t - 1)
+        flushes = [(b, t) for b in sorted(flushed)]
+        fetched = sorted(cache - prev)
         evict, fetch = self.step_cost(flushes, fetched)
-        prev = self.cache_at(len(self.steps))
         self.steps.append(
             TraceStep(
                 t=t,
-                flushes=sorted(flushes),
-                fetched=sorted(fetched),
+                flushes=flushes,
+                fetched=fetched,
                 cache=prev if cache == prev else frozenset(cache),
                 evict_cost_cum=self.eviction_cost + evict,
                 fetch_cost_cum=self.fetching_cost + fetch,
@@ -310,10 +316,12 @@ class PolicyTrace:
         """Raises ValueError at the first step that is out of place, leaves
         its request uncached, exceeds the capacity bound, misstates a
         cumulative cost, or changes the cache other than by its own fetches
-        and flushes: a fetched page must have been absent before the step,
-        a page that leaves must belong to a block flushed at the step, and a
-        page that enters must have been fetched.  Step 1 starts from the
-        instance's starting cache.
+        and flushes: a fetched page must have been absent before the step
+        and be cached after it, a page that leaves must belong to a block
+        flushed at the step, and a page that enters must have been fetched.
+        So a step's fetched pages are exactly those that entered, as
+        ``record`` writes them.  Step 1 starts from the instance's starting
+        cache.
         """
         inst = self.instance
         if len(self.steps) != inst.T:
@@ -333,6 +341,11 @@ class PolicyTrace:
             if refetched:
                 raise ValueError(
                     f"page {min(refetched)} fetched at step {step.t} was already cached"
+                )
+            unkept = fetched - step.cache
+            if unkept:
+                raise ValueError(
+                    f"page {min(unkept)} fetched at step {step.t} is not cached after it"
                 )
             flushed = {b for b, ft in step.flushes if ft == step.t}
             unflushed = [q for q in prev - step.cache if inst.block_of(q) not in flushed]

@@ -43,20 +43,6 @@ def _mask(pages) -> int:
     return sum(1 << p for p in pages)
 
 
-def _trace_from_path(
-    instance: Instance, h: int, states: list[frozenset[int]]
-) -> PolicyTrace:
-    """Rebuild a step trace from the DP's cache-contents path."""
-    trace = PolicyTrace(instance=instance, capacity_bound=h)
-    for t in range(1, instance.T + 1):
-        prev, cur = states[t - 1], states[t]
-        evicted = prev - cur
-        fetched = sorted(cur - prev)
-        flushes = [(b, t) for b in {instance.block_of(p) for p in evicted}]
-        trace.record(t, flushes, fetched, cur)
-    return trace
-
-
 def _run_dp(
     instance: Instance, h: int, transitions, moves_for
 ) -> tuple[float, PolicyTrace]:
@@ -109,8 +95,10 @@ def _run_dp(
         path.append(link[0])
         link = link[1]
     path.reverse()
-    states = [frozenset(_pages(s)) for s in path]
-    return best[end_state], _trace_from_path(instance, h, states)
+    trace = PolicyTrace(instance=instance, capacity_bound=h)
+    for prev, cur in zip(path, path[1:]):
+        trace.record({instance.block_of(p) for p in _pages(prev & ~cur)}, frozenset(_pages(cur)))
+    return best[end_state], trace
 
 
 def opt_eviction(instance: Instance, h: int | None = None) -> tuple[float, PolicyTrace]:

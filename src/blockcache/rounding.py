@@ -201,7 +201,6 @@ def randomized_round(stream: StructuredStream, seed: int) -> PolicyTrace:
             if rng.random() < min(1.0, gamma * delta):
                 evict_block(flush[0])
         p_tau = instance.request(tau)
-        fetched = [] if p_tau in cache else [p_tau]
         cache.add(p_tau)
         while len(cache) > instance.k:
             candidates = [p for p in cache if xs[p] > 0.0]
@@ -209,9 +208,7 @@ def randomized_round(stream: StructuredStream, seed: int) -> PolicyTrace:
                 raise AlterationError("no cached page with positive missing value")
             worst = max(candidates, key=lambda p: (xs[p], -instance.block_of(p)))
             evict_block(instance.block_of(worst))
-        trace.record(
-            tau, [(b, tau) for b in sorted(step_flush_blocks)], fetched, cache
-        )
+        trace.record(step_flush_blocks, cache)
     return trace
 
 
@@ -237,19 +234,16 @@ def _threshold_round(x: list[list], instance: Instance, sigma: int) -> PolicyTra
     for t in range(1, instance.T + 1):
         evicted = {p for p in cache if x[t][p] > 0.5}
         cache -= evicted
-        flushes = [(b, t) for b in {instance.block_of(p) for p in evicted}]
         p_t = instance.request(t)
-        fetched: list[int] = []
         if p_t not in cache:
             if sigma < 0:
                 blk = instance.blocks[instance.block_of(p_t)]
-                fetched = [p for p in blk if x[t][p] <= 0.5 and p not in cache]
+                cache.update(p for p in blk if x[t][p] <= 0.5)
             else:
-                fetched = [p_t]
-            cache.update(fetched)
+                cache.add(p_t)
         assert p_t in cache
         assert len(cache) <= 2 * instance.k
-        trace.record(t, flushes, fetched, cache)
+        trace.record({instance.block_of(p) for p in evicted}, cache)
     return trace
 
 

@@ -13,9 +13,7 @@ from itertools import chain, combinations
 from blockcache.det_online import DualLedger, DualRecord, first_tight
 from blockcache.frac_online import TARGET_EPS, EventOutcome, phi_closed_form
 from blockcache.instance import Instance, PolicyTrace, RequestIndex, gen_gap_instance
-from blockcache.oracle import (
-    COST_EPS, _trace_from_path, derive_block_rates, fractional_costs_from_x
-)
+from blockcache.oracle import COST_EPS, derive_block_rates, fractional_costs_from_x
 from blockcache.rounding import FULL_EPS, StructuredStream
 from blockcache.submodular import FEAS_EPS, CoverageOracle, Flush, flush_cost
 
@@ -64,7 +62,10 @@ def _shortest_path(
                     nxt[state] = (cost + step_cost, (*path, state))
         best = nxt
     cost, path = min(best.values(), key=lambda entry: entry[0])
-    return cost, _trace_from_path(instance, h, list(path))
+    trace = PolicyTrace(instance=instance, capacity_bound=h)
+    for prev, cur in zip(path, path[1:]):
+        trace.record({instance.block_of(p) for p in prev - cur}, cur)
+    return cost, trace
 
 
 def opt_eviction_exhaustive(

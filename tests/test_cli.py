@@ -11,7 +11,7 @@ import pytest
 from blockcache import cli
 from blockcache.cli import main
 from blockcache.det_online import DualLedger, run_deterministic
-from blockcache.instance import Instance, PolicyTrace
+from blockcache.instance import Instance
 from blockcache.rounding import randomized_round
 
 
@@ -192,13 +192,14 @@ def test_run_frac_round_fails_a_rounding_that_flushes_every_step(tmp_path, monke
     inst_path = gen_random_file(tmp_path, n=8, k=8, beta=2, T=20, seed=0)
 
     def over_flushing(stream, seed):
-        honest = randomized_round(stream, seed)
+        trace = randomized_round(stream, seed)
         inst = stream.instance
-        trace = PolicyTrace(instance=inst, capacity_bound=honest.capacity_bound)
-        for step in honest.steps:
+        evict = 0.0
+        for step in trace.steps:
             extra = (inst.block_of(inst.request(step.t)) + 1) % inst.num_blocks
-            flushes = {*step.flushes, (extra, step.t)}
-            trace.record(step.t, flushes, step.fetched, step.cache)
+            step.flushes = sorted({*step.flushes, (extra, step.t)})
+            evict += trace.step_cost(step.flushes, step.fetched)[0]
+            step.evict_cost_cum = evict
         return trace
 
     monkeypatch.setattr(cli, "randomized_round", over_flushing)

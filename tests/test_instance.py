@@ -9,6 +9,7 @@ from blockcache.instance import (
     InstanceError,
     PolicyTrace,
     RequestIndex,
+    TraceStep,
     gen_beta_off,
     gen_gap_instance,
     gen_random,
@@ -129,14 +130,22 @@ def test_alive_flushes_at_most_beta_per_block():
         assert all(1 <= t <= tau for _b, t in alive)
 
 
+def _small_trace():
+    """An honest trace of small_instance: block 0 is flushed at step 3."""
+    trace = PolicyTrace(instance=small_instance(), capacity_bound=2)
+    trace.record((), {1})
+    trace.record((), {1, 2})
+    trace.record({0}, {3})
+    trace.record((), {3, 4})
+    return trace
+
+
 def test_trace_costs_and_validation():
-    inst = small_instance()
-    trace = PolicyTrace(instance=inst, capacity_bound=2)
-    trace.record(1, [], [1], {1})
-    trace.record(2, [], [2], {1, 2})
-    trace.record(3, [(0, 3)], [3], {3})
-    trace.record(4, [], [4], {3, 4})
+    trace = _small_trace()
     trace.validate()
+    assert [step.t for step in trace.steps] == [1, 2, 3, 4]
+    assert [step.flushes for step in trace.steps] == [[], [], [(0, 3)], []]
+    assert [step.fetched for step in trace.steps] == [[1], [2], [3], [4]]
     assert trace.eviction_cost == 1.0
     # fetches: block 0 at steps 1,2 and block 1 at steps 3,4
     assert trace.fetching_cost == 1.0 + 1.0 + 2.0 + 2.0
@@ -144,58 +153,69 @@ def test_trace_costs_and_validation():
     assert trace.cache_at(2) == frozenset({1, 2})
     started = PolicyTrace(instance=small_instance(initial_cache=frozenset({4})), capacity_bound=2)
     assert started.cache_at(0) == frozenset({4})
-    short = PolicyTrace(instance=inst, capacity_bound=2, steps=trace.steps[:3])
+    short = PolicyTrace(instance=trace.instance, capacity_bound=2, steps=trace.steps[:3])
     with pytest.raises(ValueError, match="length"):
         short.validate()
 
 
 def test_trace_validate_catches_missing_request():
-    inst = small_instance(requests=(1,))
-    trace = PolicyTrace(instance=inst, capacity_bound=2)
-    trace.record(1, [], [], set())
+    trace = PolicyTrace(instance=small_instance(requests=(1,)), capacity_bound=2)
+    trace.record((), {1})
+    trace.validate()
+    trace.steps[0].cache = frozenset()
     with pytest.raises(ValueError, match="absent"):
         trace.validate()
 
 
 def test_trace_validate_catches_overflow():
-    inst = small_instance(requests=(1,))
-    trace = PolicyTrace(instance=inst, capacity_bound=1)
-    trace.record(1, [], [1, 2], {1, 2})
+    trace = PolicyTrace(instance=small_instance(requests=(1,)), capacity_bound=1)
+    trace.record((), {1})
+    trace.validate()
+    trace.steps[0].cache = frozenset({1, 2})
     with pytest.raises(ValueError, match="bound"):
         trace.validate()
 
 
 def test_trace_validate_catches_refetch():
-    inst = small_instance()
-    trace = PolicyTrace(instance=inst, capacity_bound=2)
-    trace.record(1, [], [1], {1})
-    trace.record(2, [], [1, 2], {1, 2})
-    trace.record(3, [(0, 3)], [3], {3})
-    trace.record(4, [], [4], {3, 4})
+    trace = _small_trace()
+    trace.steps[1].fetched = [1, 2]
     with pytest.raises(ValueError, match="page 1 fetched at step 2 was already cached"):
         trace.validate()
+
+
+def test_trace_validate_catches_fetch_not_kept(tmp_path):
+    # page 3 is fetched at step 1 and gone after it with no flush of its
+    # block: the fetching totals, restated, charge block 1 for a page that
+    # never entered, 5.0 where the pages that entered cost 3.0
+    inst = small_instance(requests=(1, 3))
+    trace = PolicyTrace(instance=inst, capacity_bound=2)
+    trace.record((), {1})
+    trace.record((), {1, 3})
+    trace.validate()
+    first, second = trace.steps
+    first.fetched = [1, 3]
+    first.fetch_cost_cum += 2.0
+    second.fetch_cost_cum += 2.0
+    path = str(tmp_path / "trace.jsonl")
+    trace.save(path)
+    loaded = PolicyTrace.load(path, inst, 2)
+    assert loaded.fetching_cost == 5.0
+    with pytest.raises(ValueError, match="page 3 fetched at step 1 is not cached after it"):
+        loaded.validate()
 
 
 @pytest.mark.parametrize("flushes", [[], [(0, 0)], [(1, 3)]])
 def test_trace_validate_catches_leave_without_flush(flushes):
     # pages 1 and 2 leave at step 3; only a flush (0, 3) may remove them
-    inst = small_instance()
-    trace = PolicyTrace(instance=inst, capacity_bound=2)
-    trace.record(1, [], [1], {1})
-    trace.record(2, [], [2], {1, 2})
-    trace.record(3, flushes, [3], {3})
-    trace.record(4, [], [4], {3, 4})
+    trace = _small_trace()
+    trace.steps[2].flushes = flushes
     with pytest.raises(ValueError, match="page 1 leaves the cache at step 3"):
         trace.validate()
 
 
 def test_trace_validate_catches_entry_without_fetch():
-    inst = small_instance()
-    trace = PolicyTrace(instance=inst, capacity_bound=2)
-    trace.record(1, [], [1], {1})
-    trace.record(2, [], [], {1, 2})
-    trace.record(3, [(0, 3)], [3], {3})
-    trace.record(4, [], [4], {3, 4})
+    trace = _small_trace()
+    trace.steps[1].fetched = []
     with pytest.raises(ValueError, match="page 2 enters the cache at step 2 unfetched"):
         trace.validate()
 
@@ -204,11 +224,9 @@ def test_trace_validate_rejects_teleporting_trace():
     # pages appear with no fetch and vanish with no flush, at cost 0, on an
     # instance whose optimal eviction cost is 2
     inst = small_instance(requests=(1, 3, 2, 4))
-    trace = PolicyTrace(instance=inst, capacity_bound=2)
-    trace.record(1, [], [], {1})
-    trace.record(2, [], [], {1, 3})
-    trace.record(3, [], [], {2, 3})
-    trace.record(4, [], [], {2, 4})
+    caches = [{1}, {1, 3}, {2, 3}, {2, 4}]
+    steps = [TraceStep(t, [], [], frozenset(c), 0.0, 0.0) for t, c in enumerate(caches, 1)]
+    trace = PolicyTrace(instance=inst, capacity_bound=2, steps=steps)
     assert trace.eviction_cost == trace.fetching_cost == 0.0
     with pytest.raises(ValueError, match="page 1 enters the cache at step 1 unfetched"):
         trace.validate()
@@ -258,15 +276,10 @@ def test_trace_validate_catches_swapped_steps():
 
 
 def test_trace_file_round_trip(tmp_path):
-    inst = small_instance()
-    trace = PolicyTrace(instance=inst, capacity_bound=2)
-    trace.record(1, [], [1], {1})
-    trace.record(2, [], [2], {1, 2})
-    trace.record(3, [(0, 3)], [3], {3})
-    trace.record(4, [], [4], {3, 4})
+    trace = _small_trace()
     path = tmp_path / "trace.jsonl"
     trace.save(str(path))
-    loaded = PolicyTrace.load(str(path), inst, 2)
+    loaded = PolicyTrace.load(str(path), trace.instance, 2)
     loaded.validate()
     assert loaded.eviction_cost == trace.eviction_cost
     assert [s.cache for s in loaded.steps] == [s.cache for s in trace.steps]

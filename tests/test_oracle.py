@@ -505,6 +505,39 @@ def test_models_within_beta_factor():
         assert lo <= evict <= hi
 
 
+def test_singleton_block_optima_differ_by_the_end_caches():
+    # property: with beta = 1 a trajectory fetches a page once more than it
+    # evicts it when the page ends cached and did not start cached, once
+    # less in the reverse case, so its fetching cost is its eviction cost
+    # plus c(end cache) - c(initial cache); the two exact DPs, which share
+    # only _run_dp, must give optima that differ by at least -c(initial
+    # cache) and at most h * c_max
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(2, 8))
+        k = draw(st.integers(2, n))
+        profile = draw(st.sampled_from([{}, {"cost_profile": "log-uniform", "delta": 8}]))
+        inst = gen_random(
+            n, k, 1, draw(st.integers(1, 10)), seed=draw(st.integers(0, 2**16)), **profile
+        )
+        cached = draw(st.lists(st.integers(1, n), max_size=k, unique=True))
+        inst = dataclasses.replace(inst, initial_cache=frozenset(cached))
+        return inst, draw(st.sampled_from([k, k // 2]))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(cases())
+    def check(case):
+        inst, h = case
+        gap = opt_fetching(inst, h)[0] - opt_eviction(inst, h)[0]
+        start = sum(inst.costs[inst.block_of(p)] for p in inst.initial_cache)
+        assert -start - 1e-9 <= gap <= h * max(inst.costs) + 1e-9
+
+    check()
+
+
 def test_trace_to_x_and_costs():
     inst = Instance(
         n=2, k=1, blocks=((1,), (2,)), costs=(1.0, 1.0), requests=(1, 2, 1)

@@ -1,11 +1,13 @@
-"""Planted-fault property for ``PolicyTrace.validate``: a det, opt or
-randomized trace of a small instance passes, and the same trace with one
-planted fault (a relabelled or swapped step, a requested page dropped from
-the cache, a cache over its bound, an understated cumulative cost, a page
-that enters without a fetch, a fetched page left out of the step's fetch
-list with the fetching totals restated, a page that leaves without a flush
-of its block) fails.  Instances are drawn with or without a starting cache,
-and the last three faults may fall on step 1."""
+"""Planted-fault property for ``PolicyTrace.validate``: a trace of a small
+instance from any producer of steps (det, both exact DPs, randomized
+rounding, the eviction threshold rounding) passes, and the same trace with
+one planted fault (a relabelled or swapped step, a requested page dropped
+from the cache, a cache over its bound, an understated cumulative cost, a
+page that enters without a fetch, a fetched page left out of the step's
+fetch list or a page absent before and after the step added to it, each
+with the fetching totals restated, a page that leaves without a flush of
+its block) fails.  Instances are drawn with or without a starting cache,
+and the last four faults may fall on step 1."""
 
 import dataclasses
 
@@ -19,8 +21,12 @@ from hypothesis import strategies as st  # noqa: E402
 from blockcache.det_online import run_deterministic  # noqa: E402
 from blockcache.frac_online import run_fractional  # noqa: E402
 from blockcache.instance import gen_random  # noqa: E402
-from blockcache.oracle import opt_eviction  # noqa: E402
-from blockcache.rounding import randomized_round, structure_stream  # noqa: E402
+from blockcache.oracle import opt_eviction, opt_fetching, trace_to_x_mean  # noqa: E402
+from blockcache.rounding import (  # noqa: E402
+    bicriteria_round_evict,
+    randomized_round,
+    structure_stream,
+)
 
 PROPERTY = settings(max_examples=200, deadline=None)
 
@@ -30,10 +36,19 @@ MIN_UNDERSTATEMENT = 1e-6  # far above validate's 1e-9 cost tolerance
 def _trace(inst, kind: str, seed: int):
     if kind == "det":
         return run_deterministic(inst).trace
-    if kind == "opt":
+    if kind == "opt-evict":
         return opt_eviction(inst)[1]
-    frac = run_fractional(inst)
-    return randomized_round(structure_stream(frac.solution.increments, inst), seed)
+    if kind == "opt-fetch":
+        return opt_fetching(inst)[1]
+    stream = structure_stream(run_fractional(inst).solution.increments, inst)
+    if kind == "randomized":
+        return randomized_round(stream, seed)
+    # two randomized traces averaged, rounded in 2k space
+    x = trace_to_x_mean([randomized_round(stream, s) for s in (seed, seed + 1)])
+    return bicriteria_round_evict(x, inst)
+
+
+KINDS = ["det", "opt-evict", "opt-fetch", "randomized", "bicriteria-evict"]
 
 
 @st.composite
@@ -45,7 +60,7 @@ def traces(draw):
     inst = gen_random(n, k, beta, T, seed=draw(st.integers(0, 2**16)))
     cached = draw(st.lists(st.integers(1, n), max_size=k, unique=True))
     inst = dataclasses.replace(inst, initial_cache=frozenset(cached))
-    kind = draw(st.sampled_from(["det", "opt", "randomized"]))
+    kind = draw(st.sampled_from(KINDS))
     return _trace(inst, kind, draw(st.integers(0, 2**16)))
 
 
@@ -85,16 +100,27 @@ def _understate(trace, draw):
         step.fetch_cost_cum -= cut
 
 
-def _enter_unfetched(trace, draw):
-    n = trace.instance.n
+def _absent_spot(trace, draw) -> tuple[int, int]:
+    """A step index i and a page cached neither before nor after step i+1."""
     spots = [
         (i, q)
         for i in range(len(trace.steps))
-        for q in range(1, n + 1)
+        for q in range(1, trace.instance.n + 1)
         if q not in trace.cache_at(i) and q not in trace.steps[i].cache
     ]
     assume(spots)
-    i, q = draw(st.sampled_from(spots))
+    return draw(st.sampled_from(spots))
+
+
+def _restate_fetching(trace) -> None:
+    fetch = 0.0
+    for step in trace.steps:
+        fetch += trace.step_cost(step.flushes, step.fetched)[1]
+        step.fetch_cost_cum = fetch
+
+
+def _enter_unfetched(trace, draw):
+    i, q = _absent_spot(trace, draw)
     trace.steps[i].cache = trace.steps[i].cache | {q}
 
 
@@ -105,10 +131,16 @@ def _unrecord_fetch(trace, draw):
     assume(spots)
     i, q = draw(st.sampled_from(spots))
     trace.steps[i].fetched = [p for p in trace.steps[i].fetched if p != q]
-    fetch = 0.0
-    for step in trace.steps:
-        fetch += trace.step_cost(step.flushes, step.fetched)[1]
-        step.fetch_cost_cum = fetch
+    _restate_fetching(trace)
+
+
+def _fetch_uncached(trace, draw):
+    # the cache is left as before and the fetching totals are restated with
+    # the page, so only the check that a fetched page is cached after its
+    # step can see the fault
+    i, q = _absent_spot(trace, draw)
+    trace.steps[i].fetched = sorted([*trace.steps[i].fetched, q])
+    _restate_fetching(trace)
 
 
 def _leave_unflushed(trace, draw):
@@ -133,6 +165,7 @@ FAULTS = [
     _understate,
     _enter_unfetched,
     _unrecord_fetch,
+    _fetch_uncached,
     _leave_unflushed,
 ]
 
