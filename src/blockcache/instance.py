@@ -200,6 +200,9 @@ class RequestIndex:
     ``block_last_requests`` writes a never-requested page as -1, below every
     flush time: a flush at t makes a page with last request r missing
     exactly when r < t, so the coverage queries count pages with a bisect.
+    Each block's row is kept at the last t it was asked about, so a run of
+    queries at one t looks each row up once; the index never changes after
+    construction, so a kept row is always the row at its t.
     """
 
     def __init__(self, instance: Instance):
@@ -222,6 +225,8 @@ class RequestIndex:
             self._block_steps[b].append(t)
             self._block_rs[b].append(tuple(rs))
             times.append(t)
+        # per block: (t, row) of the last block_last_requests query
+        self._rows: list[tuple[int, tuple[int, ...]]] = [(0, rs[0]) for rs in self._block_rs]
 
     def last_request(self, p: int, t: int) -> int | None:
         """r(p,t): last time <= t at which p was requested, or None."""
@@ -232,8 +237,11 @@ class RequestIndex:
     def block_last_requests(self, block: int, t: int) -> tuple[int, ...]:
         """The sorted r(p,t) over the block's pages, -1 for a page not
         requested by t."""
-        i = bisect_right(self._block_steps[block], t)
-        return self._block_rs[block][i - 1]
+        kept_t, row = self._rows[block]
+        if kept_t != t:
+            row = self._block_rs[block][bisect_right(self._block_steps[block], t) - 1]
+            self._rows[block] = (t, row)
+        return row
 
     def alive_flushes(self, tau: int) -> set[tuple[int, int]]:
         """All flushes (block, t) with t = r(p,tau)+1 <= tau for some page p.
@@ -248,7 +256,7 @@ class RequestIndex:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceStep:
     t: int
     flushes: list[tuple[int, int]]
@@ -262,8 +270,8 @@ class TraceStep:
 class PolicyTrace:
     """Per-step record of a cache policy run.
 
-    Eviction cost sums c_B over performed flushes with t >= 1; fetching cost
-    sums c_B over (block, step) pairs with at least one fetched page.
+    Eviction cost sums c_B over the flushes listed at each step; fetching
+    cost sums c_B over (block, step) pairs with at least one fetched page.
     """
 
     instance: Instance
@@ -287,7 +295,7 @@ class PolicyTrace:
     def step_cost(self, flushes, fetched) -> tuple[float, float]:
         """(eviction, fetching) cost of one step's flushes and fetched pages."""
         inst = self.instance
-        evict = sum(inst.costs[b] for b, ft in flushes if ft >= 1)
+        evict = sum(inst.costs[b] for b, _ft in flushes)
         fetch = sum(inst.costs[b] for b in {inst.block_of(p) for p in fetched})
         return evict, fetch
 
@@ -300,13 +308,15 @@ class PolicyTrace:
         prev = self.cache_at(t - 1)
         flushes = [(b, t) for b in sorted(flushed)]
         fetched = sorted(cache - prev)
-        evict, fetch = self.step_cost(flushes, fetched)
+        # nothing entered and nothing left: the cache is the previous one
+        kept = not fetched and len(cache) == len(prev)
+        evict, fetch = self.step_cost(flushes, fetched) if flushes or fetched else (0.0, 0.0)
         self.steps.append(
             TraceStep(
                 t=t,
                 flushes=flushes,
                 fetched=fetched,
-                cache=prev if cache == prev else frozenset(cache),
+                cache=prev if kept else frozenset(cache),
                 evict_cost_cum=self.eviction_cost + evict,
                 fetch_cost_cum=self.fetching_cost + fetch,
             )
@@ -320,8 +330,11 @@ class PolicyTrace:
         and be cached after it, a page that leaves must belong to a block
         flushed at the step, and a page that enters must have been fetched.
         So a step's fetched pages are exactly those that entered, as
-        ``record`` writes them.  Step 1 starts from the instance's starting
-        cache.
+        ``record`` writes them.  Each listed flush must then be dated at its
+        own step, and no block may be listed twice at one step.  Step 1
+        starts from the instance's starting cache.  A step that shares the
+        previous step's cache object changes no page, so its leave and
+        entry checks have nothing to find and are skipped.
         """
         inst = self.instance
         if len(self.steps) != inst.T:
@@ -347,22 +360,31 @@ class PolicyTrace:
                 raise ValueError(
                     f"page {min(unkept)} fetched at step {step.t} is not cached after it"
                 )
-            flushed = {b for b, ft in step.flushes if ft == step.t}
-            unflushed = [q for q in prev - step.cache if inst.block_of(q) not in flushed]
-            if unflushed:
-                raise ValueError(
-                    f"page {min(unflushed)} leaves the cache at step {step.t}"
-                    " with no flush of its block"
-                )
-            unfetched = step.cache - prev - fetched
-            if unfetched:
-                raise ValueError(
-                    f"page {min(unfetched)} enters the cache at step {step.t} unfetched"
-                )
-            prev = step.cache
-            step_evict, step_fetch = self.step_cost(step.flushes, step.fetched)
-            evict += step_evict
-            fetch += step_fetch
+            if step.cache is not prev:
+                flushed = {b for b, ft in step.flushes if ft == step.t}
+                unflushed = [q for q in prev - step.cache if inst.block_of(q) not in flushed]
+                if unflushed:
+                    raise ValueError(
+                        f"page {min(unflushed)} leaves the cache at step {step.t}"
+                        " with no flush of its block"
+                    )
+                unfetched = step.cache - prev - fetched
+                if unfetched:
+                    raise ValueError(
+                        f"page {min(unfetched)} enters the cache at step {step.t} unfetched"
+                    )
+                prev = step.cache
+            listed: set[int] = set()
+            for b, ft in step.flushes:
+                if ft != step.t:
+                    raise ValueError(f"block {b}'s flush at step {step.t} is dated t={ft}")
+                if b in listed:
+                    raise ValueError(f"block {b} is flushed twice at step {step.t}")
+                listed.add(b)
+            if step.flushes or step.fetched:
+                step_evict, step_fetch = self.step_cost(step.flushes, step.fetched)
+                evict += step_evict
+                fetch += step_fetch
             if abs(step.evict_cost_cum - evict) > COST_CUM_EPS:
                 raise ValueError(f"eviction cost mismatch at step {step.t}")
             if abs(step.fetch_cost_cum - fetch) > COST_CUM_EPS:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -101,6 +102,34 @@ def test_starting_page_counts_as_requested_at_time_0():
     # evicting a starting page takes a flush (B, 1), paid like any other
     assert idx.alive_flushes(1) == {(0, 1), (1, 1)}
     assert idx.alive_flushes(2) == {(0, 2), (1, 1)}
+
+
+def test_block_rows_kept_across_queries_match_a_fresh_index():
+    # property: the index keeps each block's row at the last t it was asked
+    # about; any interleaving of queries (repeats, t going backwards, every
+    # block) answers what a fresh index answers
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.integers(1, 8), st.data(), st.integers(0, 2**16))
+    def check(n, data, seed):
+        k = data.draw(st.integers(1, n))
+        beta = data.draw(st.integers(1, k))
+        inst = gen_random(n, k, beta, data.draw(st.integers(1, 12)), seed=seed)
+        cached = data.draw(st.lists(st.integers(1, n), max_size=k, unique=True))
+        inst = dataclasses.replace(inst, initial_cache=frozenset(cached))
+        blocks = st.integers(0, inst.num_blocks - 1)
+        times = st.integers(0, inst.T + 1)
+        queries = data.draw(st.lists(st.tuples(blocks, times), max_size=30))
+        t = data.draw(times)
+        # every block at t, again at t, then at an earlier t
+        queries += [(b, u) for u in (t, t, max(t - 1, 0)) for b in range(inst.num_blocks)]
+        index = RequestIndex(inst)
+        for b, u in queries:
+            assert index.block_last_requests(b, u) == RequestIndex(inst).block_last_requests(b, u)
+
+    check()
 
 
 def test_alive_flushes():
@@ -217,6 +246,33 @@ def test_trace_validate_catches_entry_without_fetch():
     trace = _small_trace()
     trace.steps[1].fetched = []
     with pytest.raises(ValueError, match="page 2 enters the cache at step 2 unfetched"):
+        trace.validate()
+
+
+def _restate_eviction(trace):
+    evict = 0.0
+    for step in trace.steps:
+        evict += trace.step_cost(step.flushes, step.fetched)[0]
+        step.evict_cost_cum = evict
+
+
+def test_trace_validate_catches_flush_dated_at_another_step():
+    # block 1's flush at step 4 also listed at step 1: eviction 3.0, not 1.0
+    trace = _small_trace()
+    trace.steps[0].flushes = [(1, 4)]
+    _restate_eviction(trace)
+    assert trace.eviction_cost == 3.0
+    with pytest.raises(ValueError, match="block 1's flush at step 1 is dated t=4"):
+        trace.validate()
+
+
+def test_trace_validate_catches_flush_listed_twice():
+    # block 0's flush at step 3 listed twice: eviction 2.0, not 1.0
+    trace = _small_trace()
+    trace.steps[2].flushes = [(0, 3), (0, 3)]
+    _restate_eviction(trace)
+    assert trace.eviction_cost == 2.0
+    with pytest.raises(ValueError, match="block 0 is flushed twice at step 3"):
         trace.validate()
 
 

@@ -6,12 +6,17 @@ from the cache, a cache over its bound, an understated cumulative cost, a
 page that enters without a fetch, a fetched page left out of the step's
 fetch list or a page absent before and after the step added to it, each
 with the fetching totals restated, a page that leaves without a flush of
-its block) fails.  Instances are drawn with or without a starting cache,
-and the last four faults may fall on step 1."""
+its block, a flush dated at another step or a block listed twice, with the
+eviction totals restated) fails.  Instances are drawn with or without a
+starting cache, and the last five faults may fall on step 1.  Each fault
+raises the same message whether or not unchanged steps share the previous
+step's cache object."""
 
 import dataclasses
 
 import pytest
+
+from blockcache.instance import PolicyTrace
 
 pytest.importorskip("hypothesis")
 
@@ -88,6 +93,7 @@ def _overfill(trace, draw):
     step = trace.steps[draw(st.integers(0, len(trace.steps) - 1))]
     absent = [p for p in range(1, trace.instance.n + 1) if p not in step.cache]
     need = trace.capacity_bound + 1 - len(step.cache)
+    assume(len(absent) >= need)  # a bicriteria bound of 2k can exceed n
     step.cache = step.cache | frozenset(absent[:need])
 
 
@@ -119,6 +125,13 @@ def _restate_fetching(trace) -> None:
         step.fetch_cost_cum = fetch
 
 
+def _restate_eviction(trace) -> None:
+    evict = 0.0
+    for step in trace.steps:
+        evict += trace.step_cost(step.flushes, step.fetched)[0]
+        step.evict_cost_cum = evict
+
+
 def _enter_unfetched(trace, draw):
     i, q = _absent_spot(trace, draw)
     trace.steps[i].cache = trace.steps[i].cache | {q}
@@ -141,6 +154,19 @@ def _fetch_uncached(trace, draw):
     i, q = _absent_spot(trace, draw)
     trace.steps[i].fetched = sorted([*trace.steps[i].fetched, q])
     _restate_fetching(trace)
+
+
+def _relist_flush(trace, draw):
+    # the cache is left as before and the eviction totals are restated with
+    # the listed flush, so only the check of each step's flush list can see
+    # the fault
+    i = draw(st.integers(0, len(trace.steps) - 1))
+    step = trace.steps[i]
+    b = draw(st.integers(0, trace.instance.num_blocks - 1))
+    ft = draw(st.integers(0, len(trace.steps)))
+    assume(ft != step.t or (b, ft) in step.flushes)
+    step.flushes = [*step.flushes, (b, ft)]
+    _restate_eviction(trace)
 
 
 def _leave_unflushed(trace, draw):
@@ -167,6 +193,7 @@ FAULTS = [
     _unrecord_fetch,
     _fetch_uncached,
     _leave_unflushed,
+    _relist_flush,
 ]
 
 
@@ -177,3 +204,28 @@ def test_validate_rejects_one_planted_fault(trace, fault, data):
     fault(trace, data.draw)
     with pytest.raises(ValueError):
         trace.validate()
+
+
+def _message(trace) -> str | None:
+    try:
+        trace.validate()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@PROPERTY
+@given(traces(), st.sampled_from([None, *FAULTS]), st.data())
+def test_shared_caches_hide_no_fault(trace, fault, data):
+    # validate skips the leave and entry checks of a step that shares the
+    # previous step's cache; a copy whose every step holds its own cache
+    # runs them all, and must get the same verdict and message
+    if fault is not None:
+        fault(trace, data.draw)
+    unshared = PolicyTrace(
+        instance=trace.instance,
+        capacity_bound=trace.capacity_bound,
+        steps=[dataclasses.replace(s, cache=frozenset(sorted(s.cache))) for s in trace.steps],
+    )
+    assert all(s.cache is not unshared.cache_at(i) for i, s in enumerate(unshared.steps))
+    assert _message(trace) == _message(unshared)

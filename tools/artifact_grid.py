@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Write a fixed grid of blockcache artifacts into OUT.
 
-    python3 tools/artifact_grid.py OUT [--src SRC]
+    python3 tools/artifact_grid.py OUT [--src SRC] [--manifest]
 
 The grid is four seeded ``gen random`` instances (two with log-uniform
 costs, at n=12 and n=32), ``gen gap --beta 3 --rounds 3`` and ``gen
@@ -9,20 +9,32 @@ beta-off --beta 2 --L 2`` in both directions.  Every ``run --alg`` runs on
 each of them (``opt`` in both cost models, at h = k and at h = k // 2,
 below a ``beta-off`` instance's starting cache; out of the exact DP's
 budget it exits 1), then ``verify`` runs on every trace at its h and on
-every increment log.  ``OUT/log.txt`` records
-each command with its output and exit code.  SRC is the ``src`` directory
-whose ``blockcache`` is run, by default this checkout's; pointing it at a
-second checkout makes a refactor check one ``diff -r`` of the two OUTs.
+every increment log.  ``OUT/log.txt`` records each command with its output
+and exit code.  Every command is a call of ``blockcache.cli.main`` in this
+process, in OUT, that records what a ``python -m blockcache.cli``
+subprocess would: its standard output, then its standard error, and its
+exit code, a ``SystemExit``'s code or 1 with a traceback for an exception.
+SRC is the ``src`` directory whose ``blockcache`` is imported, by default
+this checkout's; pointing it at a second checkout makes a refactor check
+one ``diff -r`` of the two OUTs.  ``--manifest`` rewrites
+``tests/golden/artifact_grid.sha256``, the sha256 of every file in OUT,
+which ``tests/test_artifact_grid.py`` compares a fresh grid with.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
+import io
 import json
 import os
-import subprocess
 import sys
+import traceback
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MANIFEST = ROOT / "tests" / "golden" / "artifact_grid.sha256"
 
 INSTANCES = {
     "r8": ["random", "--n", "8", "--k", "4", "--beta", "2", "--T", "24", "--seed", "1"],
@@ -49,23 +61,29 @@ RUNS = {
 }
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out")
-    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
-    args = parser.parse_args()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
+def call(main, argv: list[str]) -> tuple[str, str, int]:
+    """(stdout, stderr, exit code) of ``main(argv)``, as a subprocess
+    running it would end."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors exit 2
+            code = exc.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    return stdout.getvalue(), stderr.getvalue(), code
+
+
+def write_grid(out: Path, main) -> None:
+    """Runs every grid command through ``main`` in OUT, logging each one."""
     with open(out / "log.txt", "w") as log:
 
         def blockcache(*argv: str) -> None:
-            proc = subprocess.run(
-                [sys.executable, "-m", "blockcache.cli", *argv],
-                cwd=out, env=env, capture_output=True, text=True,
-            )
-            log.write(f"$ blockcache {' '.join(argv)}\n{proc.stdout}{proc.stderr}")
-            log.write(f"exit {proc.returncode}\n")
+            stdout, stderr, code = call(main, list(argv))
+            log.write(f"$ blockcache {' '.join(argv)}\n{stdout}{stderr}")
+            log.write(f"exit {code}\n")
 
         for name, gen in INSTANCES.items():
             inst = f"{name}.json"
@@ -85,6 +103,36 @@ def main() -> int:
                 if (out / f"{name}.{run}.increments.jsonl").exists():
                     blockcache("verify", "--instance", inst,
                                "--increments", f"{name}.{run}.increments.jsonl")
+
+
+def manifest(out: Path) -> str:
+    """One ``sha256  name`` line per file in OUT, by name."""
+    return "".join(
+        f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
+        for path in sorted(out.iterdir())
+    )
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out")
+    parser.add_argument("--src", default=str(ROOT / "src"))
+    parser.add_argument("--manifest", action="store_true", help=f"rewrite {MANIFEST}")
+    args = parser.parse_args()
+    out = Path(args.out).resolve()
+    out.mkdir(parents=True, exist_ok=True)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    from blockcache.cli import main as blockcache_main
+
+    cwd = os.getcwd()
+    os.chdir(out)
+    try:
+        write_grid(out, blockcache_main)
+    finally:
+        os.chdir(cwd)
+    if args.manifest:
+        MANIFEST.parent.mkdir(exist_ok=True)
+        MANIFEST.write_text(manifest(out))
     return 0
 
 
