@@ -111,7 +111,9 @@ def load_increments(path: str, instance: Instance) -> list[Increment]:
 def replay_failures(increments, instance: Instance) -> list[str]:
     """Replays a (tau, flush, delta) log and runs exact separation
     (``check_feasible``) at every tau on the mass logged up to tau: one line
-    per infeasible step, and a last one where the log goes back in time."""
+    per infeasible step, naming the violated set's nonzero latest flush
+    times and its constraint's two sides, and a last one where the log goes
+    back in time."""
     oracle = CoverageOracle(instance, RequestIndex(instance))
     sol = FractionalSolution(instance)
     failures = []
@@ -123,8 +125,15 @@ def replay_failures(increments, instance: Instance) -> list[str]:
                 return failures + [f"increment {i + 1} goes back in time to tau={inc_tau}"]
             sol.apply(inc_tau, flush, delta)
             i += 1
-        if not check_feasible(sol.phi, oracle, tau)[0]:
-            failures.append(f"increment log infeasible at tau={tau}")
+        feasible, latest = check_feasible(sol.phi, oracle, tau)
+        if not feasible:
+            rhs = instance.n - instance.k - oracle.f_tau(latest, tau)
+            lhs = constraint_lhs(sol.phi, latest, oracle, tau, rhs)
+            nonzero = {b: L for b, L in enumerate(latest) if L}
+            failures.append(
+                f"increment log infeasible at tau={tau}: on latest flushes {nonzero},"
+                f" constraint_lhs {lhs!r} < n - k - f_tau = {rhs}"
+            )
     return failures
 
 

@@ -338,7 +338,10 @@ class PolicyTrace:
         """
         inst = self.instance
         if len(self.steps) != inst.T:
-            raise ValueError("trace length does not match request sequence")
+            raise ValueError(
+                "trace length does not match request sequence:"
+                f" {len(self.steps)} steps, T={inst.T}"
+            )
         evict = fetch = 0.0
         prev = inst.initial_cache
         for i, step in enumerate(self.steps, 1):
@@ -348,7 +351,10 @@ class PolicyTrace:
             if p not in step.cache:
                 raise ValueError(f"requested page {p} absent after step {step.t}")
             if len(step.cache) > self.capacity_bound:
-                raise ValueError(f"cache exceeds bound at step {step.t}")
+                raise ValueError(
+                    f"cache exceeds bound at step {step.t}:"
+                    f" {len(step.cache)} pages, bound {self.capacity_bound}"
+                )
             fetched = set(step.fetched)
             refetched = fetched & prev
             if refetched:
@@ -386,9 +392,15 @@ class PolicyTrace:
                 evict += step_evict
                 fetch += step_fetch
             if abs(step.evict_cost_cum - evict) > COST_CUM_EPS:
-                raise ValueError(f"eviction cost mismatch at step {step.t}")
+                raise ValueError(
+                    f"eviction cost mismatch at step {step.t}:"
+                    f" recorded {step.evict_cost_cum!r}, recomputed {evict!r}"
+                )
             if abs(step.fetch_cost_cum - fetch) > COST_CUM_EPS:
-                raise ValueError(f"fetching cost mismatch at step {step.t}")
+                raise ValueError(
+                    f"fetching cost mismatch at step {step.t}:"
+                    f" recorded {step.fetch_cost_cum!r}, recomputed {fetch!r}"
+                )
 
     def save(self, path: str) -> None:
         write_jsonl(

@@ -272,24 +272,33 @@ def test_run_bicriteria(tmp_path):
 
 
 def test_run_opt_models(tmp_path):
-    inst_path = gen_random_file(tmp_path, n=6, k=3, T=8)
-    for model in ("evict", "fetch"):
-        prefix = tmp_path / f"opt-{model}"
+    # a tiny instance, and one of 12 pages and 60 steps still within both
+    # DPs' budgets; each optimal trace verifies
+    for inst_path in (
+        gen_random_file(tmp_path, "r6.json", n=6, k=3, T=8),
+        gen_random_file(tmp_path, "r12.json", n=12, k=6, beta=3, T=60, seed=0),
+    ):
+        name = inst_path.stem
+        for model in ("evict", "fetch"):
+            prefix = tmp_path / f"{name}-opt-{model}"
+            code = run_cli(
+                "run", "--instance", str(inst_path), "--alg", "opt",
+                "--model", model, "-o", str(prefix),
+            )
+            assert code == 0
+            summary = json.loads((tmp_path / f"{name}-opt-{model}.summary.json").read_text())
+            assert summary["cost"] == summary["oracle"]
+            assert run_cli(
+                "verify", "--instance", str(inst_path), "--trace", f"{prefix}.trace.jsonl"
+            ) == 0
+        # without --model the DP prices evictions
         code = run_cli(
-            "run", "--instance", str(inst_path), "--alg", "opt",
-            "--model", model, "-o", str(prefix),
+            "run", "--instance", str(inst_path), "--alg", "opt", "-o", str(tmp_path / name),
         )
         assert code == 0
-        summary = json.loads((tmp_path / f"opt-{model}.summary.json").read_text())
-        assert summary["cost"] == summary["oracle"]
-    # without --model the DP prices evictions
-    code = run_cli(
-        "run", "--instance", str(inst_path), "--alg", "opt", "-o", str(tmp_path / "opt"),
-    )
-    assert code == 0
-    summary = json.loads((tmp_path / "opt.summary.json").read_text())
-    evict = json.loads((tmp_path / "opt-evict.summary.json").read_text())
-    assert summary["model"] == "evict" and summary["cost"] == evict["cost"]
+        summary = json.loads((tmp_path / f"{name}.summary.json").read_text())
+        evict = json.loads((tmp_path / f"{name}-opt-evict.summary.json").read_text())
+        assert summary["model"] == "evict" and summary["cost"] == evict["cost"]
 
 
 def test_run_opt_intractable_exit_1(tmp_path):
@@ -391,7 +400,7 @@ def _frac_increment_lines(tmp_path):
 def test_verify_increments_uses_exact_separation(tmp_path, capsys):
     # without its last increment the log still satisfies the constraint of
     # its integral flushes at every tau, but exact separation finds tau=16
-    # infeasible
+    # infeasible, and the failure names the violated set and both sides
     inst_path, lines = _frac_increment_lines(tmp_path)
     dropped = tmp_path / "dropped.jsonl"
     dropped.write_text("\n".join(lines[:-1]) + "\n")
@@ -399,7 +408,10 @@ def test_verify_increments_uses_exact_separation(tmp_path, capsys):
     assert run_cli(
         "verify", "--instance", str(inst_path), "--increments", str(dropped)
     ) == 1
-    assert "FAIL: increment log infeasible at tau=16" in capsys.readouterr().out
+    assert (
+        "FAIL: increment log infeasible at tau=16: on latest flushes {0: 9, 1: 8},"
+        " constraint_lhs 0.9997095404494094 < n - k - f_tau = 1\n"
+    ) in capsys.readouterr().out
 
 
 def test_verify_increments_rejects_tau_going_back(tmp_path, capsys):

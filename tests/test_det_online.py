@@ -213,9 +213,12 @@ def test_certificate_file(tmp_path):
     path = tmp_path / "cert.json"
     write_json(str(path), res.ledger.certificate())
     doc = json.loads(path.read_text())
+    # only the positive dual: no zero raise, no copied cost, no primal cost
     assert "primal_cost" not in doc
+    assert doc["records"] and all(rec["y"] > 0 for rec in doc["records"])
     assert doc["dual_objective"] == pytest.approx(res.ledger.objective, abs=1e-9)
     for rec in doc["mass"]:
+        assert "cost" not in rec
         assert rec["mass"] <= inst.costs[rec["block"]] + 1e-9
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 
 import pytest
 
@@ -183,7 +184,9 @@ def test_trace_costs_and_validation():
     started = PolicyTrace(instance=small_instance(initial_cache=frozenset({4})), capacity_bound=2)
     assert started.cache_at(0) == frozenset({4})
     short = PolicyTrace(instance=trace.instance, capacity_bound=2, steps=trace.steps[:3])
-    with pytest.raises(ValueError, match="length"):
+    with pytest.raises(
+        ValueError, match="^trace length does not match request sequence: 3 steps, T=4$"
+    ):
         short.validate()
 
 
@@ -201,7 +204,23 @@ def test_trace_validate_catches_overflow():
     trace.record((), {1})
     trace.validate()
     trace.steps[0].cache = frozenset({1, 2})
-    with pytest.raises(ValueError, match="bound"):
+    with pytest.raises(ValueError, match="^cache exceeds bound at step 1: 2 pages, bound 1$"):
+        trace.validate()
+
+
+@pytest.mark.parametrize(
+    "index, field, value, message",
+    [
+        (2, "evict_cost_cum", 0.25,
+         "eviction cost mismatch at step 3: recorded 0.25, recomputed 1.0"),
+        (3, "fetch_cost_cum", 5.9,
+         "fetching cost mismatch at step 4: recorded 5.9, recomputed 6.0"),
+    ],
+)
+def test_trace_validate_names_both_cost_totals(index, field, value, message):
+    trace = _small_trace()
+    setattr(trace.steps[index], field, value)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         trace.validate()
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Write a fixed grid of blockcache artifacts into OUT.
+"""Write a fixed grid of blockcache artifacts into OUT and check its log.
 
-    python3 tools/artifact_grid.py OUT [--src SRC] [--manifest]
+    python3 tools/artifact_grid.py OUT [--manifest]
 
 The grid is four seeded ``gen random`` instances (two with log-uniform
 costs, at n=12 and n=32), ``gen gap --beta 3 --rounds 3`` and ``gen
@@ -9,16 +9,16 @@ beta-off --beta 2 --L 2`` in both directions.  Every ``run --alg`` runs on
 each of them (``opt`` in both cost models, at h = k and at h = k // 2,
 below a ``beta-off`` instance's starting cache; out of the exact DP's
 budget it exits 1), then ``verify`` runs on every trace at its h and on
-every increment log.  ``OUT/log.txt`` records each command with its output
-and exit code.  Every command is a call of ``blockcache.cli.main`` in this
-process, in OUT, that records what a ``python -m blockcache.cli``
-subprocess would: its standard output, then its standard error, and its
-exit code, a ``SystemExit``'s code or 1 with a traceback for an exception.
-SRC is the ``src`` directory whose ``blockcache`` is imported, by default
-this checkout's; pointing it at a second checkout makes a refactor check
-one ``diff -r`` of the two OUTs.  ``--manifest`` rewrites
-``tests/golden/artifact_grid.sha256``, the sha256 of every file in OUT,
-which ``tests/test_artifact_grid.py`` compares a fresh grid with.
+every increment log, and ``report`` writes every summary's row into
+``OUT/report.csv``.  ``OUT/log.txt`` records each command with its output
+and exit code.  Every command is a call of ``blockcache.cli.main`` from
+this checkout's ``src``, in this process, in OUT, that records what a
+``python -m blockcache.cli`` subprocess would: its standard output, then
+its standard error, and its exit code, a ``SystemExit``'s code or 1 with a
+traceback for an exception.  The tool prints each of ``log_problems``'s
+findings and exits 1 when there are any.  Otherwise ``--manifest``
+rewrites ``tests/golden/artifact_grid.sha256``, the sha256 of every file
+in OUT, which ``tests/test_artifact_grid.py`` compares a fresh grid with.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = ROOT / "tests" / "golden" / "artifact_grid.sha256"
+# ROADMAP item 1's known defect: this trace's saved costs pass 1000, and
+# their 12-digit rounding fails validate's 1e-9 cost check at step 93
+KNOWN_DEFECT = "r32log.frac-round.trace.jsonl"
 
 INSTANCES = {
     "r8": ["random", "--n", "8", "--k", "4", "--beta", "2", "--T", "24", "--seed", "1"],
@@ -103,6 +106,30 @@ def write_grid(out: Path, main) -> None:
                 if (out / f"{name}.{run}.increments.jsonl").exists():
                     blockcache("verify", "--instance", inst,
                                "--increments", f"{name}.{run}.increments.jsonl")
+        summaries = sorted(path.name for path in out.glob("*.summary.json"))
+        blockcache("report", *summaries, "-o", "report.csv")
+
+
+def log_problems(log_text: str) -> list[str]:
+    """Each logged command that printed a traceback or ended with an exit
+    code it may not, with that exit line.  Every command may exit 0.  Only
+    ``run --alg opt`` (out of the exact DP's budget) and the verify of the
+    ``KNOWN_DEFECT`` trace may also exit 1."""
+    problems = []
+    cmd = ""
+    for line in log_text.splitlines():
+        if line.startswith("$ blockcache "):
+            cmd = line
+        elif "Traceback" in line:
+            problems.append(f"{cmd}: raised an exception")
+        elif line.startswith("exit "):
+            opt_run = cmd.startswith("$ blockcache run ") and " --alg opt " in cmd
+            defect = cmd.startswith("$ blockcache verify ") and cmd.endswith(
+                f" --trace {KNOWN_DEFECT}"
+            )
+            if line != "exit 0" and not (line == "exit 1" and (opt_run or defect)):
+                problems.append(f"{cmd}: {line}")
+    return problems
 
 
 def manifest(out: Path) -> str:
@@ -116,12 +143,11 @@ def manifest(out: Path) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out")
-    parser.add_argument("--src", default=str(ROOT / "src"))
     parser.add_argument("--manifest", action="store_true", help=f"rewrite {MANIFEST}")
     args = parser.parse_args()
     out = Path(args.out).resolve()
     out.mkdir(parents=True, exist_ok=True)
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    sys.path.insert(0, str(ROOT / "src"))
     from blockcache.cli import main as blockcache_main
 
     cwd = os.getcwd()
@@ -130,6 +156,11 @@ def main() -> int:
         write_grid(out, blockcache_main)
     finally:
         os.chdir(cwd)
+    problems = log_problems((out / "log.txt").read_text())
+    for problem in problems:
+        print(problem)
+    if problems:
+        return 1
     if args.manifest:
         MANIFEST.parent.mkdir(exist_ok=True)
         MANIFEST.write_text(manifest(out))
