@@ -100,13 +100,6 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------- run
 
 
-def _ensemble_traces(inst: Instance, seeds: list[int]):
-    frac = run_fractional(inst)
-    stream = structure_stream(frac.solution.increments, inst)
-    traces = [randomized_round(stream, seed) for seed in seeds]
-    return frac, stream, traces
-
-
 def _primal_dual_columns(summary: dict, inst: Instance, res, bound: float, prefix: str) -> bool:
     """Checks an online primal-dual run (det or frac) against its own dual
     and writes its certificate and summary columns.  Passes when cost <=
@@ -116,9 +109,7 @@ def _primal_dual_columns(summary: dict, inst: Instance, res, bound: float, prefi
     cost, dual = res.primal_cost, res.ledger.objective
     res.ledger.check_feasible(inst)
     write_json(prefix + ".cert.json", res.ledger.certificate())
-    summary.update(
-        model="evict", cost=round12(cost), dual_objective=round12(dual), bound=round12(bound)
-    )
+    summary.update(cost=round12(cost), dual_objective=round12(dual), bound=round12(bound))
     ok = cost <= bound * dual + BOUND_TOL
     try:
         opt = opt_eviction(inst, inst.k)[0]
@@ -156,7 +147,7 @@ def cmd_run(args) -> int:
     inst = Instance.load(args.instance)
     prefix = args.output or os.path.splitext(args.instance)[0] + "." + args.alg
     h = inst.k if args.h is None else args.h
-    seeds = args.seeds or [0]
+    model = args.model or ("fetch" if args.alg == "bicriteria-fetch" else "evict")
     summary: dict = {
         "instance": os.path.basename(args.instance),
         "algorithm": args.alg,
@@ -164,77 +155,66 @@ def cmd_run(args) -> int:
         "k": inst.k,
         "beta": inst.beta,
         "h": h,
+        "model": model,
     }
+    trace = None  # frac writes its increment log instead
     if args.alg == "det":
         res = run_deterministic(inst)
-        res.trace.validate()
-        res.trace.save(prefix + ".trace.jsonl")
-        summary["pass"] = _primal_dual_columns(summary, inst, res, inst.k, prefix)
+        trace = res.trace
+        ok = _primal_dual_columns(summary, inst, res, inst.k, prefix)
     elif args.alg == "frac":
         res = run_fractional(inst)
         res.solution.save_increments(prefix + ".increments.jsonl")
-        summary["pass"] = _primal_dual_columns(
-            summary, inst, res, res.competitive_bound, prefix
-        )
-    elif args.alg == "frac-round":
-        frac, stream, traces = _ensemble_traces(inst, seeds)
-        for tr in traces:
-            tr.validate()
-        traces[0].save(prefix + ".trace.jsonl")
-        # the bound is on the eviction cost, the model the rounding is for
-        mean, stderr = _mean_stderr([tr.eviction_cost for tr in traces])
-        fetching = sum(tr.fetching_cost for tr in traces) / len(traces)
-        gamma = gamma_for(inst)
-        rhs = (gamma + 2.0) * stream.cost + inst.total_block_cost
-        summary.update(
-            model="evict",
-            seeds=seeds,
-            cost=round12(mean),
-            stderr=round12(stderr),
-            fetching_cost=round12(fetching),
-            gamma=round12(gamma),
-            structured_cost=round12(stream.cost),
-            fractional_cost=round12(frac.primal_cost),
-            bound=round12(rhs),
-        )
-        summary["pass"] = mean <= rhs * ROUND_MEAN_SLACK
-    elif args.alg in ("bicriteria-fetch", "bicriteria-evict"):
-        _frac, _stream, traces = _ensemble_traces(inst, seeds)
-        if args.alg == "bicriteria-fetch":
-            out = derandomize_ensemble(traces)
-            cost = out.fetching_cost
-            model = "fetch"
-        else:
-            out = bicriteria_round_evict(trace_to_x_mean(traces), inst)
-            cost = out.eviction_cost
-            model = "evict"
-        out.validate()
-        out.save(prefix + ".trace.jsonl")
-        summary.update(
-            model=model,
-            seeds=seeds,
-            cost=round12(cost),
-            space_bound=2 * inst.k,
-        )
-        summary["pass"] = True
-    else:  # opt
-        model = args.model or "evict"
+        ok = _primal_dual_columns(summary, inst, res, res.competitive_bound, prefix)
+    elif args.alg == "opt":
         try:
-            if model == "evict":
-                cost, trace = opt_eviction(inst, h)
-            else:
-                cost, trace = opt_fetching(inst, h)
+            cost, trace = (opt_eviction if model == "evict" else opt_fetching)(inst, h)
         except OracleIntractableError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+        summary.update(cost=round12(cost), oracle=round12(cost))
+        ok = True
+    else:  # a rounding of the fractional solution, one trace per seed
+        seeds = args.seeds or [0]
+        summary["seeds"] = seeds
+        frac = run_fractional(inst)
+        stream = structure_stream(frac.solution.increments, inst)
+        traces = [randomized_round(stream, seed) for seed in seeds]
+        if args.alg == "frac-round":
+            for tr in traces[1:]:
+                tr.validate()
+            trace = traces[0]
+            # the bound is on the eviction cost, the model the rounding is for
+            mean, stderr = _mean_stderr([tr.eviction_cost for tr in traces])
+            fetching = sum(tr.fetching_cost for tr in traces) / len(traces)
+            gamma = gamma_for(inst)
+            rhs = (gamma + 2.0) * stream.cost + inst.total_block_cost
+            summary.update(
+                cost=round12(mean),
+                stderr=round12(stderr),
+                fetching_cost=round12(fetching),
+                gamma=round12(gamma),
+                structured_cost=round12(stream.cost),
+                fractional_cost=round12(frac.primal_cost),
+                bound=round12(rhs),
+            )
+            ok = mean <= rhs * ROUND_MEAN_SLACK
+        else:
+            if model == "fetch":
+                trace = derandomize_ensemble(traces)
+                cost = trace.fetching_cost
+            else:
+                trace = bicriteria_round_evict(trace_to_x_mean(traces), inst)
+                cost = trace.eviction_cost
+            summary.update(cost=round12(cost), space_bound=2 * inst.k)
+            ok = True
+    if trace is not None:
         trace.validate()
         trace.save(prefix + ".trace.jsonl")
-        summary.update(model=model, cost=round12(cost), oracle=round12(cost))
-        summary["pass"] = True
-
+    summary["pass"] = ok
     write_json(prefix + ".summary.json", summary)
-    print(f"{args.alg}: cost={summary['cost']} pass={summary['pass']}")
-    return 0 if summary["pass"] else 1
+    print(f"{args.alg}: cost={summary['cost']} pass={ok}")
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------- verify
@@ -273,6 +253,7 @@ REPORT_COLUMNS = [
     "instance",
     "algorithm",
     "model",
+    "h",
     "cost",
     "oracle",
     "ratio",
@@ -303,6 +284,10 @@ def _report_row(path: str) -> dict:
         row[c] = s.get(c, "")
         if type(row[c]) is not str:
             raise ValueError(f"{c} must be a string, got {row[c]!r}")
+    if "h" in s:
+        if not is_int_in(s["h"], 1, math.inf):
+            raise ValueError(f"h must be an integer of at least 1, got {s['h']!r}")
+        row["h"] = s["h"]
     for c in ("cost", "oracle", "ratio", "bound"):
         if c in s:
             if not is_number(s[c]):

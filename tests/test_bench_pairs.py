@@ -1,8 +1,9 @@
 """The summary of tools/bench_pairs.py on fixed numbers: quartiles by
 linear interpolation, pairs won by the change, ties counted for neither
 side, each metric's verdict, the output digest read off a report, each
-side's set of digests, the commit of each side, the refusal of a parent
-outside git, and the bytecode settings each run gets."""
+side's set of digests, the keys and verdicts of a run entry, the commit of
+each side, the refusal of a parent outside git, and the bytecode settings
+each run gets."""
 
 import importlib.util
 import json
@@ -151,12 +152,25 @@ def test_run_entry_lists_each_sides_digests(monkeypatch, tmp_path):
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run_bench)
     out = tmp_path / "bench.json"
 
+    names = [m["name"] for m in metrics]
+
     def entry(parent_digests, change_digests):
         printed.update(parent=iter(parent_digests), change=iter(change_digests))
         argv = [str(parent), "--workload", "frac-mid", "--seed", "1", "--pairs", "3",
                 "--seconds", "0", "-o", str(out)]
         assert bench_pairs.main(argv) == 0
-        return json.loads(out.read_text())["runs"][0]
+        doc = json.loads(out.read_text())
+        # the keys of the BENCH format, and each metric's verdict one of four
+        assert {"about", "host", "runs"} <= doc.keys()
+        run = doc["runs"][0]
+        assert {"workload", "seed", "parent", "change", "pairs", "first", "all_correct",
+                "failed", "digests_equal", "digests", *names} <= run.keys()
+        assert run["digests"].keys() == {"parent", "change"}
+        for name in names:
+            assert {"parent", "change", "change_wins", "parent_runs", "change_runs",
+                    "verdict"} <= run[name].keys()
+            assert run[name]["verdict"] in ("gain", "regression", "unresolved", "same")
+        return run
 
     # a change that alters the output on purpose: each side agrees with itself
     run = entry(["aaa"] * 3, ["bbb"] * 3)
@@ -171,7 +185,8 @@ def test_run_entry_lists_each_sides_digests(monkeypatch, tmp_path):
     assert run["digests_equal"] is True
     assert run["parent"] == parent_commit
     # equal runs on both sides: every metric reads the same
-    assert all(run[m["name"]]["verdict"] == "same" for m in metrics)
+    assert run["all_correct"] is True
+    assert all(run[name]["verdict"] == "same" for name in names)
     about = json.loads(out.read_text())["about"]
     assert all(word in about for word in ("gain", "regression", "unresolved", "same"))
 

@@ -11,7 +11,7 @@ import pytest
 from blockcache import cli
 from blockcache.cli import main
 from blockcache.det_online import DualLedger, run_deterministic
-from blockcache.instance import Instance
+from blockcache.instance import Instance, PolicyTrace
 from blockcache.rounding import randomized_round
 
 
@@ -327,6 +327,38 @@ def test_run_opt_fetch_on_gap_beta_5(tmp_path):
     ) == 0
 
 
+@pytest.mark.parametrize(
+    "alg, failing_seed",
+    [("det", None), ("frac-round", None), ("frac-round", 1), ("bicriteria-fetch", None),
+     ("bicriteria-evict", None), ("opt", None)],
+    ids=["det", "frac-round", "frac-round-second-seed", "bicriteria-fetch",
+         "bicriteria-evict", "opt"],
+)
+def test_run_saves_no_trace_that_fails_validate(tmp_path, monkeypatch, alg, failing_seed):
+    # a trace that validate rejects is never written, nor is any other trace
+    # of the run or its summary; frac-round validates every seed's trace
+    # before it saves the first
+    inst_path = gen_random_file(tmp_path)
+    rounded = []
+
+    def recording_round(stream, seed):
+        rounded.append(randomized_round(stream, seed))
+        return rounded[-1]
+
+    def failing_validate(trace):
+        if failing_seed is None or trace is rounded[failing_seed]:
+            raise ValueError("planted fault")
+
+    monkeypatch.setattr(cli, "randomized_round", recording_round)
+    monkeypatch.setattr(PolicyTrace, "validate", failing_validate)
+    seeds = ["--seeds", "0", "1", "2"] if alg in cli.RUN_OPTION_ALGS["seeds"] else []
+    with pytest.raises(ValueError, match="planted fault"):
+        run_cli("run", "--instance", str(inst_path), "--alg", alg, *seeds,
+                "-o", str(tmp_path / alg))
+    assert not list(tmp_path.glob("*.trace.jsonl"))
+    assert not (tmp_path / f"{alg}.summary.json").exists()
+
+
 def test_verify_requires_something(capsys):
     for argv in (("verify",), ("verify", "--trace", "x.jsonl")):
         capsys.readouterr()
@@ -574,9 +606,10 @@ def test_option_without_effect_exit_2(tmp_path, capsys, argv):
     "text",
     ['{"cost": 1', '{"cost": "x"}', "[1, 2]", '{"pass": "false"}',
      '{"cost": NaN, "pass": true}', '{"cost": 1.0, "ratio": Infinity, "pass": true}',
-     '{"instance": ["x"], "cost": 1.0, "pass": true}'],
+     '{"instance": ["x"], "cost": 1.0, "pass": true}', '{"h": 0, "cost": 1.0}',
+     '{"h": 2.0, "cost": 1.0}', '{"h": true, "cost": 1.0}'],
     ids=["invalid-json", "non-numeric-cost", "not-an-object", "non-boolean-pass",
-         "nan-cost", "infinite-ratio", "list-instance"],
+         "nan-cost", "infinite-ratio", "list-instance", "zero-h", "float-h", "boolean-h"],
 )
 def test_report_malformed_summary_exit_2(tmp_path, capsys, text):
     path = tmp_path / "bad.summary.json"
@@ -611,11 +644,32 @@ def test_report_csv(tmp_path):
     assert [r["algorithm"] for r in rows] == ["det", "frac"]
     for row in rows:
         assert set(row) == {
-            "instance", "algorithm", "model", "cost", "oracle", "ratio",
+            "instance", "algorithm", "model", "h", "cost", "oracle", "ratio",
             "bound", "lower_bound", "pass",
         }
+        assert row["h"] == "4"
         assert row["pass"] == "pass"
         assert row["cost"] != ""
+
+
+def test_report_h_column_tells_cache_sizes_apart(tmp_path, capsys):
+    # one instance's optimum at h = k and at h = k // 2: only h differs
+    paths = []
+    for h, cost in ((4, 3.0), (2, 11.0)):
+        path = tmp_path / f"opt-h{h}.summary.json"
+        path.write_text(json.dumps(
+            {"instance": "i", "algorithm": "opt", "model": "evict", "k": 4, "beta": 3,
+             "h": h, "cost": cost, "oracle": cost, "pass": True}
+        ))
+        paths.append(str(path))
+    assert run_cli("report", *paths) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [(r["h"], r["cost"]) for r in rows] == [("4", "3"), ("2", "11")]
+    # a summary without h has an empty h cell
+    bare = tmp_path / "bare.summary.json"
+    bare.write_text(json.dumps({"cost": 1.0}))
+    assert run_cli("report", str(bare)) == 0
+    assert next(csv.DictReader(capsys.readouterr().out.splitlines()))["h"] == ""
 
 
 def test_report_lower_bound_column(tmp_path):

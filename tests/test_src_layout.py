@@ -3,9 +3,11 @@ function and class in ``src/blockcache``, and every method of those classes
 other than a dunder, is referenced somewhere in the package beyond its own
 definition.  So is every module-level name assignment, where an import by
 the benchmark in ``bench/*.py`` also counts as a use.  Test-only
-references belong in ``tests/reference.py``."""
+references belong in ``tests/reference.py``.  The package imports only the
+standard library and its own modules."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -102,3 +104,38 @@ def test_an_orphaned_constant_is_found():
     assert unused_assignments([source], Counter()) == ["NO_FLUSH", "ALIAS"]
     assert unused_assignments([source], Counter({"ALIAS": 1})) == ["NO_FLUSH"]
     assert bench_imports()["check_feasible_full"] >= 1
+
+
+def imports_outside(source: str, siblings: set[str]) -> list[str]:
+    """Each module that ``source`` imports other than a standard-library
+    module or, by a relative import, one of ``siblings``."""
+    outside = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names, known = [alias.name for alias in node.names], sys.stdlib_module_names
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            known = siblings
+        elif isinstance(node, ast.ImportFrom):
+            names, known = [node.module], sys.stdlib_module_names
+        else:
+            continue
+        outside += [name for name in names if name.split(".")[0] not in known]
+    return outside
+
+
+def test_the_package_imports_only_the_standard_library():
+    # the runtime has no dependencies: each absolute import names a
+    # standard-library module and each relative one a module of the package
+    siblings = {path.stem for path in PACKAGE.glob("*.py")}
+    outside = {
+        path.name: imports_outside(path.read_text(), siblings)
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: found for name, found in outside.items() if found} == {}
+    source = (
+        "import os, numpy.linalg\nfrom scipy import sparse\nfrom .cli import main\n"
+        "from . import rounding, extra\nfrom ..other import x\n"
+    )
+    found = imports_outside(source, {"cli", "rounding"})
+    assert found == ["numpy.linalg", "scipy", "extra", "other"]
