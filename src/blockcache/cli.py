@@ -264,11 +264,11 @@ REPORT_COLUMNS = [
 
 
 def _lower_bound(summary: dict) -> str:
-    """Resource-augmentation lower bound (k+(beta-1)(h-1))/(k-h+1)."""
+    """Resource-augmentation lower bound (k+(beta-1)(h-1))/(k-h+1), blank
+    unless the summary has all three sizes (``_report_row`` has checked
+    that each is an int >= 1) and h <= k - beta + 1."""
     k, beta, h = summary.get("k"), summary.get("beta"), summary.get("h")
-    if not all(is_int_in(v, 1, math.inf) for v in (k, beta, h)):
-        return ""
-    if h > k - beta + 1:
+    if None in (k, beta, h) or h > k - beta + 1:
         return ""
     return f"{(k + (beta - 1) * (h - 1)) / (k - h + 1):.12g}"
 
@@ -284,10 +284,10 @@ def _report_row(path: str) -> dict:
         row[c] = s.get(c, "")
         if type(row[c]) is not str:
             raise ValueError(f"{c} must be a string, got {row[c]!r}")
-    if "h" in s:
-        if not is_int_in(s["h"], 1, math.inf):
-            raise ValueError(f"h must be an integer of at least 1, got {s['h']!r}")
-        row["h"] = s["h"]
+    for c in ("k", "beta", "h"):
+        if c in s and not is_int_in(s[c], 1, math.inf):
+            raise ValueError(f"{c} must be an integer of at least 1, got {s[c]!r}")
+    row["h"] = s.get("h", "")
     for c in ("cost", "oracle", "ratio", "bound"):
         if c in s:
             if not is_number(s[c]):

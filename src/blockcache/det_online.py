@@ -112,7 +112,7 @@ def priced_candidates(
     """
     costs = oracle.instance.costs
     candidates = []
-    for flush in sorted(oracle.index.alive_flushes(tau)):
+    for flush in oracle.index.alive_flushes(tau):
         if flush[1] <= latest[flush[0]]:
             continue
         m = oracle.marginal(latest, flush, tau, residual)

@@ -12,6 +12,8 @@ from functools import cached_property
 # recorded cumulative cost vs the re-summed step costs: float summation error;
 # saved traces keep 12 significant digits, more than this past a cost of 1000
 COST_CUM_EPS = 1e-9
+# line 1 of a saved trace: the file format, whose step lines hold deltas
+TRACE_HEADER = {"format": 2}
 
 
 class InstanceError(ValueError):
@@ -243,17 +245,23 @@ class RequestIndex:
             self._rows[block] = (t, row)
         return row
 
-    def alive_flushes(self, tau: int) -> set[tuple[int, int]]:
-        """All flushes (block, t) with t = r(p,tau)+1 <= tau for some page p.
+    def alive_flushes(self, tau: int) -> list[tuple[int, int]]:
+        """All flushes (block, t) with t = r(p,tau)+1 <= tau for some page p,
+        in (block, t) order.
 
         Time-0 flushes are excluded; they are part of the initial flush set.
+        A block's row is sorted, and only r = 0 can repeat in it (its
+        starting pages), so skipping each r not above the last one taken
+        leaves every flush once.
         """
-        return {
-            (b, r + 1)
-            for b in range(self.instance.num_blocks)
-            for r in self.block_last_requests(b, tau)
-            if 0 <= r < tau
-        }
+        alive = []
+        for b in range(self.instance.num_blocks):
+            last = -1
+            for r in self.block_last_requests(b, tau):
+                if last < r < tau:
+                    alive.append((b, r + 1))
+                    last = r
+        return alive
 
 
 @dataclass(slots=True)
@@ -403,46 +411,82 @@ class PolicyTrace:
                 )
 
     def save(self, path: str) -> None:
-        write_jsonl(
-            path,
-            (
-                {
+        """Writes the format-2 file: the header line, then one line per step
+        with its flushes, fetched and evicted pages and cumulative costs.
+        The evicted pages are the cache before the step minus the cache
+        after it; a step that shares the previous cache evicts none."""
+
+        def lines():
+            yield TRACE_HEADER
+            prev = self.instance.initial_cache
+            for step in self.steps:
+                evicted = [] if step.cache is prev else sorted(prev - step.cache)
+                prev = step.cache
+                yield {
                     "t": step.t,
-                    "flushes": [list(f) for f in step.flushes],
+                    "flushes": step.flushes,
                     "fetched": step.fetched,
-                    "cache": sorted(step.cache),
+                    "evicted": evicted,
                     "evict_cost_cum": round12(step.evict_cost_cum),
                     "fetch_cost_cum": round12(step.fetch_cost_cum),
                 }
-                for step in self.steps
-            ),
-        )
+
+        write_jsonl(path, lines())
 
     @classmethod
     def load(cls, path: str, instance: Instance, capacity_bound: int) -> "PolicyTrace":
-        """Reads a saved trace; a line that is not a well-formed step of this
-        instance raises InstanceError."""
+        """Reads a format-2 trace, rebuilding each step's cache from the one
+        before it (step 1's is ``instance.initial_cache``) as (cache minus
+        evicted) plus fetched; a step that fetches and evicts nothing shares
+        the previous frozenset, as ``record`` writes it.  A file without the
+        header, a line that is not a well-formed step of this instance, or a
+        step that evicts a page it fetches or a page not cached before it
+        raises InstanceError."""
         inst = instance
+        prev = None  # the cache before the next step, once the header is read
 
-        def parse(rec: dict) -> TraceStep | None:
-            step = TraceStep(
-                t=rec["t"],
-                flushes=[tuple(f) for f in rec["flushes"]],
-                fetched=rec["fetched"],
-                cache=frozenset(rec["cache"]),
+        def parse(rec: dict) -> dict | TraceStep | None:
+            nonlocal prev
+            if prev is None:
+                if rec != TRACE_HEADER:
+                    raise ValueError(
+                        f"not a trace: the first line must be {json.dumps(TRACE_HEADER)}"
+                    )
+                prev = inst.initial_cache
+                return rec
+            t, fetched, evicted = rec["t"], rec["fetched"], rec["evicted"]
+            flushes = [tuple(f) for f in rec["flushes"]]
+            ok = is_int_in(t, 1, inst.T)
+            ok = ok and is_number(rec["evict_cost_cum"]) and is_number(rec["fetch_cost_cum"])
+            ok = ok and all(is_int_in(p, 1, inst.n) for p in [*fetched, *evicted])
+            ok = ok and all(
+                is_int_in(b, 0, inst.num_blocks - 1) and is_int_in(ft, 0, inst.T)
+                for b, ft in flushes
+            )
+            if not ok:
+                return None
+            gone = frozenset(evicted)
+            refetched = gone.intersection(fetched)
+            if refetched:
+                raise ValueError(f"step {t} evicts page {min(refetched)}, which it also fetches")
+            uncached = gone - prev
+            if uncached:
+                raise ValueError(f"step {t} evicts page {min(uncached)}, which is not cached")
+            if gone or fetched:
+                prev = (prev - gone).union(fetched)
+            return TraceStep(
+                t=t,
+                flushes=flushes,
+                fetched=fetched,
+                cache=prev,
                 evict_cost_cum=rec["evict_cost_cum"],
                 fetch_cost_cum=rec["fetch_cost_cum"],
             )
-            ok = is_int_in(step.t, 1, inst.T)
-            ok = ok and is_number(step.evict_cost_cum) and is_number(step.fetch_cost_cum)
-            ok = ok and all(is_int_in(p, 1, inst.n) for p in [*step.fetched, *step.cache])
-            ok = ok and all(
-                is_int_in(b, 0, inst.num_blocks - 1) and is_int_in(t, 0, inst.T)
-                for b, t in step.flushes
-            )
-            return step if ok else None
 
-        return cls(instance=instance, capacity_bound=capacity_bound, steps=read_jsonl(path, parse))
+        steps = read_jsonl(path, parse)
+        if prev is None:
+            raise InstanceError(f"{path}: empty, not a trace")
+        return cls(instance=instance, capacity_bound=capacity_bound, steps=steps[1:])
 
 
 def gen_gap_instance(beta: int, rounds: int) -> Instance:

@@ -381,13 +381,20 @@ def test_verify_instance_and_trace(tmp_path, capsys):
 
 def test_verify_trace_planted_fault(tmp_path, capsys):
     inst_path = gen_random_file(tmp_path)
+    inst = Instance.load(str(inst_path))
     prefix = tmp_path / "det"
     run_cli("run", "--instance", str(inst_path), "--alg", "det", "-o", str(prefix))
     trace_path = tmp_path / "det.trace.jsonl"
     lines = trace_path.read_text().splitlines()
-    rec = json.loads(lines[0])
-    rec["cache"] = []  # requested page no longer cached
-    lines[0] = json.dumps(rec)
+    # the last step's request is no longer cached after it: not fetched if
+    # the step fetched it, evicted if it was a hit
+    rec = json.loads(lines[-1])
+    p = inst.request(inst.T)
+    if p in rec["fetched"]:
+        rec["fetched"].remove(p)
+    else:
+        rec["evicted"].append(p)
+    lines[-1] = json.dumps(rec)
     broken = tmp_path / "broken.trace.jsonl"
     broken.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
@@ -395,7 +402,10 @@ def test_verify_trace_planted_fault(tmp_path, capsys):
         "verify", "--instance", str(inst_path), "--trace", str(broken)
     )
     assert code == 1
-    assert "FAIL" in capsys.readouterr().out
+    assert (
+        f"FAIL: trace invalid: requested page {p} absent after step {inst.T}\n"
+        in capsys.readouterr().out
+    )
 
 
 def test_verify_trace_rejects_relabelled_step(tmp_path, capsys):
@@ -404,15 +414,17 @@ def test_verify_trace_rejects_relabelled_step(tmp_path, capsys):
     inst_path = gen_random_file(tmp_path)
     inst = Instance.load(str(inst_path))
     run_cli("run", "--instance", str(inst_path), "--alg", "det", "-o", str(tmp_path / "det"))
-    lines = (tmp_path / "det.trace.jsonl").read_text().splitlines()
-    recs = [json.loads(line) for line in lines]
+    path = tmp_path / "det.trace.jsonl"
+    steps = PolicyTrace.load(str(path), inst, inst.k).steps
     i, j = next(
         (i, j)
-        for i, rec in enumerate(recs)
+        for i, step in enumerate(steps)
         for j in range(1, inst.T + 1)
-        if j != rec["t"] and inst.request(j) in rec["cache"]
+        if j != step.t and inst.request(j) in step.cache
     )
-    recs[i]["t"] = j
+    # line 0 is the header, line i + 1 holds step i + 1
+    recs = [json.loads(line) for line in path.read_text().splitlines()]
+    recs[i + 1]["t"] = j
     broken = tmp_path / "relabelled.trace.jsonl"
     broken.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
     capsys.readouterr()
@@ -478,6 +490,15 @@ def _edit_first(text, key, value):
     return json.dumps(rec) + "\n" + rest
 
 
+def _edit_step_1(text, edit):
+    """The trace text with its first step's record, the line after the
+    header, passed through edit."""
+    header, first, rest = text.split("\n", 2)
+    rec = json.loads(first)
+    edit(rec)
+    return "\n".join([header, json.dumps(rec), rest])
+
+
 @pytest.mark.parametrize(
     "target,corrupt",
     [
@@ -488,7 +509,7 @@ def _edit_first(text, key, value):
         ("increments", lambda text: _edit_first(text, "phi_after", lambda r: r["phi_after"] + 0.1)),
         ("increments", lambda text: _edit_first(text, "t", lambda r: 0)),
         ("increments", lambda text: _edit_first(text, "t", lambda r: r["tau"] + 1)),
-        ("trace", lambda text: text.replace('"cache"', '"kache"', 1)),
+        ("trace", lambda text: text.replace('"evicted"', '"evictd"', 1)),
         ("trace", lambda text: text.replace('"evict_cost_cum": 0.0', '"evict_cost_cum": NaN', 1)),
         ("instance", lambda text: text.replace('"n": 8,', '"n": 8.0,', 1)),
         ("instance", lambda text: f"[{text}]"),
@@ -497,6 +518,11 @@ def _edit_first(text, key, value):
         ("instance", lambda text: _set_first_cost(text, True)),
         ("trace", lambda text: text.replace('"evict_cost_cum": 0.0', '"evict_cost_cum": false', 1)),
         ("increments", lambda text: _edit_first(text, "phi_after", lambda r: str(r["phi_after"]))),
+        ("trace", lambda text: text.split("\n", 1)[1]),
+        # the run starts from an empty cache: step 1 can evict nothing
+        ("trace", lambda text: _edit_step_1(
+            text, lambda r: r.update(evicted=[min({1, 2} - set(r["fetched"]))]))),
+        ("trace", lambda text: _edit_step_1(text, lambda r: r.update(evicted=r["fetched"]))),
     ],
     ids=[
         "instance-missing-key", "instance-invalid-json", "increment-missing-key",
@@ -504,6 +530,7 @@ def _edit_first(text, key, value):
         "increment-future-flush", "trace-missing-key", "trace-nan-cost",
         "instance-float-n", "instance-not-an-object", "instance-string-cost",
         "instance-bool-cost", "trace-bool-cost", "increment-string-phi-after",
+        "trace-no-header", "trace-evicts-uncached-page", "trace-evicts-fetched-page",
     ],
 )
 def test_malformed_input_exit_2(tmp_path, capsys, target, corrupt):
@@ -607,9 +634,12 @@ def test_option_without_effect_exit_2(tmp_path, capsys, argv):
     ['{"cost": 1', '{"cost": "x"}', "[1, 2]", '{"pass": "false"}',
      '{"cost": NaN, "pass": true}', '{"cost": 1.0, "ratio": Infinity, "pass": true}',
      '{"instance": ["x"], "cost": 1.0, "pass": true}', '{"h": 0, "cost": 1.0}',
-     '{"h": 2.0, "cost": 1.0}', '{"h": true, "cost": 1.0}'],
+     '{"h": 2.0, "cost": 1.0}', '{"h": true, "cost": 1.0}',
+     '{"k": "4", "beta": 2, "h": 3, "cost": 1.0}', '{"k": 4, "beta": 2.5, "h": 3, "cost": 1.0}',
+     '{"k": 4, "beta": 0, "h": 3, "cost": 1.0}'],
     ids=["invalid-json", "non-numeric-cost", "not-an-object", "non-boolean-pass",
-         "nan-cost", "infinite-ratio", "list-instance", "zero-h", "float-h", "boolean-h"],
+         "nan-cost", "infinite-ratio", "list-instance", "zero-h", "float-h", "boolean-h",
+         "string-k", "float-beta", "zero-beta"],
 )
 def test_report_malformed_summary_exit_2(tmp_path, capsys, text):
     path = tmp_path / "bad.summary.json"
@@ -619,9 +649,10 @@ def test_report_malformed_summary_exit_2(tmp_path, capsys, text):
 
 
 def test_report_lower_bound_blank_for_nonpositive_sizes(tmp_path, capsys):
-    # beta = 0 with h = k + 1 once divided by k - h + 1 = 0
+    # h = k + 1 makes k - h + 1 = 0; a beta of 0, which once let that
+    # division through, exits 2 (test_report_malformed_summary_exit_2)
     path = tmp_path / "zero.summary.json"
-    path.write_text(json.dumps({"cost": 1.0, "k": 4, "beta": 0, "h": 5}))
+    path.write_text(json.dumps({"cost": 1.0, "k": 4, "beta": 1, "h": 5}))
     assert run_cli("report", str(path)) == 0
     row = next(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert row["lower_bound"] == ""

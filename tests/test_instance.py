@@ -101,8 +101,8 @@ def test_starting_page_counts_as_requested_at_time_0():
     assert idx.last_request(4, 2) is None
     assert idx.block_last_requests(1, 0) == (-1, 0)
     # evicting a starting page takes a flush (B, 1), paid like any other
-    assert idx.alive_flushes(1) == {(0, 1), (1, 1)}
-    assert idx.alive_flushes(2) == {(0, 2), (1, 1)}
+    assert idx.alive_flushes(1) == sorted({(0, 1), (1, 1)})
+    assert idx.alive_flushes(2) == sorted({(0, 2), (1, 1)})
 
 
 def test_block_rows_kept_across_queries_match_a_fresh_index():
@@ -138,10 +138,10 @@ def test_alive_flushes():
         n=2, k=2, blocks=((1, 2),), costs=(1.0,), requests=(1, 2)
     )
     idx = RequestIndex(inst)
-    assert idx.alive_flushes(2) == {(0, 2)}
+    assert idx.alive_flushes(2) == sorted({(0, 2)})
     inst2 = Instance(n=1, k=1, blocks=((1,),), costs=(1.0,), requests=(1, 1, 1))
     idx2 = RequestIndex(inst2)
-    assert idx2.alive_flushes(3) == set()  # r+1 = 4 > tau
+    assert idx2.alive_flushes(3) == sorted(set())  # r+1 = 4 > tau
 
 
 def test_alive_flushes_at_most_beta_per_block():
@@ -231,10 +231,11 @@ def test_trace_validate_catches_refetch():
         trace.validate()
 
 
-def test_trace_validate_catches_fetch_not_kept(tmp_path):
+def test_trace_validate_catches_fetch_not_kept():
     # page 3 is fetched at step 1 and gone after it with no flush of its
     # block: the fetching totals, restated, charge block 1 for a page that
-    # never entered, 5.0 where the pages that entered cost 3.0
+    # never entered, 5.0 where the pages that entered cost 3.0.  A saved
+    # trace cannot state this: load rebuilds each cache with its fetches
     inst = small_instance(requests=(1, 3))
     trace = PolicyTrace(instance=inst, capacity_bound=2)
     trace.record((), {1})
@@ -244,12 +245,9 @@ def test_trace_validate_catches_fetch_not_kept(tmp_path):
     first.fetched = [1, 3]
     first.fetch_cost_cum += 2.0
     second.fetch_cost_cum += 2.0
-    path = str(tmp_path / "trace.jsonl")
-    trace.save(path)
-    loaded = PolicyTrace.load(path, inst, 2)
-    assert loaded.fetching_cost == 5.0
+    assert trace.fetching_cost == 5.0
     with pytest.raises(ValueError, match="page 3 fetched at step 1 is not cached after it"):
-        loaded.validate()
+        trace.validate()
 
 
 @pytest.mark.parametrize("flushes", [[], [(0, 0)], [(1, 3)]])
@@ -378,6 +376,44 @@ def test_det_trace_steps_share_an_unchanged_cache(tmp_path):
     trace.save(str(path))
     loaded = PolicyTrace.load(str(path), inst, inst.k)
     assert [s.cache for s in loaded.steps] == [s.cache for s in trace.steps]
+    # load shares a frozenset exactly where record did, so validate skips
+    # the same steps' leave and entry checks
+    def shared(steps):
+        return [b.cache is a.cache for a, b in zip(steps, steps[1:])]
+
+    assert shared(loaded.steps) == shared(trace.steps)
+
+
+def _edit_step_3(lines, key, value):
+    rec = json.loads(lines[3])
+    rec[key] = value
+    return lines[:3] + [json.dumps(rec)] + lines[4:]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines[1:],
+         """line 1: ValueError('not a trace: the first line must be {"format": 2}')"""),
+        (lambda lines: [], "empty, not a trace"),
+        # step 3 flushes block 0: pages 1 and 2 leave, page 3 enters
+        (lambda lines: _edit_step_3(lines, "evicted", [1, 2, 4]),
+         "line 4: ValueError('step 3 evicts page 4, which is not cached')"),
+        (lambda lines: _edit_step_3(lines, "evicted", [1, 2, 3]),
+         "line 4: ValueError('step 3 evicts page 3, which it also fetches')"),
+    ],
+    ids=["no-header", "empty", "evicts-uncached-page", "evicts-fetched-page"],
+)
+def test_trace_load_refuses(tmp_path, edit, message):
+    trace = _small_trace()
+    path = tmp_path / "trace.jsonl"
+    trace.save(str(path))
+    lines = path.read_text().splitlines()
+    assert json.loads(lines[0]) == {"format": 2}
+    assert json.loads(lines[3])["evicted"] == [1, 2]
+    path.write_text("".join(line + "\n" for line in edit(lines)))
+    with pytest.raises(InstanceError, match=re.escape(message)):
+        PolicyTrace.load(str(path), trace.instance, 2)
 
 
 def test_gap_generator_dimensions():

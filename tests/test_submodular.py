@@ -108,7 +108,7 @@ def test_block_queries_match_per_page_definitions():
     # property: the index's per-block sorted last requests, and f_tau,
     # marginal and alive_flushes computed from them, equal their per-page
     # definitions; flush sets may lack the time-0 flushes and hold flushes
-    # after tau
+    # after tau, and the pages of a starting cache count as requested at 0
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -118,6 +118,8 @@ def test_block_queries_match_per_page_definitions():
         k = data.draw(st.integers(1, n))
         beta = data.draw(st.integers(1, k))
         inst = gen_random(n, k, beta, data.draw(st.integers(1, 12)), seed=seed)
+        cached = data.draw(st.lists(st.integers(1, n), max_size=k, unique=True))
+        inst = dataclasses.replace(inst, initial_cache=frozenset(cached))
         index = RequestIndex(inst)
         oracle = CoverageOracle(inst, index)
         for b, blk in enumerate(inst.blocks):
@@ -150,7 +152,8 @@ def test_block_queries_match_per_page_definitions():
             r = index.last_request(p, tau)
             if r is not None and r + 1 <= tau:
                 alive.add((inst.block_of(p), r + 1))
-        assert index.alive_flushes(tau) == alive
+        # a sorted list of the set: in (block, t) order, each flush once
+        assert index.alive_flushes(tau) == sorted(alive)
 
     check()
 
