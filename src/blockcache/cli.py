@@ -100,15 +100,14 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------- run
 
 
-def _primal_dual_columns(summary: dict, inst: Instance, res, bound: float, prefix: str) -> bool:
+def _primal_dual_columns(summary: dict, inst: Instance, res, bound: float) -> bool:
     """Checks an online primal-dual run (det or frac) against its own dual
-    and writes its certificate and summary columns.  Passes when cost <=
-    bound * dual and, where the eviction DP at h = k is in budget, also
-    dual <= OPT (weak duality) and cost <= bound * OPT; the oracle and
-    ratio columns stay blank when the DP is out of budget."""
+    and fills its summary columns.  Passes when cost <= bound * dual and,
+    where the eviction DP at h = k is in budget, also dual <= OPT (weak
+    duality) and cost <= bound * OPT; the oracle and ratio columns stay
+    blank when the DP is out of budget."""
     cost, dual = res.primal_cost, res.ledger.objective
     res.ledger.check_feasible(inst)
-    write_json(prefix + ".cert.json", res.ledger.certificate())
     summary.update(cost=round12(cost), dual_objective=round12(dual), bound=round12(bound))
     ok = cost <= bound * dual + BOUND_TOL
     try:
@@ -158,61 +157,72 @@ def cmd_run(args) -> int:
         "model": model,
     }
     trace = None  # frac writes its increment log instead
-    if args.alg == "det":
-        res = run_deterministic(inst)
-        trace = res.trace
-        ok = _primal_dual_columns(summary, inst, res, inst.k, prefix)
-    elif args.alg == "frac":
-        res = run_fractional(inst)
-        res.solution.save_increments(prefix + ".increments.jsonl")
-        ok = _primal_dual_columns(summary, inst, res, res.competitive_bound, prefix)
-    elif args.alg == "opt":
-        try:
-            cost, trace = (opt_eviction if model == "evict" else opt_fetching)(inst, h)
-        except OracleIntractableError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        summary.update(cost=round12(cost), oracle=round12(cost))
-        ok = True
-    else:  # a rounding of the fractional solution, one trace per seed
-        seeds = args.seeds or [0]
-        summary["seeds"] = seeds
-        frac = run_fractional(inst)
-        stream = structure_stream(frac.solution.increments, inst)
-        traces = [randomized_round(stream, seed) for seed in seeds]
-        if args.alg == "frac-round":
-            for tr in traces[1:]:
-                tr.validate()
-            trace = traces[0]
-            # the bound is on the eviction cost, the model the rounding is for
-            mean, stderr = _mean_stderr([tr.eviction_cost for tr in traces])
-            fetching = sum(tr.fetching_cost for tr in traces) / len(traces)
-            gamma = gamma_for(inst)
-            rhs = (gamma + 2.0) * stream.cost + inst.total_block_cost
-            summary.update(
-                cost=round12(mean),
-                stderr=round12(stderr),
-                fetching_cost=round12(fetching),
-                gamma=round12(gamma),
-                structured_cost=round12(stream.cost),
-                fractional_cost=round12(frac.primal_cost),
-                bound=round12(rhs),
-            )
-            ok = mean <= rhs * ROUND_MEAN_SLACK
-        else:
-            if model == "fetch":
-                trace = derandomize_ensemble(traces)
-                cost = trace.fetching_cost
-            else:
-                trace = bicriteria_round_evict(trace_to_x_mean(traces), inst)
-                cost = trace.eviction_cost
-            summary.update(cost=round12(cost), space_bound=2 * inst.k)
+    try:
+        if args.alg == "det":
+            # det's trace is checked and written as it is recorded, so det
+            # holds a batch of its steps, not all of them
+            trace = PolicyTrace.open(inst, inst.k, prefix + ".trace.jsonl")
+            res = run_deterministic(inst, trace)
+            ok = _primal_dual_columns(summary, inst, res, inst.k)
+        elif args.alg == "frac":
+            res = run_fractional(inst)
+            ok = _primal_dual_columns(summary, inst, res, res.competitive_bound)
+        elif args.alg == "opt":
+            try:
+                cost, trace = (opt_eviction if model == "evict" else opt_fetching)(inst, h)
+            except OracleIntractableError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
+            summary.update(cost=round12(cost), oracle=round12(cost))
             ok = True
-    if trace is not None:
-        trace.validate()
-        trace.save(prefix + ".trace.jsonl")
-    summary["pass"] = ok
-    write_json(prefix + ".summary.json", summary)
+        else:  # a rounding of the fractional solution, one trace per seed
+            seeds = args.seeds or [0]
+            summary["seeds"] = seeds
+            frac = run_fractional(inst)
+            stream = structure_stream(frac.solution.increments, inst)
+            traces = [randomized_round(stream, seed) for seed in seeds]
+            if args.alg == "frac-round":
+                for tr in traces[1:]:
+                    tr.validate()
+                trace = traces[0]
+                # the bound is on the eviction cost, the model the rounding is for
+                mean, stderr = _mean_stderr([tr.eviction_cost for tr in traces])
+                fetching = sum(tr.fetching_cost for tr in traces) / len(traces)
+                gamma = gamma_for(inst)
+                rhs = (gamma + 2.0) * stream.cost + inst.total_block_cost
+                summary.update(
+                    cost=round12(mean),
+                    stderr=round12(stderr),
+                    fetching_cost=round12(fetching),
+                    gamma=round12(gamma),
+                    structured_cost=round12(stream.cost),
+                    fractional_cost=round12(frac.primal_cost),
+                    bound=round12(rhs),
+                )
+                ok = mean <= rhs * ROUND_MEAN_SLACK
+            else:
+                if model == "fetch":
+                    trace = derandomize_ensemble(traces)
+                    cost = trace.fetching_cost
+                else:
+                    trace = bicriteria_round_evict(trace_to_x_mean(traces), inst)
+                    cost = trace.eviction_cost
+                summary.update(cost=round12(cost), space_bound=2 * inst.k)
+                ok = True
+        if trace is not None:
+            trace.validate()
+        # every check has passed: only now is any file written
+        if args.alg in ("det", "frac"):
+            write_json(prefix + ".cert.json", res.ledger.certificate())
+        if args.alg == "frac":
+            res.solution.save_increments(prefix + ".increments.jsonl")
+        if trace is not None:
+            trace.save(prefix + ".trace.jsonl")
+        summary["pass"] = ok
+        write_json(prefix + ".summary.json", summary)
+    finally:
+        if trace is not None:
+            trace.discard()
     print(f"{args.alg}: cost={summary['cost']} pass={ok}")
     return 0 if ok else 1
 
@@ -232,11 +242,9 @@ def cmd_verify(args) -> int:
     failures = []
     if args.trace:
         capacity = inst.k if args.capacity is None else args.capacity
-        trace = PolicyTrace.load(args.trace, inst, capacity)
-        try:
-            trace.validate()
-        except ValueError as exc:
-            failures.append(f"trace invalid: {exc}")
+        problem = PolicyTrace.check_file(args.trace, inst, capacity)
+        if problem is not None:
+            failures.append(f"trace invalid: {problem}")
     if args.increments:
         failures += replay_failures(load_increments(args.increments, inst), inst)
     for msg in failures:

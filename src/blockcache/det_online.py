@@ -136,16 +136,20 @@ def next_tight_increase(
     return flush, gap, {fl: m for fl, m, _A, _c in candidates}
 
 
-def run_deterministic(instance: Instance) -> DetResult:
+def run_deterministic(instance: Instance, trace: PolicyTrace | None = None) -> DetResult:
     """Primal-dual deterministic policy: on overflow, raise the current dual
     variable until an alive flush's constraint is tight, then flush that
     block at the current step.  Its flush set is held as each block's
-    latest flush time, starting from the time-0 flushes."""
+    latest flush time, starting from the time-0 flushes.  The steps are
+    recorded into ``trace``, an empty trace of capacity k such as one that
+    ``PolicyTrace.open`` writes as it goes, or else into a new in-memory
+    trace."""
     index = RequestIndex(instance)
     oracle = CoverageOracle(instance, index)
     latest = [0] * instance.num_blocks
     ledger = DualLedger()
-    trace = PolicyTrace(instance=instance, capacity_bound=instance.k)
+    if trace is None:
+        trace = PolicyTrace(instance=instance, capacity_bound=instance.k)
     cache = set(instance.initial_cache)
 
     for tau in range(1, instance.T + 1):

@@ -96,7 +96,7 @@ def load_increments(path: str, instance: Instance) -> list[Increment]:
         ok = ok and is_int_in(block, 0, instance.num_blocks - 1) and is_number(delta) and delta > 0
         return (Increment(tau, (block, t), delta), phi_after) if ok else None
 
-    records = read_jsonl(path, parse)
+    records = list(read_jsonl(path, parse))
     running: dict[Flush, float] = {}
     for i in sorted(range(len(records)), key=lambda i: (records[i][0].tau, records[i][1])):
         (_tau, flush, delta), phi_after = records[i]

@@ -4,16 +4,24 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from typing import Iterator, TextIO
 
 # recorded cumulative cost vs the re-summed step costs: float summation error;
 # saved traces keep 12 significant digits, more than this past a cost of 1000
 COST_CUM_EPS = 1e-9
 # line 1 of a saved trace: the file format, whose step lines hold deltas
 TRACE_HEADER = {"format": 2}
+# steps a trace opened on a file checks and writes at once, and a streamed
+# check reads at once: 512 held steps are about 1 MB of caches at k = 32,
+# and checking and writing each step as it was recorded made det's run on a
+# 12,000-step stream 5-9% slower
+TRACE_BATCH = 512
 
 
 class InstanceError(ValueError):
@@ -35,11 +43,10 @@ def is_number(v) -> bool:
     return type(v) in (int, float) and math.isfinite(v)
 
 
-def read_jsonl(path: str, parse) -> list:
-    """parse(record) for every line of a JSON-lines file.  A line that is not
-    JSON, lacks a field parse reads, or that parse returns None for raises
-    InstanceError naming the line."""
-    items = []
+def read_jsonl(path: str, parse) -> Iterator:
+    """Yields parse(record) for every line of a JSON-lines file, one line at a
+    time.  A line that is not JSON, lacks a field parse reads, or that parse
+    returns None for raises InstanceError naming the line."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
@@ -48,8 +55,7 @@ def read_jsonl(path: str, parse) -> list:
                 raise InstanceError(f"{path} line {lineno}: {exc!r}") from None
             if item is None:
                 raise InstanceError(f"{path} line {lineno}: malformed record")
-            items.append(item)
-    return items
+            yield item
 
 
 def write_jsonl(path: str, records) -> None:
@@ -280,11 +286,35 @@ class PolicyTrace:
 
     Eviction cost sums c_B over the flushes listed at each step; fetching
     cost sums c_B over (block, step) pairs with at least one fetched page.
+
+    A trace built directly holds every step from step 1 in ``steps``.  A
+    trace made by ``open`` holds only its latest steps: ``_base`` steps come
+    before ``steps[0]``, and its first ``_written`` steps have passed
+    ``validate``'s checks, with recomputed cost sums ``_sums``, and are in
+    its temporary file ``_out``.
     """
 
     instance: Instance
     capacity_bound: int
     steps: list[TraceStep] = field(default_factory=list)
+    _base: int = field(default=0, init=False, repr=False, compare=False)
+    _written: int = field(default=0, init=False, repr=False, compare=False)
+    _sums: tuple[float, float] = field(default=(0.0, 0.0), init=False, repr=False, compare=False)
+    _out: TextIO | None = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def open(cls, instance: Instance, capacity_bound: int, path: str) -> "PolicyTrace":
+        """An empty trace that ``record`` checks and writes as it goes, so
+        that it holds at most TRACE_BATCH + 1 steps: once TRACE_BATCH steps
+        are unwritten, it runs ``validate``'s checks on them, writes their
+        lines to the temporary file path + ".tmp" and keeps only the last.
+        ``validate`` checks the rest and the step count; ``save`` checks and
+        writes the rest and renames the file into place; ``discard``
+        removes it unless ``save`` has."""
+        trace = cls(instance=instance, capacity_bound=capacity_bound)
+        trace._out = open(path + ".tmp", "w")
+        trace._out.write(json.dumps(TRACE_HEADER) + "\n")
+        return trace
 
     @property
     def eviction_cost(self) -> float:
@@ -295,10 +325,11 @@ class PolicyTrace:
         return self.steps[-1].fetch_cost_cum if self.steps else 0.0
 
     def cache_at(self, t: int) -> frozenset[int]:
-        """Cache contents after step t; t=0 gives instance.initial_cache."""
+        """Cache contents after step t; t=0 gives instance.initial_cache.
+        An opened trace answers only for t = 0 and the steps it holds."""
         if t == 0:
             return self.instance.initial_cache
-        return self.steps[t - 1].cache
+        return self.steps[t - 1 - self._base].cache
 
     def step_cost(self, flushes, fetched) -> tuple[float, float]:
         """(eviction, fetching) cost of one step's flushes and fetched pages."""
@@ -309,10 +340,12 @@ class PolicyTrace:
 
     def record(self, flushed, cache) -> None:
         """Appends the next step from the blocks flushed at it and the cache
-        after it.  The step is one past the last, every flushed block is
-        flushed at it, and its fetched pages are those that entered the
-        cache; an unchanged cache shares the previous frozenset."""
-        t = len(self.steps) + 1
+        after it.  The step is one past the last recorded, every flushed
+        block is flushed at it, and its fetched pages are those that
+        entered the cache; an unchanged cache shares the previous frozenset.
+        An opened trace checks and writes its steps once TRACE_BATCH of
+        them are unwritten."""
+        t = self._base + len(self.steps) + 1
         prev = self.cache_at(t - 1)
         flushes = [(b, t) for b in sorted(flushed)]
         fetched = sorted(cache - prev)
@@ -329,6 +362,8 @@ class PolicyTrace:
                 fetch_cost_cum=self.fetching_cost + fetch,
             )
         )
+        if self._out is not None and t - self._written == TRACE_BATCH:
+            self._advance()
 
     def validate(self) -> None:
         """Raises ValueError at the first step that is out of place, leaves
@@ -342,17 +377,26 @@ class PolicyTrace:
         own step, and no block may be listed twice at one step.  Step 1
         starts from the instance's starting cache.  A step that shares the
         previous step's cache object changes no page, so its leave and
-        entry checks have nothing to find and are skipped.
+        entry checks have nothing to find and are skipped.  An opened trace
+        checked its written steps as it wrote them, so it checks the rest.
         """
-        inst = self.instance
-        if len(self.steps) != inst.T:
+        self._check_count(self._base + len(self.steps))
+        self._check(self._written + 1, *self._sums)
+
+    def _check_count(self, count: int) -> None:
+        if count != self.instance.T:
             raise ValueError(
                 "trace length does not match request sequence:"
-                f" {len(self.steps)} steps, T={inst.T}"
+                f" {count} steps, T={self.instance.T}"
             )
-        evict = fetch = 0.0
-        prev = inst.initial_cache
-        for i, step in enumerate(self.steps, 1):
+
+    def _check(self, start: int, evict: float, fetch: float) -> tuple[float, float]:
+        """``validate``'s checks on the held steps from step start on, given
+        the costs recomputed over the steps before it; returns the costs
+        recomputed over all of them."""
+        inst = self.instance
+        prev = self.cache_at(start - 1)
+        for i, step in enumerate(self.steps[start - 1 - self._base :], start):
             if step.t != i:
                 raise ValueError(f"step {i} is labelled t={step.t}")
             p = inst.request(step.t)
@@ -409,39 +453,66 @@ class PolicyTrace:
                     f"fetching cost mismatch at step {step.t}:"
                     f" recorded {step.fetch_cost_cum!r}, recomputed {fetch!r}"
                 )
+        return evict, fetch
+
+    def _lines(self, start: int) -> Iterator[dict]:
+        """The format-2 line of each held step from step start on: its
+        flushes, fetched and evicted pages and cumulative costs.  The
+        evicted pages are the cache before the step minus the cache after
+        it; a step that shares the previous cache evicts none."""
+        prev = self.cache_at(start - 1)
+        for step in self.steps[start - 1 - self._base :]:
+            evicted = [] if step.cache is prev else sorted(prev - step.cache)
+            prev = step.cache
+            yield {
+                "t": step.t,
+                "flushes": step.flushes,
+                "fetched": step.fetched,
+                "evicted": evicted,
+                "evict_cost_cum": round12(step.evict_cost_cum),
+                "fetch_cost_cum": round12(step.fetch_cost_cum),
+            }
+
+    def _advance(self) -> None:
+        """Runs ``validate``'s checks on the held steps not yet written,
+        writes their lines if the trace is opened on a file, and then holds
+        only the last step."""
+        start = self._written + 1
+        self._sums = self._check(start, *self._sums)
+        if self._out is not None:
+            self._out.writelines(json.dumps(line) + "\n" for line in self._lines(start))
+        self._written = self._base + len(self.steps)
+        del self.steps[:-1]
+        self._base = self._written - len(self.steps)
 
     def save(self, path: str) -> None:
         """Writes the format-2 file: the header line, then one line per step
-        with its flushes, fetched and evicted pages and cumulative costs.
-        The evicted pages are the cache before the step minus the cache
-        after it; a step that shares the previous cache evicts none."""
+        (see ``_lines``).  An opened trace checks and writes the steps it
+        has not yet written and renames its temporary file to path."""
+        if self._out is None:
+            write_jsonl(path, chain([TRACE_HEADER], self._lines(1)))
+            return
+        self._advance()
+        self._out.flush()
+        os.replace(self._out.name, path)
+        self._out.close()
 
-        def lines():
-            yield TRACE_HEADER
-            prev = self.instance.initial_cache
-            for step in self.steps:
-                evicted = [] if step.cache is prev else sorted(prev - step.cache)
-                prev = step.cache
-                yield {
-                    "t": step.t,
-                    "flushes": step.flushes,
-                    "fetched": step.fetched,
-                    "evicted": evicted,
-                    "evict_cost_cum": round12(step.evict_cost_cum),
-                    "fetch_cost_cum": round12(step.fetch_cost_cum),
-                }
+    def discard(self) -> None:
+        """Closes and removes an opened trace's temporary file, unless
+        ``save`` has renamed it into place."""
+        if self._out is not None and not self._out.closed:
+            self._out.close()
+            os.remove(self._out.name)
 
-        write_jsonl(path, lines())
-
-    @classmethod
-    def load(cls, path: str, instance: Instance, capacity_bound: int) -> "PolicyTrace":
-        """Reads a format-2 trace, rebuilding each step's cache from the one
-        before it (step 1's is ``instance.initial_cache``) as (cache minus
-        evicted) plus fetched; a step that fetches and evicts nothing shares
-        the previous frozenset, as ``record`` writes it.  A file without the
-        header, a line that is not a well-formed step of this instance, or a
-        step that evicts a page it fetches or a page not cached before it
-        raises InstanceError."""
+    @staticmethod
+    def read_steps(path: str, instance: Instance) -> Iterator[TraceStep]:
+        """Reads a format-2 trace one step at a time, rebuilding each step's
+        cache from the one before it (step 1's is ``instance.initial_cache``)
+        as (cache minus evicted) plus fetched; a step that fetches and
+        evicts nothing shares the previous frozenset, as ``record`` writes
+        it.  A file without the header, a line that is not a well-formed
+        step of this instance, or a step that evicts a page it fetches or a
+        page not cached before it raises InstanceError when it is read."""
         inst = instance
         prev = None  # the cache before the next step, once the header is read
 
@@ -483,10 +554,46 @@ class PolicyTrace:
                 fetch_cost_cum=rec["fetch_cost_cum"],
             )
 
-        steps = read_jsonl(path, parse)
+        lines = read_jsonl(path, parse)
+        next(lines, None)  # the header
+        yield from lines
         if prev is None:
             raise InstanceError(f"{path}: empty, not a trace")
-        return cls(instance=instance, capacity_bound=capacity_bound, steps=steps[1:])
+
+    @classmethod
+    def load(cls, path: str, instance: Instance, capacity_bound: int) -> "PolicyTrace":
+        """The trace of a format-2 file, every step of it (see ``read_steps``)."""
+        steps = list(cls.read_steps(path, instance))
+        return cls(instance=instance, capacity_bound=capacity_bound, steps=steps)
+
+    @classmethod
+    def check_file(cls, path: str, instance: Instance, capacity_bound: int) -> str | None:
+        """The message of the ValueError that ``validate`` raises on ``load(path,
+        instance, capacity_bound)``, or None when it passes; what ``load``
+        refuses raises InstanceError, as ``load`` does.  The steps are read
+        one at a time and checked in the batches of an opened trace, so at
+        most TRACE_BATCH + 1 are held.  After a batch fails, the rest of the
+        file is still read, so that a malformed line is refused and a wrong
+        step count reported first, as ``load`` and ``validate`` order them."""
+        trace = cls(instance=instance, capacity_bound=capacity_bound)
+        failure = None
+        count = 0
+        for count, step in enumerate(cls.read_steps(path, instance), 1):
+            if failure is not None:
+                continue
+            trace.steps.append(step)
+            if count - trace._written == TRACE_BATCH:
+                try:
+                    trace._advance()
+                except ValueError as exc:
+                    failure = str(exc)
+        try:
+            trace._check_count(count)
+            if failure is None:
+                trace.validate()
+        except ValueError as exc:
+            return str(exc)
+        return failure
 
 
 def gen_gap_instance(beta: int, rounds: int) -> Instance:

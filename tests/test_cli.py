@@ -335,9 +335,9 @@ def test_run_opt_fetch_on_gap_beta_5(tmp_path):
          "bicriteria-evict", "opt"],
 )
 def test_run_saves_no_trace_that_fails_validate(tmp_path, monkeypatch, alg, failing_seed):
-    # a trace that validate rejects is never written, nor is any other trace
-    # of the run or its summary; frac-round validates every seed's trace
-    # before it saves the first
+    # a trace that validate rejects is never written, nor is any other file
+    # of the run, det's certificate and its trace's temporary file among
+    # them; frac-round validates every seed's trace before it saves the first
     inst_path = gen_random_file(tmp_path)
     rounded = []
 
@@ -355,8 +355,22 @@ def test_run_saves_no_trace_that_fails_validate(tmp_path, monkeypatch, alg, fail
     with pytest.raises(ValueError, match="planted fault"):
         run_cli("run", "--instance", str(inst_path), "--alg", alg, *seeds,
                 "-o", str(tmp_path / alg))
-    assert not list(tmp_path.glob("*.trace.jsonl"))
-    assert not (tmp_path / f"{alg}.summary.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
+
+@pytest.mark.parametrize("alg", ["det", "frac"])
+def test_run_saves_nothing_when_the_dual_is_infeasible(tmp_path, monkeypatch, alg):
+    # the dual is checked before the certificate, frac's increment log and
+    # det's trace are written, so none of them is left behind
+    inst_path = gen_random_file(tmp_path)
+
+    def failing_check(ledger, inst):
+        raise AssertionError("planted fault")
+
+    monkeypatch.setattr(DualLedger, "check_feasible", failing_check)
+    with pytest.raises(AssertionError, match="planted fault"):
+        run_cli("run", "--instance", str(inst_path), "--alg", alg, "-o", str(tmp_path / alg))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
 
 
 def test_verify_requires_something(capsys):

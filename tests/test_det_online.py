@@ -272,3 +272,57 @@ def test_trace_matches_flush_set():
     for step in res.trace.steps:
         assert len(step.flushes) <= 1 and all(t == step.t for _b, t in step.flushes)
     assert res.primal_cost == sum(inst.costs[b] for b, _ in recorded)
+
+
+def test_dual_coefficient_is_always_one(monkeypatch):
+    # a starting cache holds at most k pages and a step adds at most one, so
+    # an overflow has |cache| = k + 1 and n - k - f_tau(S) = |cache| - k = 1:
+    # det prices at residual 1, every priced marginal is 1, and the
+    # candidates are exactly (B(q), r(q,tau) + 1) over the cached pages q
+    # other than the request; drawn over unit and log-uniform random
+    # instances and both beta-off directions, which start from a full cache
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    pricings = []
+
+    def recorded(ledger, latest, oracle, tau, residual):
+        candidates = priced_candidates(ledger, latest, oracle, tau, residual)
+        pricings.append((tau, residual, candidates))
+        return candidates
+
+    monkeypatch.setattr(det_online, "priced_candidates", recorded)
+
+    @st.composite
+    def instances(draw):
+        if draw(st.booleans()):
+            return gen_beta_off(
+                draw(st.integers(2, 3)), draw(st.integers(1, 2)),
+                draw(st.sampled_from(["evict-heavy", "fetch-heavy"])),
+            )
+        n = draw(st.integers(2, 10))
+        k = draw(st.integers(1, n - 1))
+        return gen_random(
+            n, k, draw(st.integers(1, k)), draw(st.integers(1, 30)),
+            cost_profile=draw(st.sampled_from(["unit", "log-uniform"])), delta=8.0,
+            seed=draw(st.integers(0, 2**16)),
+        )
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(instances())
+    def check(inst):
+        pricings.clear()
+        res = run_deterministic(inst)
+        index = RequestIndex(inst)
+        # one pricing per overflow, and det flushes once at each
+        assert len(pricings) == sum(1 for step in res.trace.steps if step.flushes)
+        assert all(r.coefficient == 1 for r in res.ledger.records)
+        for tau, residual, candidates in pricings:
+            p = inst.request(tau)
+            cache = res.trace.cache_at(tau - 1) | {p}
+            assert len(cache) == inst.k + 1 and residual == 1
+            assert all(m == 1 for _fl, m, _A, _c in candidates)
+            assert {fl for fl, *_ in candidates} == {
+                (inst.block_of(q), index.last_request(q, tau) + 1) for q in cache - {p}
+            }
+
+    check()
