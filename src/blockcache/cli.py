@@ -213,7 +213,7 @@ def cmd_run(args) -> int:
             trace.validate()
         # every check has passed: only now is any file written
         if args.alg in ("det", "frac"):
-            write_json(prefix + ".cert.json", res.ledger.certificate())
+            res.ledger.write_certificate(prefix + ".cert.json")
         if args.alg == "frac":
             res.solution.save_increments(prefix + ".increments.jsonl")
         if trace is not None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 from .instance import Instance, PolicyTrace, RequestIndex, round12
@@ -52,20 +53,33 @@ class DualLedger:
                     f"dual constraint of block {b} overshot: {a} > {instance.costs[b]}"
                 )
 
-    def certificate(self) -> dict:
-        """The dual solution: its records, its objective and the mass of
-        each flush that gained any.  The costs c_B are the instance's."""
-        return {
-            "records": [
-                {"tau": r.tau, "coefficient": r.coefficient, "y": round12(r.y)}
-                for r in self.records
-            ],
-            "dual_objective": round12(self.objective),
-            "mass": [
-                {"block": b, "t": t, "mass": round12(a)}
-                for (b, t), a in sorted(self.mass.items())
-            ],
-        }
+    def write_certificate(self, path: str) -> None:
+        """Writes the dual solution as one JSON line: its records, its
+        objective and the mass of each flush that gained any, in flush
+        order.  The costs c_B are the instance's.  The file is written one
+        entry at a time, so no document is built; its bytes are those of
+        ``json.dumps`` of the whole document, with its default separators."""
+        records = (
+            json.dumps({"tau": r.tau, "coefficient": r.coefficient, "y": round12(r.y)})
+            for r in self.records
+        )
+        masses = (
+            json.dumps({"block": b, "t": t, "mass": round12(self.mass[b, t])})
+            for b, t in sorted(self.mass)
+        )
+        with open(path, "w") as fh:
+            fh.write('{"records": [')
+            _write_joined(fh, records)
+            fh.write(f'], "dual_objective": {json.dumps(round12(self.objective))}, "mass": [')
+            _write_joined(fh, masses)
+            fh.write("]}\n")
+
+
+def _write_joined(fh, entries) -> None:
+    """Writes the entries separated by ", ", as ``json.dumps`` separates
+    the items of a list."""
+    for i, entry in enumerate(entries):
+        fh.write(", " + entry if i else entry)
 
 
 @dataclass

@@ -6,7 +6,7 @@ import json
 import math
 import os
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -199,7 +199,7 @@ class Instance:
 
 class RequestIndex:
     """Materialized last-request table r(p,t), and per block the sorted last
-    requests of its pages after each step that requests one of them.
+    requests of its pages at a queried t.
 
     A page of the starting cache counts as requested at time 0: r(p,t) = 0
     until its first request, so evicting it takes a flush (B, 1) or later.
@@ -208,9 +208,14 @@ class RequestIndex:
     ``block_last_requests`` writes a never-requested page as -1, below every
     flush time: a flush at t makes a page with last request r missing
     exactly when r < t, so the coverage queries count pages with a bisect.
-    Each block's row is kept at the last t it was asked about, so a run of
-    queries at one t looks each row up once; the index never changes after
-    construction, so a kept row is always the row at its t.
+
+    Each block keeps one row, the one at the last t it was asked about,
+    with the position in the block's request steps that the row has
+    reached: the row holds from that step until the block's next request.
+    A query past that request advances the row through the block's
+    requests up to t, and a query before the step rebuilds it from its
+    pages' request times.  So queries at rising t, as every online run
+    makes them, update a row once per request to its block.
     """
 
     def __init__(self, instance: Instance):
@@ -218,23 +223,27 @@ class RequestIndex:
         self._times: dict[int, list[int]] = {p: [] for p in range(1, instance.n + 1)}
         for p in instance.initial_cache:
             self._times[p].append(0)
-        # per block: step 0 and each step requesting one of its pages, and
-        # the block's sorted last requests after each of them
-        self._block_steps: list[list[int]] = [[0] for _ in instance.blocks]
-        self._block_rs: list[list[tuple[int, ...]]] = [
-            [tuple(sorted(0 if self._times[p] else -1 for p in blk))] for blk in instance.blocks
-        ]
+        # per block: step 0, each step requesting one of its pages, and an
+        # end past every step
+        self._block_steps: list[list[int | float]] = [[0] for _ in instance.blocks]
         for t, p in enumerate(instance.requests, start=1):
-            times = self._times[p]
-            b = instance.block_of(p)
-            rs = list(self._block_rs[b][-1])
-            rs.remove(times[-1] if times else -1)
-            rs.append(t)  # t is the block's latest request: rs stays sorted
-            self._block_steps[b].append(t)
-            self._block_rs[b].append(tuple(rs))
-            times.append(t)
-        # per block: (t, row) of the last block_last_requests query
-        self._rows: list[tuple[int, tuple[int, ...]]] = [(0, rs[0]) for rs in self._block_rs]
+            self._times[p].append(t)
+            self._block_steps[instance.block_of(p)].append(t)
+        for steps in self._block_steps:
+            steps.append(math.inf)
+        # per block: (row, i), the row taking in the block's steps up to
+        # _block_steps[b][i], so that it is the row at every t from that
+        # step to the next
+        self._rows: list[tuple[tuple[int, ...], int]] = [
+            (self._row(b, 0), 0) for b in range(instance.num_blocks)
+        ]
+
+    def _row(self, block: int, t: int) -> tuple[int, ...]:
+        """The block's sorted r(p,t), read off its pages' request times."""
+        return tuple(sorted(
+            -1 if (r := self.last_request(p, t)) is None else r
+            for p in self.instance.blocks[block]
+        ))
 
     def last_request(self, p: int, t: int) -> int | None:
         """r(p,t): last time <= t at which p was requested, or None."""
@@ -245,10 +254,26 @@ class RequestIndex:
     def block_last_requests(self, block: int, t: int) -> tuple[int, ...]:
         """The sorted r(p,t) over the block's pages, -1 for a page not
         requested by t."""
-        kept_t, row = self._rows[block]
-        if kept_t != t:
-            row = self._block_rs[block][bisect_right(self._block_steps[block], t) - 1]
-            self._rows[block] = (t, row)
+        row, i = self._rows[block]
+        steps = self._block_steps[block]
+        if steps[i] <= t < steps[i + 1]:
+            return row
+        if t < steps[i]:
+            i = bisect_right(steps, t) - 1
+            row = self._row(block, t)
+        else:
+            # each request moves its page's last request from the one before
+            # it to the request's step, the block's latest, so appending
+            # keeps the row sorted
+            rs = list(row)
+            while steps[i + 1] <= t:
+                i += 1
+                times = self._times[self.instance.requests[steps[i] - 1]]
+                before = bisect_left(times, steps[i])
+                rs.remove(times[before - 1] if before else -1)
+                rs.append(steps[i])
+            row = tuple(rs)
+        self._rows[block] = (row, i)
         return row
 
     def alive_flushes(self, tau: int) -> list[tuple[int, int]]:

@@ -7,7 +7,7 @@ from blockcache import det_online, frac_online
 from blockcache.det_online import (
     DUAL_EPS, DualLedger, first_tight, next_tight_increase, priced_candidates, run_deterministic
 )
-from blockcache.instance import Instance, RequestIndex, gen_beta_off, gen_random, write_json
+from blockcache.instance import Instance, RequestIndex, gen_beta_off, gen_random, round12
 from blockcache.oracle import opt_eviction
 from blockcache.submodular import CoverageOracle
 
@@ -211,7 +211,7 @@ def test_certificate_file(tmp_path):
     inst = gen_random(6, 3, 2, 10, seed=2)
     res = run_and_check(inst)
     path = tmp_path / "cert.json"
-    write_json(str(path), res.ledger.certificate())
+    res.ledger.write_certificate(str(path))
     doc = json.loads(path.read_text())
     # only the positive dual: no zero raise, no copied cost, no primal cost
     assert "primal_cost" not in doc
@@ -222,7 +222,7 @@ def test_certificate_file(tmp_path):
         assert rec["mass"] <= inst.costs[rec["block"]] + 1e-9
 
 
-def test_certificate_holds_the_positive_dual_only(monkeypatch):
+def test_certificate_holds_the_positive_dual_only(monkeypatch, tmp_path):
     # on tiny det and frac runs, both cost profiles, with and without a
     # starting cache: no record of a zero raise, no mass entry without mass,
     # no copy of a cost; keeping the zero raises, as the reference ledger
@@ -246,7 +246,8 @@ def test_certificate_holds_the_positive_dual_only(monkeypatch):
     @hypothesis.given(instances(), st.sampled_from([run_deterministic, frac_online.run_fractional]))
     def check(inst, run):
         res = run(inst)
-        doc = res.ledger.certificate()
+        res.ledger.write_certificate(str(tmp_path / "cert.json"))
+        doc = json.loads((tmp_path / "cert.json").read_text())
         assert set(doc) == {"records", "dual_objective", "mass"}
         assert all(rec["y"] > 0 for rec in doc["records"])
         for entry in doc["mass"]:
@@ -260,6 +261,49 @@ def test_certificate_holds_the_positive_dual_only(monkeypatch):
         assert res.ledger.mass == {fl: a for fl, a in ref.ledger.mass.items() if a > 0.0}
 
     check()
+
+
+def test_streamed_certificate_is_the_dumped_document(tmp_path):
+    # property: write_certificate, which writes one entry at a time, writes
+    # the bytes of json.dumps of the whole document, built here from the
+    # ledger: det and frac runs, and a ledger with no records
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    path = tmp_path / "cert.json"
+
+    def check_ledger(ledger):
+        doc = {
+            "records": [
+                {"tau": r.tau, "coefficient": r.coefficient, "y": round12(r.y)}
+                for r in ledger.records
+            ],
+            "dual_objective": round12(ledger.objective),
+            "mass": [
+                {"block": b, "t": t, "mass": round12(a)}
+                for (b, t), a in sorted(ledger.mass.items())
+            ],
+        }
+        ledger.write_certificate(str(path))
+        assert path.read_text() == json.dumps(doc) + "\n"
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(
+        st.integers(2, 9), st.data(), st.integers(0, 2**16),
+        st.sampled_from([run_deterministic, frac_online.run_fractional]),
+    )
+    def check(n, data, seed, run):
+        k = data.draw(st.integers(1, n - 1))
+        profile = data.draw(st.sampled_from(["unit", "log-uniform"]))
+        inst = gen_random(
+            n, k, data.draw(st.integers(1, k)), data.draw(st.integers(1, 20)),
+            cost_profile=profile, delta=10.0, seed=seed,
+        )
+        check_ledger(run(inst).ledger)
+
+    check()
+    empty = DualLedger()
+    check_ledger(empty)
+    assert path.read_text() == '{"records": [], "dual_objective": 0.0, "mass": []}\n'
 
 
 def test_trace_matches_flush_set():

@@ -133,6 +133,50 @@ def test_block_rows_kept_across_queries_match_a_fresh_index():
     check()
 
 
+def test_block_rows_follow_any_query_order():
+    # property: a block's row is advanced through its requests when t goes
+    # forward and rebuilt when t goes back; under any sequence of forward,
+    # repeated and backward queries, with a starting cache so that r = 0
+    # repeats, every row is the block's sorted last requests at t by their
+    # definition, and last_request answers by its definition too
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # a move goes forward, stays or goes back, and queries every block (-1)
+    # or one, so that blocks keep rows at different t
+    moves = st.tuples(
+        st.sampled_from(["forward", "repeat", "backward"]), st.integers(1, 6), st.integers(-1, 7)
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.integers(1, 8), st.data(), st.integers(0, 2**16))
+    def check(n, data, seed):
+        k = data.draw(st.integers(1, n))
+        inst = gen_random(n, k, data.draw(st.integers(1, k)), data.draw(st.integers(1, 16)),
+                          seed=seed)
+        cached = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=k, unique=True))
+        inst = dataclasses.replace(inst, initial_cache=frozenset(cached))
+
+        def last(p, t):
+            asked = [s for s in range(1, t + 1) if s <= inst.T and inst.request(s) == p]
+            return asked[-1] if asked else (0 if p in inst.initial_cache else None)
+
+        index = RequestIndex(inst)
+        t = 0
+        for kind, step, which in data.draw(st.lists(moves, min_size=1, max_size=20)):
+            if kind == "forward":
+                t = min(t + step, inst.T + 1)
+            elif kind == "backward":
+                t = max(t - step, 0)
+            queried = range(inst.num_blocks) if which < 0 else [which % inst.num_blocks]
+            for b in queried:
+                blk = inst.blocks[b]
+                expected = tuple(sorted(-1 if (r := last(p, t)) is None else r for p in blk))
+                assert index.block_last_requests(b, t) == expected
+            assert all(index.last_request(p, t) == last(p, t) for p in range(1, n + 1))
+
+    check()
+
+
 def test_alive_flushes():
     inst = Instance(
         n=2, k=2, blocks=((1, 2),), costs=(1.0,), requests=(1, 2)

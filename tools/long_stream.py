@@ -11,7 +11,10 @@ tool prints one Markdown table row per T: the wall time and peak resident
 set size of the ``run`` and the ``verify`` child, read from ``os.wait4``'s
 resource usage of that child alone, and the sizes of the trace and the
 certificate.  A child that exits nonzero is reported with its output, and
-the tool then exits 1.
+the tool then exits 1.  A child's peak RSS as ``os.wait4`` reports it is
+at least the RSS of the process that started it, so run the tool as its
+own process: ``child`` called from a larger one, such as a test runner,
+reads that process's size instead.
 """
 
 from __future__ import annotations
