@@ -6,7 +6,6 @@ import json
 import math
 import os
 import random
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -198,8 +197,9 @@ class Instance:
 
 
 class RequestIndex:
-    """Materialized last-request table r(p,t), and per block the sorted last
-    requests of its pages at a queried t.
+    """A cursor over the request stream: the last request r(p,t) of every
+    page, and per block the sorted last requests of its pages, at the step t
+    it has reached.
 
     A page of the starting cache counts as requested at time 0: r(p,t) = 0
     until its first request, so evicting it takes a flush (B, 1) or later.
@@ -209,72 +209,59 @@ class RequestIndex:
     flush time: a flush at t makes a page with last request r missing
     exactly when r < t, so the coverage queries count pages with a bisect.
 
-    Each block keeps one row, the one at the last t it was asked about,
-    with the position in the block's request steps that the row has
-    reached: the row holds from that step until the block's next request.
-    A query past that request advances the row through the block's
-    requests up to t, and a query before the step rebuilds it from its
-    pages' request times.  So queries at rising t, as every online run
-    makes them, update a row once per request to its block.
+    A query at a later t >= 0 takes in the requests up to t one at a time,
+    and one at an earlier t starts again from step 0; a query past T reads
+    the rows at T.  So queries at rising t, as every online run makes them,
+    take in each request once and read none after the step asked, and the
+    index holds n + 1 last requests and one row per block, nothing per
+    request.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
-        self._times: dict[int, list[int]] = {p: [] for p in range(1, instance.n + 1)}
-        for p in instance.initial_cache:
-            self._times[p].append(0)
-        # per block: step 0, each step requesting one of its pages, and an
-        # end past every step
-        self._block_steps: list[list[int | float]] = [[0] for _ in instance.blocks]
-        for t, p in enumerate(instance.requests, start=1):
-            self._times[p].append(t)
-            self._block_steps[instance.block_of(p)].append(t)
-        for steps in self._block_steps:
-            steps.append(math.inf)
-        # per block: (row, i), the row taking in the block's steps up to
-        # _block_steps[b][i], so that it is the row at every t from that
-        # step to the next
-        self._rows: list[tuple[tuple[int, ...], int]] = [
-            (self._row(b, 0), 0) for b in range(instance.num_blocks)
-        ]
+        self._start()
 
-    def _row(self, block: int, t: int) -> tuple[int, ...]:
-        """The block's sorted r(p,t), read off its pages' request times."""
-        return tuple(sorted(
-            -1 if (r := self.last_request(p, t)) is None else r
-            for p in self.instance.blocks[block]
-        ))
+    def _start(self) -> None:
+        """Puts the cursor at step 0."""
+        inst = self.instance
+        self._t = 0
+        self._last = [-1] * (inst.n + 1)
+        for p in inst.initial_cache:
+            self._last[p] = 0
+        self._rows = [tuple(sorted(self._last[p] for p in blk)) for blk in inst.blocks]
+
+    def _seek(self, t: int) -> None:
+        """Moves the cursor to step min(t, T)."""
+        inst = self.instance
+        t = min(t, inst.T)
+        if t < self._t:
+            self._start()
+        last, rows, block_of = self._last, self._rows, inst.block_of
+        for s in range(self._t + 1, t + 1):
+            # the request moves its page's last request from the one before
+            # it to s, the latest in its block, so appending keeps the row
+            # sorted
+            p = inst.requests[s - 1]
+            b = block_of(p)
+            row = rows[b]
+            i = row.index(last[p])
+            rows[b] = row[:i] + row[i + 1:] + (s,)
+            last[p] = s
+        self._t = t
 
     def last_request(self, p: int, t: int) -> int | None:
         """r(p,t): last time <= t at which p was requested, or None."""
-        times = self._times[p]
-        i = bisect_right(times, t)
-        return times[i - 1] if i else None
+        if t != self._t:
+            self._seek(t)
+        r = self._last[p]
+        return None if r < 0 else r
 
     def block_last_requests(self, block: int, t: int) -> tuple[int, ...]:
         """The sorted r(p,t) over the block's pages, -1 for a page not
         requested by t."""
-        row, i = self._rows[block]
-        steps = self._block_steps[block]
-        if steps[i] <= t < steps[i + 1]:
-            return row
-        if t < steps[i]:
-            i = bisect_right(steps, t) - 1
-            row = self._row(block, t)
-        else:
-            # each request moves its page's last request from the one before
-            # it to the request's step, the block's latest, so appending
-            # keeps the row sorted
-            rs = list(row)
-            while steps[i + 1] <= t:
-                i += 1
-                times = self._times[self.instance.requests[steps[i] - 1]]
-                before = bisect_left(times, steps[i])
-                rs.remove(times[before - 1] if before else -1)
-                rs.append(steps[i])
-            row = tuple(rs)
-        self._rows[block] = (row, i)
-        return row
+        if t != self._t:
+            self._seek(t)
+        return self._rows[block]
 
     def alive_flushes(self, tau: int) -> list[tuple[int, int]]:
         """All flushes (block, t) with t = r(p,tau)+1 <= tau for some page p,

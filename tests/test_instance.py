@@ -106,9 +106,9 @@ def test_starting_page_counts_as_requested_at_time_0():
 
 
 def test_block_rows_kept_across_queries_match_a_fresh_index():
-    # property: the index keeps each block's row at the last t it was asked
-    # about; any interleaving of queries (repeats, t going backwards, every
-    # block) answers what a fresh index answers
+    # property: the index keeps each block's row at the step its cursor has
+    # reached; any interleaving of queries (repeats, t going backwards, past
+    # T, every block) answers what a fresh index answers
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -134,11 +134,12 @@ def test_block_rows_kept_across_queries_match_a_fresh_index():
 
 
 def test_block_rows_follow_any_query_order():
-    # property: a block's row is advanced through its requests when t goes
-    # forward and rebuilt when t goes back; under any sequence of forward,
-    # repeated and backward queries, with a starting cache so that r = 0
-    # repeats, every row is the block's sorted last requests at t by their
-    # definition, and last_request answers by its definition too
+    # property: the cursor takes in the requests up to t when t goes
+    # forward and starts again from step 0 when t goes back; under any
+    # sequence of forward, repeated and backward queries, with a starting
+    # cache so that r = 0 repeats, every row is the block's sorted last
+    # requests at t by their definition, and last_request answers by its
+    # definition too
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     # a move goes forward, stays or goes back, and queries every block (-1)

@@ -9,12 +9,13 @@ import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "long_stream.py"
-# `run --alg det`'s peak RSS grows about 135 bytes per step from T = 3,000 to
-# 24,000 (the request times and the ledger's masses; 2-core VM, Python
-# 3.11).  A stored row per request in the request index made it 213, and the
-# certificate built as one document before it is written 265, so this bound
-# catches either with room for the few bytes per step that runs differ by
-DET_RSS_BYTES_PER_STEP = 180
+# `run --alg det`'s peak RSS grows by 90-95 bytes per step from T = 3,000 to
+# 24,000 on Python 3.10, 90-105 on 3.11 and 110-115 on 3.12 (the instance
+# and the ledger's masses; 2-core VM, three or more runs each, read to the
+# tool's 0.1 MB, which is 5 bytes per step).  A request index that stores
+# the request times made it 145, 140-145 and 130-135, so this bound lies
+# between the two on each version
+DET_RSS_BYTES_PER_STEP = 122
 
 
 def test_long_stream_reports_both_commands():

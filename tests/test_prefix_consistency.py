@@ -1,10 +1,11 @@
 """Prefix consistency: an online policy decides step t from requests 1..t
 alone, so its run on the instance cut to the first T' requests is its run
 on the whole instance up to T'.  For det that is every trace step and every
-dual record with tau <= T'; for frac, every increment with tau <= T'.  A
-policy that reads a request past the current step changes some output at
-some cut, so the check is exact: the offline eviction DP, which reads the
-whole stream, fails it."""
+dual record with tau <= T'; for frac, every increment with tau <= T', and
+for its rounding every structured increment and every step of the rounded
+trace with tau <= T'.  A policy that reads a request past the current step
+changes some output at some cut, so the check is exact: the offline
+eviction and fetching DPs, which read the whole stream, fail it."""
 
 import dataclasses
 
@@ -13,7 +14,8 @@ import pytest
 from blockcache.det_online import run_deterministic
 from blockcache.frac_online import run_fractional
 from blockcache.instance import gen_random
-from blockcache.oracle import opt_eviction
+from blockcache.oracle import opt_eviction, opt_fetching
+from blockcache.rounding import randomized_round, structure_stream
 
 
 def det_outputs(inst):
@@ -21,12 +23,20 @@ def det_outputs(inst):
     return [(s.t, s) for s in res.trace.steps], [(r.tau, r) for r in res.ledger.records]
 
 
-def frac_outputs(inst):
-    return ([(inc.tau, inc) for inc in run_fractional(inst).solution.increments],)
+def frac_outputs(inst, seed):
+    """frac's raw increments, the structured ones and the steps of the
+    trace rounded from them at seed."""
+    raw = run_fractional(inst).solution.increments
+    stream = structure_stream(raw, inst)
+    return (
+        [(inc.tau, inc) for inc in raw],
+        [(inc.tau, inc) for inc in stream.increments],
+        [(s.t, s) for s in randomized_round(stream, seed).steps],
+    )
 
 
-def opt_outputs(inst):
-    return ([(s.t, s) for s in opt_eviction(inst)[1].steps],)
+def offline_outputs(dp):
+    return lambda inst: ([(s.t, s) for s in dp(inst)[1].steps],)
 
 
 def inconsistent_cuts(outputs, inst) -> list[int]:
@@ -43,8 +53,11 @@ def inconsistent_cuts(outputs, inst) -> list[int]:
 
 def test_det_and_frac_are_prefix_consistent():
     # property: at every cut of a gen_random instance, both cost profiles,
-    # with a starting cache, det's steps and records and frac's increments
-    # up to the cut are those of the whole run
+    # with a starting cache, det's steps and records, frac's increments, and
+    # the structured increments and rounded steps at a drawn seed, up to
+    # the cut are those of the whole run.  The structuring sweep builds row t
+    # of x only once it has passed step t, so it reads the index a step
+    # behind the sweep
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -60,11 +73,15 @@ def test_det_and_frac_are_prefix_consistent():
         cached = data.draw(st.lists(st.integers(1, n), max_size=k, unique=True))
         inst = dataclasses.replace(inst, initial_cache=frozenset(cached))
         assert inconsistent_cuts(det_outputs, inst) == []
-        assert inconsistent_cuts(frac_outputs, inst) == []
+        round_seed = data.draw(st.integers(0, 2**16))
+        assert inconsistent_cuts(lambda cut: frac_outputs(cut, round_seed), inst) == []
 
     check()
 
 
 def test_the_offline_dp_fails_prefix_consistency():
-    # negative control: the eviction DP plans for requests past the cut
-    assert inconsistent_cuts(opt_outputs, gen_random(8, 4, 2, 12, seed=1)) != []
+    # negative control: the eviction and fetching DPs plan for requests
+    # past the cut
+    inst = gen_random(8, 4, 2, 12, seed=1)
+    for dp in (opt_eviction, opt_fetching):
+        assert inconsistent_cuts(offline_outputs(dp), inst) != [], dp.__name__
