@@ -207,7 +207,7 @@ def cmd_run(args) -> int:
                 else:
                     trace = bicriteria_round_evict(trace_to_x_mean(traces), inst)
                     cost = trace.eviction_cost
-                summary.update(cost=round12(cost), space_bound=2 * inst.k)
+                summary.update(cost=round12(cost), space_bound=trace.capacity_bound)
                 ok = True
         if trace is not None:
             trace.validate()

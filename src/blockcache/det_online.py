@@ -47,10 +47,11 @@ class DualLedger:
             self.mass[flush] = self.mass.get(flush, 0.0) + rate * dy
 
     def check_feasible(self, instance: Instance) -> None:
-        for (b, _t), a in self.mass.items():
-            if a > instance.costs[b] + DUAL_EPS:
+        for (b, t), a in self.mass.items():
+            c = instance.costs[b]
+            if a > c + DUAL_EPS:
                 raise AssertionError(
-                    f"dual constraint of block {b} overshot: {a} > {instance.costs[b]}"
+                    f"dual constraint of flush {(b, t)} overshot: mass {a} > c_B {c} by {a - c}"
                 )
 
     def write_certificate(self, path: str) -> None:

@@ -320,9 +320,9 @@ class PolicyTrace:
         that it holds at most TRACE_BATCH + 1 steps: once TRACE_BATCH steps
         are unwritten, it runs ``validate``'s checks on them, writes their
         lines to the temporary file path + ".tmp" and keeps only the last.
-        ``validate`` checks the rest and the step count; ``save`` checks and
-        writes the rest and renames the file into place; ``discard``
-        removes it unless ``save`` has."""
+        ``validate`` checks the step count and checks and writes the rest;
+        ``save`` checks and writes what ``validate`` has not and renames the
+        file into place; ``discard`` removes it unless ``save`` has."""
         trace = cls(instance=instance, capacity_bound=capacity_bound)
         trace._out = open(path + ".tmp", "w")
         trace._out.write(json.dumps(TRACE_HEADER) + "\n")
@@ -390,10 +390,15 @@ class PolicyTrace:
         starts from the instance's starting cache.  A step that shares the
         previous step's cache object changes no page, so its leave and
         entry checks have nothing to find and are skipped.  An opened trace
-        checked its written steps as it wrote them, so it checks the rest.
+        checked its written steps as it wrote them, so it checks and writes
+        the rest, and ``save`` then only renames its file; any other trace
+        is left as it was.
         """
         self._check_count(self._base + len(self.steps))
-        self._check(self._written + 1, *self._sums)
+        if self._out is None:
+            self._check(self._written + 1, *self._sums)
+        else:
+            self._advance()
 
     def _check_count(self, count: int) -> None:
         if count != self.instance.T:
@@ -500,7 +505,8 @@ class PolicyTrace:
     def save(self, path: str) -> None:
         """Writes the format-2 file: the header line, then one line per step
         (see ``_lines``).  An opened trace checks and writes the steps it
-        has not yet written and renames its temporary file to path."""
+        has not yet written, none after ``validate``, and renames its
+        temporary file to path."""
         if self._out is None:
             write_jsonl(path, chain([TRACE_HEADER], self._lines(1)))
             return

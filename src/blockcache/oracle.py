@@ -3,6 +3,7 @@ the naive LP checker."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -250,11 +251,8 @@ def trace_to_x_mean(traces: list[PolicyTrace]) -> list[list]:
     N = len(traces)
     x: list[list] = []
     for t in range(instance.T + 1):
-        row = [None]
-        for p in range(1, instance.n + 1):
-            present = sum(1 for tr in traces if p in tr.cache_at(t))
-            row.append(1.0 - present / N)
-        x.append(row)
+        present = Counter(p for tr in traces for p in tr.cache_at(t))
+        x.append([None] + [1.0 - present[p] / N for p in range(1, instance.n + 1)])
     return x
 
 

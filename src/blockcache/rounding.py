@@ -17,13 +17,12 @@ from .oracle import (
     naive_lp_check,
     trace_to_x_mean,
 )
-from .submodular import CoverageOracle, Flush
+from .submodular import Flush
 
 FULL_EPS = 1e-12  # a capped window sum this close to 1 is fully missing, not crossing 1/2
 # a block's bound on its open values and a page's window sum add the same
 # increments in different orders, so the sum may exceed the bound by rounding
 CROSSING_SLACK = 1e-9
-ENSEMBLE_EPS = 1e-6  # rounded <= 2 * mean fetch: float sums over T steps in other orders
 
 
 def gamma_for(instance: Instance) -> float:
@@ -66,7 +65,9 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
     reaches 1/2, per-block bucketing of small mass with threshold 1/(4k^2),
     and a final doubling capped at 1 on emission.
 
-    The sweep reads a block's values only where they can have changed.
+    The sweep reads a block's values only where they can have changed, from
+    one request index at steps that never fall, so the index's cursor takes
+    in each request once.
 
     *Crossing checks.*  Each block keeps ``open_bound``, an upper bound on
     its half-rounded values that are still below 1 - FULL_EPS.  Every
@@ -95,7 +96,7 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
     those at t - 1 unless one of its pages is requested at t.  Row t is row
     t - 1 with those two kinds of blocks read again; row 0 is read whole.
     """
-    oracle = CoverageOracle(instance, RequestIndex(instance))
+    index = RequestIndex(instance)
     k = instance.k
     threshold = 1.0 / (4.0 * k * k)
 
@@ -116,7 +117,7 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
                 changed = {instance.block_of(instance.request(t))}
                 changed.update(b for b, _s in stream.by_step.get(t, ()))
             for b in changed:
-                for p, xv in zip(instance.blocks[b], stream.phi.x(oracle, b, t)):
+                for p, xv in zip(instance.blocks[b], stream.phi.x(index, b, t)):
                     row[p] = xv
             stream.x.append(row)
 
@@ -162,7 +163,7 @@ def structure_stream(raw_increments, instance: Instance) -> StructuredStream:
         # crossing check for the touched block's pages, when one can cross
         if open_bound[b] >= 0.5 - CROSSING_SLACK:
             open_bound[b] = max(
-                (xv for xv in half.x(oracle, b, tau) if xv < 1.0 - FULL_EPS), default=0.0
+                (xv for xv in half.x(index, b, tau) if xv < 1.0 - FULL_EPS), default=0.0
             )
             if open_bound[b] >= 0.5:
                 complete(tau, (b, tau))
@@ -242,7 +243,7 @@ def _threshold_round(x: list[list], instance: Instance, sigma: int) -> PolicyTra
             else:
                 cache.add(p_t)
         assert p_t in cache
-        assert len(cache) <= 2 * instance.k
+        assert len(cache) <= trace.capacity_bound
         trace.record({instance.block_of(p) for p in evicted}, cache)
     return trace
 
@@ -263,11 +264,20 @@ def bicriteria_round_evict(x: list[list], instance: Instance) -> PolicyTrace:
 
 
 def derandomize_ensemble(traces: list[PolicyTrace]) -> PolicyTrace:
-    """Averages ensemble cache indicators into a fractional trajectory and
-    threshold-rounds it; cost at most twice the ensemble mean fetching cost."""
+    """Averages ensemble cache indicators into a fractional trajectory x and
+    threshold-rounds it.  The rounded trace costs at most twice the
+    ensemble's mean fetching cost: ``bicriteria_round_fetch`` asserts that
+    it costs at most 2 F(x) + COST_EPS, where F(x) is x's fetching cost, and
+    F(x) is at most the mean.
+
+    Proof: F(x) sums, over steps t and blocks B, c_B times the largest drop
+    x[t-1][p] - x[t][p] over the pages p of B.  x[t][p] is the share of the
+    N traces without p after step t, so p's drop at t is at most the share
+    of traces that hold p after t but not after t - 1.  ``record`` lists
+    every page that enters a cache as fetched, so each of those traces
+    fetched a page of B at t and pays c_B for it.  Summed over t and B,
+    that is at most the mean fetching cost, up to float error in the sums.
+    """
     if not traces:
         raise ValueError("empty ensemble")
-    out = bicriteria_round_fetch(trace_to_x_mean(traces), traces[0].instance)
-    mean_fetch = sum(tr.fetching_cost for tr in traces) / len(traces)
-    assert out.fetching_cost <= 2.0 * mean_fetch + ENSEMBLE_EPS
-    return out
+    return bicriteria_round_fetch(trace_to_x_mean(traces), traces[0].instance)

@@ -245,7 +245,7 @@ class PhiView(dict):
             insort(self._by_block[flush[0]], flush[1])
         self[flush] = cur + delta
 
-    def x(self, oracle: CoverageOracle, block: int, t: int) -> list[float]:
+    def x(self, index: RequestIndex, block: int, t: int) -> list[float]:
         """The block's missing values at t, in block order: 1.0 for a page
         not requested by t, else phi summed over the block's flush times
         after the page's last request and up to t, in time order, capped
@@ -253,9 +253,9 @@ class PhiView(dict):
         times = self._by_block[block]
         j = bisect_right(times, t)
         values = [self[(block, s)] for s in times[:j]]
-        last_request = oracle.index.last_request
+        last_request = index.last_request
         return [
             1.0 if (r := last_request(p, t)) is None
             else min(1.0, sum(values[bisect_right(times, r, 0, j):]))
-            for p in oracle.instance.blocks[block]
+            for p in index.instance.blocks[block]
         ]

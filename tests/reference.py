@@ -518,7 +518,7 @@ def structure_stream_reference(raw_increments, instance: Instance) -> Structured
     reaches 1/2, per-block bucketing of small mass with threshold 1/(4k^2),
     and a final doubling capped at 1 on emission.
     """
-    oracle = CoverageOracle(instance, RequestIndex(instance))
+    index = RequestIndex(instance)
     k = instance.k
     threshold = 1.0 / (4.0 * k * k)
 
@@ -532,7 +532,7 @@ def structure_stream_reference(raw_increments, instance: Instance) -> Structured
         for t in range(len(stream.x), upto + 1):
             row = [None] * (instance.n + 1)
             for b, blk in enumerate(instance.blocks):
-                for p, xv in zip(blk, stream.phi.x(oracle, b, t)):
+                for p, xv in zip(blk, stream.phi.x(index, b, t)):
                     row[p] = xv
             stream.x.append(row)
 
@@ -575,7 +575,7 @@ def structure_stream_reference(raw_increments, instance: Instance) -> Structured
                     else:
                         emit(tau, (b, tau), value)
         # crossing check for the touched block's pages
-        if any(0.5 <= xv < 1.0 - FULL_EPS for xv in half.x(oracle, b, tau)):
+        if any(0.5 <= xv < 1.0 - FULL_EPS for xv in half.x(index, b, tau)):
             complete(tau, (b, tau))
     add_rows(instance.T)
     return stream

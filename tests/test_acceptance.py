@@ -195,9 +195,12 @@ def test_acceptance_5a_bicriteria_exact():
         inst = gen_random(8, 4, 2, 16, seed=500 + seed)
         stream = structure_stream(run_fractional(inst).solution.increments, inst)
         traces = [randomized_round(stream, s) for s in range(10)]
-        out = derandomize_ensemble(traces)  # asserts the 2x fetch bound
+        out = derandomize_ensemble(traces)
         if any(len(s.cache) > 2 * inst.k for s in out.steps):
             failures.append("space")
+        mean = sum(tr.fetching_cost for tr in traces) / len(traces)
+        if out.fetching_cost > 2.0 * mean + 1e-6:
+            failures.append("mean fetch cost")
     elapsed = time.monotonic() - start
     ok = not failures and elapsed < 300.0
     _report(5, "bicriteria exact bounds (a)", ok, f"failures={failures}", elapsed)

@@ -124,8 +124,13 @@ def test_flushed_constraints_are_tight():
     res.ledger.mass[fl] += 0.5 * DUAL_EPS
     res.ledger.check_feasible(inst)
     res.ledger.mass[fl] += DUAL_EPS
-    with pytest.raises(AssertionError, match="overshot"):
+    with pytest.raises(AssertionError, match="overshot") as err:
         res.ledger.check_feasible(inst)
+    # the message names the flush, its mass, c_B and the excess
+    a, c = res.ledger.mass[fl], inst.costs[fl[0]]
+    assert str(err.value) == (
+        f"dual constraint of flush {fl} overshot: mass {a} > c_B {c} by {a - c}"
+    )
 
 
 def test_next_tight_increase_tie_break():

@@ -4,9 +4,15 @@ import random
 
 import pytest
 
+from blockcache.det_online import run_deterministic
 from blockcache.frac_online import FractionalSolution, replay_failures, run_fractional
 from blockcache.instance import Instance, RequestIndex, gen_beta_off, gen_random
-from blockcache.oracle import opt_eviction, trace_to_x_mean
+from blockcache.oracle import (
+    fractional_costs_from_x,
+    opt_eviction,
+    opt_fetching,
+    trace_to_x_mean,
+)
 from blockcache.rounding import (
     AlterationError,
     StructuredStream,
@@ -18,7 +24,7 @@ from blockcache.rounding import (
     randomized_round,
     structure_stream,
 )
-from blockcache.submodular import CoverageOracle, PhiView, flush_cost
+from blockcache.submodular import PhiView, flush_cost
 from reference import gap_fractional_solution, structure_stream_reference
 
 
@@ -47,7 +53,6 @@ def test_structured_half_stage_x_invariant():
         inst = gen_random(8, 4, 2, 24, seed=40 + seed)
         stream = structure_stream(run_fractional(inst).solution.increments, inst)
         index = RequestIndex(inst)
-        oracle = CoverageOracle(inst, index)
         half = {(b, 0): 1.0 for b in range(inst.num_blocks)}
         idx = 0
         for tau in range(1, inst.T + 1):
@@ -59,7 +64,7 @@ def test_structured_half_stage_x_invariant():
                 idx += 1
             view = PhiView(half, inst.num_blocks)
             for b in range(inst.num_blocks):
-                for xv in view.x(oracle, b, tau):
+                for xv in view.x(index, b, tau):
                     assert xv < 0.5 or xv >= 1.0 - 1e-9
 
 
@@ -163,13 +168,13 @@ def test_randomized_round_cache_residency():
     res = run_fractional(inst)
     stream = structure_stream(res.solution.increments, inst)
     view = PhiView(stream.phi, inst.num_blocks)
-    oracle = CoverageOracle(inst, RequestIndex(inst))
+    index = RequestIndex(inst)
     for seed in range(5):
         trace = randomized_round(stream, seed=seed)
         for t in range(1, inst.T + 1):
             cache = trace.cache_at(t)
             for b, blk in enumerate(inst.blocks):
-                for p, xv in zip(blk, view.x(oracle, b, t), strict=True):
+                for p, xv in zip(blk, view.x(index, b, t), strict=True):
                     if xv == 0.0:
                         assert p in cache
 
@@ -297,6 +302,44 @@ def test_derandomize_ensemble_bounds():
     assert out.fetching_cost <= 2.0 * mean + 1e-6
     for step in out.steps:
         assert len(step.cache) <= 2 * inst.k
+
+
+# F(mean x) and the mean fetching cost are float sums over at most T steps
+# of every block; a breach of the lemma exceeds min c_B / N, far above this
+MEAN_FETCH_TOL = 1e-9
+
+
+def test_mean_x_fetches_no_more_than_the_ensemble():
+    # property: the fetching cost of an ensemble's mean x is at most the
+    # ensemble's mean fetching cost, the lemma behind derandomize_ensemble's
+    # 2x bound, for randomized traces at 1-4 drawn seeds with det's and the
+    # fetching DP's traces drawn in, both cost profiles, a drawn starting cache
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.integers(2, 8), st.data(), st.integers(0, 2**16))
+    def check(n, data, seed):
+        k = data.draw(st.integers(1, n - 1))
+        inst = gen_random(
+            n, k, data.draw(st.integers(1, k)), data.draw(st.integers(1, 16)),
+            cost_profile=data.draw(st.sampled_from(["unit", "log-uniform"])), delta=10.0,
+            seed=seed,
+        )
+        cached = data.draw(st.lists(st.integers(1, n), max_size=k, unique=True))
+        inst = dataclasses.replace(inst, initial_cache=frozenset(cached))
+        stream = structure_stream(run_fractional(inst).solution.increments, inst)
+        seeds = data.draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=4))
+        traces = [randomized_round(stream, s) for s in seeds]
+        if data.draw(st.booleans()):
+            traces.append(run_deterministic(inst).trace)
+        if data.draw(st.booleans()):
+            traces.append(opt_fetching(inst)[1])
+        mean = sum(tr.fetching_cost for tr in traces) / len(traces)
+        _evict, fetch = fractional_costs_from_x(trace_to_x_mean(traces), inst)
+        assert fetch <= mean + MEAN_FETCH_TOL
+
+    check()
 
 
 @pytest.mark.parametrize("direction", ["evict-heavy", "fetch-heavy"])

@@ -4,10 +4,13 @@ other than a dunder, is referenced somewhere in the package beyond its own
 definition.  So is every module-level name assignment, where an import by
 the benchmark in ``bench/*.py`` also counts as a use.  Test-only
 references belong in ``tests/reference.py``.  The package imports only the
-standard library and its own modules."""
+standard library and its own modules.  Every module-level numeric constant
+states its reason in a comment, on its own line or the line above."""
 
 import ast
+import io
 import sys
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -104,6 +107,53 @@ def test_an_orphaned_constant_is_found():
     assert unused_assignments([source], Counter()) == ["NO_FLUSH", "ALIAS"]
     assert unused_assignments([source], Counter({"ALIAS": 1})) == ["NO_FLUSH"]
     assert bench_imports()["check_feasible_full"] >= 1
+
+
+def is_numeric(node: ast.AST) -> bool:
+    """True for a number or arithmetic on numbers alone, such as 10**7."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float)
+    if isinstance(node, ast.UnaryOp):
+        return is_numeric(node.operand)
+    if isinstance(node, ast.BinOp):
+        return is_numeric(node.left) and is_numeric(node.right)
+    return False
+
+
+def numeric_constants(source: str) -> list[tuple[str, ast.AST]]:
+    """Each module-level name bound to a number, with its statement."""
+    return [(name, node) for name, node in assigned_names(ast.parse(source))
+            if is_numeric(node.value)]
+
+
+def unexplained_constants(source: str) -> list[str]:
+    """Each module-level numeric constant with no comment on its own line
+    and no comment line just above it."""
+    comments = [
+        tok for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+        if tok.type == tokenize.COMMENT
+    ]
+    on_line = {tok.start[0] for tok in comments}
+    alone = {tok.start[0] for tok in comments if tok.line.lstrip().startswith("#")}
+    return [
+        name
+        for name, node in numeric_constants(source)
+        if node.lineno not in on_line and node.lineno - 1 not in alone
+    ]
+
+
+def test_every_numeric_constant_states_its_reason():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    names = {name for source in sources.values() for name, _node in numeric_constants(source)}
+    assert {"COST_EPS", "DP_MOVE_LIMIT", "TRACE_BATCH"} <= names
+    unexplained = {name: unexplained_constants(source) for name, source in sources.items()}
+    assert {name: found for name, found in unexplained.items() if found} == {}
+    # a trailing comment explains only its own line
+    source = (
+        "# a reason\nA = 1\nB = 2.0  # a reason\nC = -3\n\nD = 10**7\n"
+        "# a reason\nE = 2 * A\nF = 'text'\n"
+    )
+    assert unexplained_constants(source) == ["C", "D"]
 
 
 def imports_outside(source: str, siblings: set[str]) -> list[str]:

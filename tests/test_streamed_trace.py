@@ -5,7 +5,8 @@ the opened trace's file is the in-memory trace's file byte for byte, it
 never holds more than a batch and one step, and ``PolicyTrace.check_file``
 gives every file, faulty or not, the verdict that ``load`` and ``validate``
 give it.  A fault planted past the first batch stops ``run --alg det``
-while it records, names its step, and leaves no file behind."""
+while it records, names its step, and leaves no file behind.  The run
+checks each step once."""
 
 import dataclasses
 import json
@@ -165,3 +166,44 @@ def test_fault_past_the_first_batch_stops_the_run_and_leaves_no_file(tmp_path, m
     # raised by the batch check while det records, not at the end of the run
     assert recorded[-1] < inst.T
     assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
+
+@pytest.mark.parametrize("batch", [4, 7])
+def test_run_det_checks_each_step_once(tmp_path, monkeypatch, batch):
+    # the batch checks while det records, validate's check of the rest and
+    # save together visit the steps 1..T exactly once
+    inst = gen_random(8, 4, 2, 42, seed=5)
+    path = tmp_path / "inst.json"
+    inst.save(str(path))
+    monkeypatch.setattr(instance, "TRACE_BATCH", batch)
+    check, visited = PolicyTrace._check, []
+
+    def visiting_check(self, start, evict, fetch):
+        visited.extend(range(start, self._base + len(self.steps) + 1))
+        return check(self, start, evict, fetch)
+
+    monkeypatch.setattr(PolicyTrace, "_check", visiting_check)
+    argv = ["run", "--instance", str(path), "--alg", "det", "-o", str(tmp_path / "det")]
+    assert cli.main(argv) == 0
+    assert visited == list(range(1, inst.T + 1))
+
+
+def test_save_without_validate_checks_and_writes_the_rest(tmp_path, monkeypatch):
+    # T is not a multiple of the batch, so steps are left for save
+    inst = gen_random(8, 4, 2, 42, seed=5)
+    monkeypatch.setattr(instance, "TRACE_BATCH", 4)
+    run_deterministic(inst).trace.save(str(tmp_path / "memory.trace.jsonl"))
+    trace = PolicyTrace.open(inst, inst.k, str(tmp_path / "opened.trace.jsonl"))
+    run_deterministic(inst, trace)
+    trace.save(str(tmp_path / "opened.trace.jsonl"))
+    opened = (tmp_path / "opened.trace.jsonl").read_text()
+    assert opened == (tmp_path / "memory.trace.jsonl").read_text()
+    trace = PolicyTrace.open(inst, inst.k, str(tmp_path / "faulty.trace.jsonl"))
+    run_deterministic(inst, trace)
+    trace.steps[-1].evict_cost_cum -= 0.5
+    with pytest.raises(ValueError, match=f"eviction cost mismatch at step {inst.T}"):
+        trace.save(str(tmp_path / "faulty.trace.jsonl"))
+    trace.discard()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "memory.trace.jsonl", "opened.trace.jsonl"
+    ]

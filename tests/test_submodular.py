@@ -606,7 +606,7 @@ def test_phi_view_matches_x_from_phi():
         view = PhiView(phi, inst.num_blocks)
         for b, blk in enumerate(inst.blocks):
             for t in range(1, inst.T + 1):
-                for p, xv in zip(blk, view.x(oracle, b, t), strict=True):
+                for p, xv in zip(blk, view.x(oracle.index, b, t), strict=True):
                     assert abs(xv - x_from_phi(phi, oracle, p, t)) < 1e-12
 
 
@@ -620,6 +620,6 @@ def test_phi_view_block_row():
     )
     oracle = make_oracle(inst)
     view = PhiView({(0, 2): 0.5, (0, 3): 0.25}, inst.num_blocks)
-    assert view.x(oracle, 0, 5) == [0.0, 0.0, 1.0, 0.25]
-    assert view.x(oracle, 0, 2) == [0.5, 1.0, 1.0, 0.0]
-    assert view.x(oracle, 1, 5) == [1.0]
+    assert view.x(oracle.index, 0, 5) == [0.0, 0.0, 1.0, 0.25]
+    assert view.x(oracle.index, 0, 2) == [0.5, 1.0, 1.0, 0.0]
+    assert view.x(oracle.index, 1, 5) == [1.0]

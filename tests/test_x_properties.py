@@ -73,7 +73,7 @@ def test_grown_phi_view_matches_reference(case):
     oracle = CoverageOracle(inst, RequestIndex(inst))
     for t in range(inst.T + 1):
         for b, blk in enumerate(inst.blocks):
-            for p, xv in zip(blk, view.x(oracle, b, t), strict=True):
+            for p, xv in zip(blk, view.x(oracle.index, b, t), strict=True):
                 want = x_from_phi(phi, oracle, p, t)
                 assert abs(xv - want) <= X_TOL
 
